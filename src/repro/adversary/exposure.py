@@ -17,8 +17,7 @@ and the paths-of-4-nodes design keeps it negligible for realistic p.
 
 This module is the exposure half of :mod:`repro.adversary`; the
 traffic-analysis attacks that work *below* full-path observation live in
-:mod:`repro.adversary.attacks`.  ``repro.analysis.anonymity`` re-exports
-everything here for backwards compatibility.
+:mod:`repro.adversary.attacks`.
 """
 
 from __future__ import annotations

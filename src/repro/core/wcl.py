@@ -201,36 +201,12 @@ class WhisperCommunicationLayer:
             # No established circuit (one may just have been initiated):
             # fall through to the per-message path — Table I retry
             # semantics are untouched by circuit mode.
-        pair = self._select_mixes(contact, exclude)
-        if pair is None:
+        plan = self._plan_path(contact, exclude, mixes)
+        if plan is None:
             self.stats.no_path += 1
             self.telemetry.counter("wcl.no_path", node=self.node_id, layer="wcl").inc()
             return None
-        first, second = pair
-        middles = self._select_middle_mixes(
-            mixes - 2, forbidden={first.node_id, second.node_id, contact.node_id},
-        )
-        if len(middles) < mixes - 2:
-            self.stats.no_path += 1
-            self.telemetry.counter("wcl.no_path", node=self.node_id, layer="wcl").inc()
-            return None
-        dest_endpoint = (
-            contact.descriptor.public_endpoint if contact.is_public else None
-        )
-        path = [HopSpec(first.node_id, first.key)]
-        path += [
-            HopSpec(
-                m.node_id, m.key, public_endpoint=m.descriptor.public_endpoint,
-            )
-            for m in middles
-        ]
-        path += [
-            HopSpec(
-                second.node_id, second.key,
-                public_endpoint=second.descriptor.public_endpoint,
-            ),
-            HopSpec(contact.node_id, contact.key, public_endpoint=dest_endpoint),
-        ]
+        first, second, middles, path = plan
         build_start_ms = self._charged_ms()
         packet = build_onion(
             self.provider, path, content, content_size,
@@ -259,6 +235,45 @@ class WhisperCommunicationLayer:
             trace_id=packet.trace_id,
             middle_mixes=tuple(m.node_id for m in middles),
         )
+
+    def _plan_path(
+        self,
+        contact: PrivateContact,
+        exclude: set[tuple[NodeId, NodeId]],
+        mixes: int,
+    ) -> tuple[Any, Any, list, list[HopSpec]] | None:
+        """Draw ``(first, second, middles)`` and lay out the hop list.
+
+        Shared by per-message sends and circuit setups.  None when no
+        usable mix pair remains or the backlog cannot supply the middles.
+        """
+        pair = self._select_mixes(contact, exclude)
+        if pair is None:
+            return None
+        first, second = pair
+        middles = self._select_middle_mixes(
+            mixes - 2, forbidden={first.node_id, second.node_id, contact.node_id},
+        )
+        if len(middles) < mixes - 2:
+            return None
+        dest_endpoint = (
+            contact.descriptor.public_endpoint if contact.is_public else None
+        )
+        path = [HopSpec(first.node_id, first.key)]
+        path += [
+            HopSpec(
+                m.node_id, m.key, public_endpoint=m.descriptor.public_endpoint,
+            )
+            for m in middles
+        ]
+        path += [
+            HopSpec(
+                second.node_id, second.key,
+                public_endpoint=second.descriptor.public_endpoint,
+            ),
+            HopSpec(contact.node_id, contact.key, public_endpoint=dest_endpoint),
+        ]
+        return first, second, middles, path
 
     def _select_middle_mixes(self, count: int, forbidden: set[NodeId]) -> list:
         """P-nodes from the CB serving as intermediate hops (mixes > 2)."""
@@ -417,32 +432,16 @@ class WhisperCommunicationLayer:
             # by the header peel alone, so delivery looked cheaper than
             # the accountant said it was).
             body_ms = self._charged_ms() - body_start_ms
-            delay = (decrypt_ms + body_ms) / 1000.0
-            self.stats.delivered += 1
-            if tel.enabled:
-                tel.instant(
-                    "wcl.delivered", trace_id=packet.trace_id,
-                    node=self.node_id, layer="wcl",
-                )
-                tel.counter("wcl.delivered", node=self.node_id, layer="wcl").inc()
-            if self._receive_upcall is not None:
-                upcall = self._receive_upcall
-                self._sim.schedule(
-                    delay, lambda: upcall(content, packet.body.size_bytes)
-                )
+            self._deliver_after(
+                (decrypt_ms + body_ms) / 1000.0, packet.trace_id,
+                content, packet.body.size_bytes,
+            )
             return
         next_hop = layer.next_hop
         assert next_hop is not None
         self.stats.forwarded += 1
         tel.counter("wcl.forwarded", node=self.node_id, layer="wcl").inc()
-        if self._mix_batch_interval is None:
-            self._sim.schedule(
-                delay, lambda: self._forward(next_hop, forward)
-            )
-        else:
-            self._sim.schedule(
-                delay, lambda: self._hold_for_mixing(next_hop, forward)
-            )
+        self._relay_after(delay, next_hop, forward, "wcl.onion")
 
     # ------------------------------------------------------------------
     # batched mixing (anonymity countermeasure)
@@ -514,16 +513,45 @@ class WhisperCommunicationLayer:
             "wcl.mix_flushed", node=self.node_id, layer="wcl"
         ).inc(len(pool))
 
+    def _deliver_after(
+        self, delay: float, trace_id: int, content: Any, size: int
+    ) -> None:
+        """We are the destination: count the arrival and hand the content
+        to the receive upcall once the CPU time it cost has elapsed."""
+        self.stats.delivered += 1
+        tel = self.telemetry
+        if tel.enabled:
+            tel.instant(
+                "wcl.delivered", trace_id=trace_id, node=self.node_id, layer="wcl",
+            )
+            tel.counter("wcl.delivered", node=self.node_id, layer="wcl").inc()
+        upcall = self._receive_upcall
+        if upcall is not None:
+            self._sim.schedule(delay, lambda: upcall(content, size))
+
+    def _relay_after(self, delay: float, next_hop: NextHop, packet, kind: str) -> None:
+        """Pass ``packet`` on once the CPU time it cost has elapsed —
+        through the mix pool when batched mixing is on."""
+        relay = (
+            self._forward if self._mix_batch_interval is None
+            else self._hold_for_mixing
+        )
+        self._sim.schedule(delay, lambda: relay(next_hop, packet, kind))
+
+    @staticmethod
+    def _public_descriptor(next_hop: NextHop) -> NodeDescriptor:
+        """What a session towards a P-node hop needs: id and endpoint."""
+        return NodeDescriptor(
+            node_id=next_hop.node_id,
+            kind=NodeKind.PUBLIC,
+            nat_type=NatType.OPEN,
+            public_endpoint=next_hop.public_endpoint,
+        )
+
     def _forward(self, next_hop, packet, kind: str = "wcl.onion") -> None:
         if next_hop.public_endpoint is not None:
-            descriptor = NodeDescriptor(
-                node_id=next_hop.node_id,
-                kind=NodeKind.PUBLIC,
-                nat_type=NatType.OPEN,
-                public_endpoint=next_hop.public_endpoint,
-            )
             self.cm.ensure_session(
-                descriptor,
+                self._public_descriptor(next_hop),
                 on_ready=lambda: self._forward_via_session(
                     next_hop.node_id, packet, kind
                 ),
@@ -626,33 +654,15 @@ class WhisperCommunicationLayer:
         context: str,
         mixes: int,
     ) -> None:
-        """Pick a path (same constraints as send_to) and emit the setup."""
-        pair = self._select_mixes(contact, exclude)
-        if pair is None:
+        """Pick a path (same constraints as send_to) and emit the setup.
+
+        Silent when no path exists: the caller falls back to a per-message
+        send, which does the ``no_path`` accounting.
+        """
+        plan = self._plan_path(contact, exclude, mixes)
+        if plan is None:
             return
-        first, second = pair
-        middles = self._select_middle_mixes(
-            mixes - 2, forbidden={first.node_id, second.node_id, contact.node_id},
-        )
-        if len(middles) < mixes - 2:
-            return
-        dest_endpoint = (
-            contact.descriptor.public_endpoint if contact.is_public else None
-        )
-        path = [HopSpec(first.node_id, first.key)]
-        path += [
-            HopSpec(
-                m.node_id, m.key, public_endpoint=m.descriptor.public_endpoint,
-            )
-            for m in middles
-        ]
-        path += [
-            HopSpec(
-                second.node_id, second.key,
-                public_endpoint=second.descriptor.public_endpoint,
-            ),
-            HopSpec(contact.node_id, contact.key, public_endpoint=dest_endpoint),
-        ]
+        first, second, middles, path = plan
         keys = tuple(self.provider.new_symmetric_key() for _ in path)
         labels = [self._new_circuit_label() for _ in path]
         hops = [
@@ -884,21 +894,11 @@ class WhisperCommunicationLayer:
             tel.histogram("wcl.cunwrap_ms", layer="wcl").observe(unwrap_ms)
         if entry.next_hop is None:
             # We are the destination; the unwrap returned the content.
-            self.stats.delivered += 1
             self.stats.circuit_delivered += 1
-            if tel.enabled:
-                tel.instant(
-                    "wcl.delivered", trace_id=frame.trace_id,
-                    node=self.node_id, layer="wcl",
-                )
-                tel.counter("wcl.delivered", node=self.node_id, layer="wcl").inc()
-                tel.counter(
-                    "wcl.circuit_delivered", node=self.node_id, layer="wcl"
-                ).inc()
-            if self._receive_upcall is not None:
-                upcall = self._receive_upcall
-                content, size = result, frame.body.size_bytes
-                self._sim.schedule(delay, lambda: upcall(content, size))
+            self._deliver_after(delay, frame.trace_id, result, frame.body.size_bytes)
+            tel.counter(
+                "wcl.circuit_delivered", node=self.node_id, layer="wcl"
+            ).inc()
             return
         assert isinstance(result, LayeredPayload)
         assert entry.next_circuit_id is not None
@@ -910,16 +910,7 @@ class WhisperCommunicationLayer:
         self.stats.circuit_forwarded += 1
         tel.counter("wcl.forwarded", node=self.node_id, layer="wcl").inc()
         tel.counter("wcl.circuit_forwarded", node=self.node_id, layer="wcl").inc()
-        next_hop = entry.next_hop
-        if self._mix_batch_interval is None:
-            self._sim.schedule(
-                delay, lambda: self._forward(next_hop, forward, "wcl.circuit_data")
-            )
-        else:
-            self._sim.schedule(
-                delay,
-                lambda: self._hold_for_mixing(next_hop, forward, "wcl.circuit_data"),
-            )
+        self._relay_after(delay, entry.next_hop, forward, "wcl.circuit_data")
 
     def handle_circuit_teardown(self, payload: dict) -> None:
         """Explicit teardown walking the forward direction."""
@@ -940,14 +931,9 @@ class WhisperCommunicationLayer:
             {"circuit": next_label}, sizes.circuit_header, "wcl",
         )
         if next_hop.public_endpoint is not None:
-            descriptor = NodeDescriptor(
-                node_id=next_hop.node_id,
-                kind=NodeKind.PUBLIC,
-                nat_type=NatType.OPEN,
-                public_endpoint=next_hop.public_endpoint,
-            )
             self.cm.ensure_session(
-                descriptor, on_ready=send, on_fail=lambda reason: None
+                self._public_descriptor(next_hop),
+                on_ready=send, on_fail=lambda reason: None,
             )
         else:
             send()

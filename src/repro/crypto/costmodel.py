@@ -144,7 +144,7 @@ class CpuAccountant:
     ) -> float:
         """``layers`` symmetric passes over one body, charged as one op.
 
-        The circuit-mode wrap runs all layers in a single compiled kernel,
+        The circuit-mode wrap runs all layers back to back in one call,
         so the model charges the combined cost with a single record update
         and one jitter draw (the layers execute back-to-back under the
         same load conditions).  The op name stays ``aes`` so Table II's

@@ -30,7 +30,7 @@ from ..net.address import NodeId
 from . import rsa
 from .aes import ctr_transform
 from .costmodel import CpuAccountant
-from .stream import layered_wrap, stream_transform, tag, verify_tag
+from .stream import stream_transform, tag, verify_tag
 
 __all__ = [
     "CryptoError",
@@ -269,17 +269,14 @@ class RealCryptoProvider(CryptoProvider):
             raise ValueError("wrap_layers needs at least one key")
         body = pickle.dumps(obj)
         nonces = tuple(self.new_nonce() for _ in keys)
-        if self._use_aes:
-            ciphertexts: list[bytes] = []
-            data = body
-            for index in range(len(keys) - 1, -1, -1):
-                data = ctr_transform(keys[index], nonces[index], data)
-                ciphertexts.append(data)
-            ciphertexts.reverse()
-        else:
-            # The compiled big-int kernel: every intermediate ciphertext in
-            # one pass (each hop MACs the ciphertext it will receive).
-            ciphertexts = layered_wrap(keys, nonces, body)
+        # Innermost (destination) layer first, keeping every intermediate
+        # ciphertext: each hop MACs the ciphertext it will receive.
+        ciphertexts: list[bytes] = []
+        data = body
+        for index in range(len(keys) - 1, -1, -1):
+            data = self._bulk(keys[index], nonces[index], data)
+            ciphertexts.append(data)
+        ciphertexts.reverse()
         auths = tuple(
             tag(key, ciphertext)
             for key, ciphertext in zip(keys, ciphertexts)

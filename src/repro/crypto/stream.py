@@ -9,11 +9,7 @@ model remains the calibrated AES cost either way.
 
 The transform runs as one big-int XOR over the whole buffer instead of a
 per-byte Python loop (the same hot-loop treatment the wire codec got:
-CPython bignum XOR is a single C call).  Circuit-mode layered transforms
-additionally get per-layer-count ``exec``-compiled kernels — an N-layer
-wrap is one compiled function with the layer loop unrolled, producing
-every intermediate ciphertext (each hop authenticates the ciphertext *it*
-receives) without re-entering the interpreter loop per layer.
+CPython bignum XOR is a single C call).
 
 Not intended as a production cipher; it exists so that the simulated
 protocols still perform a real keyed, invertible transformation (tests
@@ -25,12 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Callable, Sequence
 
 __all__ = [
     "stream_transform",
-    "layered_wrap",
-    "keystream_int",
     "tag",
     "verify_tag",
 ]
@@ -38,74 +31,22 @@ __all__ = [
 _sha256 = hashlib.sha256
 
 
-def keystream_int(key: bytes, nonce: bytes, length: int) -> int:
-    """The SHA-256 counter keystream for ``length`` bytes, as a big int.
-
-    Byte-compatible with the original per-byte implementation: block ``i``
-    is ``sha256(key + nonce + i.to_bytes(8))`` and the stream is truncated
-    to ``length`` bytes before conversion.
-    """
-    if length <= 0:
-        return 0
-    prefix = key + nonce
-    blocks = b"".join(
-        _sha256(prefix + index.to_bytes(8, "big")).digest()
-        for index in range((length + 31) // 32)
-    )
-    return int.from_bytes(blocks[:length], "big")
-
-
 def stream_transform(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with a SHA-256 counter keystream (self-inverse)."""
+    """XOR ``data`` with a SHA-256 counter keystream (self-inverse).
+
+    Keystream block ``i`` is ``sha256(key + nonce + i.to_bytes(8))``; the
+    stream is truncated to ``len(data)`` bytes before the XOR.
+    """
     length = len(data)
     if length == 0:
         return b""
-    value = int.from_bytes(data, "big") ^ keystream_int(key, nonce, length)
+    prefix = key + nonce
+    keystream = b"".join(
+        _sha256(prefix + index.to_bytes(8, "big")).digest()
+        for index in range((length + 31) // 32)
+    )
+    value = int.from_bytes(data, "big") ^ int.from_bytes(keystream[:length], "big")
     return value.to_bytes(length, "big")
-
-
-# -- exec-compiled layered kernels (circuit-mode wrap) ----------------------
-#
-# ``layered_wrap(keys, nonces, data)`` applies the stream transform once
-# per layer, innermost (destination) first, and returns every intermediate
-# ciphertext outermost-first: result[i] is the ciphertext hop i receives
-# (and MACs).  Unwrapping one layer is just ``stream_transform`` with that
-# hop's key, so no decode kernel is needed.
-
-_WRAP_KERNELS: dict[int, Callable[..., list[bytes]]] = {}
-
-
-def _compile_wrap(n_layers: int) -> Callable[..., list[bytes]]:
-    lines = [
-        "def _wrap(keys, nonces, data, _ks=keystream_int):",
-        "    L = len(data)",
-        "    x = int.from_bytes(data, 'big')",
-    ]
-    for index in range(n_layers - 1, -1, -1):
-        lines.append(f"    x ^= _ks(keys[{index}], nonces[{index}], L)")
-        lines.append(f"    c{index} = x")
-    body = ", ".join(f"c{i}.to_bytes(L, 'big')" for i in range(n_layers))
-    lines.append(f"    return [{body}]")
-    namespace: dict[str, object] = {"keystream_int": keystream_int}
-    exec("\n".join(lines), namespace)  # noqa: S102 - compile-time codegen
-    return namespace["_wrap"]  # type: ignore[return-value]
-
-
-def layered_wrap(
-    keys: Sequence[bytes], nonces: Sequence[bytes], data: bytes
-) -> list[bytes]:
-    """All intermediate ciphertexts of an N-layer wrap, outermost first."""
-    n_layers = len(keys)
-    if n_layers == 0:
-        raise ValueError("layered wrap needs at least one key")
-    if len(nonces) != n_layers:
-        raise ValueError(f"{n_layers} keys but {len(nonces)} nonces")
-    if not data:
-        return [b""] * n_layers
-    kernel = _WRAP_KERNELS.get(n_layers)
-    if kernel is None:
-        kernel = _WRAP_KERNELS[n_layers] = _compile_wrap(n_layers)
-    return kernel(keys, nonces, data)
 
 
 def tag(key: bytes, data: bytes) -> bytes:

@@ -350,7 +350,7 @@ def _observation_point(point):
     Both path lengths deliberately share the same seed (a controlled
     comparison).
     """
-    from ..analysis import adversary_sweep, extract_flows
+    from ..adversary.exposure import adversary_sweep, extract_flows
     from ..net.observer import LinkObserver
 
     path_mixes, point_seed, n_nodes, messages = point

@@ -54,7 +54,6 @@ class WorldConfig:
     introducer_count: int = 5
     whisper: WhisperConfig = field(default_factory=WhisperConfig)
     telemetry_enabled: bool = False
-    trace_enabled: bool = False  # legacy alias; either flag turns telemetry on
     cost_model: CostModel = field(default_factory=CostModel)
     wire_mode: str = "off"  # "off" | "verify" | "measured"; see Network.set_wire_mode
 
@@ -67,7 +66,7 @@ class World:
         self.sim = Simulator()
         self.telemetry = Telemetry(
             clock=lambda: self.sim.now,
-            enabled=self.config.telemetry_enabled or self.config.trace_enabled,
+            enabled=self.config.telemetry_enabled,
         )
         self.sim.bind_telemetry(self.telemetry)
         self.registry = RngRegistry(self.config.seed)

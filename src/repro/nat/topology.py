@@ -68,7 +68,7 @@ class NatTopology:
         # by node id (ids are dense: the World allocates them 1, 2, 3, ...).
         # The fabric's per-send path resolves a sender through two list
         # indexes instead of a dict probe + two attribute loads, and the
-        # compiled Network.send binds these lists once — their identity must
+        # Network.send closure binds these lists once — their identity must
         # never change (grown by extend, entries nulled on removal).
         self._local: list[Endpoint | None] = []
         self._device: list[NatDevice | None] = []

@@ -62,8 +62,8 @@ class BandwidthAccountant:
     nodes this also drops the per-node ``TrafficTotals`` object zoo —
     :class:`TrafficTotals` views are materialized on demand by the query
     methods, so mutating a returned view does not write back.  The column
-    lists and the touched-dicts are bound by the fabric's compiled send
-    path and must keep their identity (grown/cleared in place only).
+    lists and the touched-dicts are bound by the fabric's send closure
+    and must keep their identity (grown/cleared in place only).
     """
 
     def __init__(self) -> None:

@@ -51,20 +51,6 @@ class LatencyModel(ABC):
         """
         return {}
 
-    def fastpath_spec(self) -> dict[str, object] | None:
-        """Constants for the fabric's compiled send path, or ``None``.
-
-        Models whose per-message work is a closed-form expression (no loss,
-        no per-pair state) expose their bound constants here so
-        :class:`~repro.net.network.Network` can inline the delay computation
-        into its generated ``send`` and skip the ``is_lost``/``delay`` calls
-        entirely.  Models with loss or memoized state return ``None`` and go
-        through the virtual calls.  The inlined expression must reproduce
-        this model's RNG draws *exactly* (same stream, same order) — traces
-        are byte-compared against the uncompiled pipeline.
-        """
-        return None
-
 
 class FixedLatencyModel(LatencyModel):
     """Constant delay, no loss.  For unit tests where timing must be exact."""
@@ -77,11 +63,6 @@ class FixedLatencyModel(LatencyModel):
 
     def is_lost(self, src: NodeId, dst: NodeId) -> bool:
         return False
-
-    def fastpath_spec(self) -> dict[str, object] | None:
-        if type(self) is not FixedLatencyModel:  # subclass may override delay()
-            return None
-        return {"kind": "fixed", "delay": self._delay}
 
 
 class ClusterLatencyModel(LatencyModel):
@@ -109,6 +90,9 @@ class ClusterLatencyModel(LatencyModel):
         self._lognorm = rng.lognormvariate
 
     def delay(self, src: NodeId, dst: NodeId, size_bytes: int) -> float:
+        # Keep the exact `size * 8 / bw` evaluation order: folding it to
+        # `size * (8 / bw)` changes the result in the last ulp, and delays
+        # feed the event clock that traces are byte-compared on.
         return (
             self._base
             + size_bytes * 8 / self._bw
@@ -117,22 +101,6 @@ class ClusterLatencyModel(LatencyModel):
 
     def is_lost(self, src: NodeId, dst: NodeId) -> bool:
         return False
-
-    def fastpath_spec(self) -> dict[str, object] | None:
-        if type(self) is not ClusterLatencyModel:  # subclass may override delay()
-            return None
-        return {
-            "kind": "cluster",
-            "base": self._base,
-            # The generated code must keep the exact `size * 8 / bw`
-            # evaluation order: folding it to `size * (8 / bw)` changes the
-            # result in the last ulp, and delays feed the event clock that
-            # traces are byte-compared on.
-            "bw": self._bw,
-            "mu": self._mu,
-            "sigma": self._sigma,
-            "lognorm": self._lognorm,
-        }
 
 
 class PlanetLabLatencyModel(LatencyModel):

@@ -11,19 +11,16 @@ the receiver only on successful delivery), and link observers are notified
 of everything that touches the wire — including packets later dropped by an
 ingress filter, since a wiretap sees those too.
 
-The per-message pipeline is *compiled*: ``send`` and ``_deliver`` are
-generated with ``exec`` (the wire codec's fast-path idiom) and specialized
-on the fabric configuration — wire mode, telemetry on/off, fault hook,
-observers, latency model.  Branches for disabled features are omitted from
-the bytecode instead of tested per message, and all per-node state resolves
-through the struct-of-arrays tables the NAT topology and bandwidth
-accountant maintain (dense lists indexed by node id) rather than per-node
-dicts and objects.  Reconfiguring the fabric (``set_wire_mode``,
-``set_fault_hook``, ``add_observer``) recompiles; the generated code binds
-the backing lists/dicts by identity, which is why those structures are
-grown and cleared in place everywhere.  The compiled paths replicate the
-uncompiled pipeline's RNG draws, counter updates and schedule order
-exactly — traces are byte-compared against pre-compilation runs.
+The per-message pipeline is one ``send`` / ``_deliver`` closure pair built
+by :meth:`Network._rebind`.  All per-node state resolves through the
+struct-of-arrays tables the NAT topology and bandwidth accountant maintain
+(dense lists indexed by node id) rather than per-node dicts and objects;
+the closures bind those backing lists/dicts by identity, which is why the
+structures are grown and cleared in place everywhere.  Optional features
+(wire mode, telemetry, fault hook, observers, foreign router) are tested
+per message against closed-over flags; reconfiguring the fabric
+(``set_wire_mode``, ``set_fault_hook``, ``add_observer``,
+``set_foreign_router``) rebuilds the pair.
 """
 
 from __future__ import annotations
@@ -108,8 +105,8 @@ class Network:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._handlers: dict[NodeId, Handler] = {}
         # Dense handler table mirroring _handlers, indexed by node id — the
-        # delivery path's owner lookup.  Grown in place (compiled code binds
-        # the list object).
+        # delivery path's owner lookup.  Grown in place (the data-path
+        # closures bind the list object).
         self._handler_arr: list[Handler | None] = []
         self._observers: list[LinkObserver] = []
         self._fault_hook: FaultHook | None = None
@@ -164,7 +161,7 @@ class Network:
                 max(ENCODE_CACHE_FLOOR, 2 * len(self._handlers))
             )
         self._wire_mode = mode
-        self._recompile()
+        self._rebind()
 
     @property
     def wire_mode(self) -> str:
@@ -224,12 +221,12 @@ class Network:
 
     def add_observer(self, observer: LinkObserver) -> None:
         self._observers.append(observer)
-        self._recompile()
+        self._rebind()
 
     def set_fault_hook(self, hook: FaultHook | None) -> None:
         """Install (or clear) the fault injector consulted on every message."""
         self._fault_hook = hook
-        self._recompile()
+        self._rebind()
 
     def set_foreign_router(
         self, router: Callable[[NodeId, Message, str, float], None] | None
@@ -247,301 +244,236 @@ class Network:
         so delivery filters it like any departed endpoint).
         """
         self._foreign_router = router
-        self._recompile()
+        self._rebind()
 
     # ------------------------------------------------------------------
-    # data path (generated)
+    # data path
     # ------------------------------------------------------------------
-    # ``send`` and ``_deliver`` are instance attributes assigned by
-    # _recompile(); their signatures and observable behaviour follow the
-    # docstring below, which _recompile attaches to the generated send.
+    def _rebind(self) -> None:
+        """(Re)build the ``send`` / ``_deliver`` closure pair.
 
-    _SEND_DOC = """Emit one message.  Fire-and-forget: losses are silent, as on UDP.
-
-        A send from a node that already departed (e.g. a mix killed between
-        receiving an onion and its delayed forward) is dropped silently: the
-        dead process cannot emit packets.
+        Both are instance attributes whose free variables hold the fabric
+        configuration (wire mode, telemetry, fault hook, observers, foreign
+        router) and the struct-of-arrays tables the per-message pipeline
+        indexes, so a message costs local-variable reads rather than
+        attribute chains.  Must be called after any change to that
+        configuration.  Membership changes (attach / detach / topology
+        add/remove) do *not* need it: the tables are bound by identity and
+        mutated in place.
         """
-
-    def _recompile(self) -> None:
-        """(Re)generate the specialized ``send`` / ``_deliver`` pair.
-
-        Must be called after any change to the fabric configuration the
-        generated code is specialized on.  Membership changes (attach /
-        detach / topology add/remove) do *not* require recompiling: the
-        generated code indexes the shared struct-of-arrays tables, which
-        are mutated in place.
-        """
+        net = self  # net._deliver is resolved per send so it can be wrapped
+        sim = self._sim
+        stats = self.stats
+        topo = self._topology
+        local_arr = topo._local
+        device_arr = topo._device
+        owner_map = topo._owner
+        handler_arr = self._handler_arr
+        hints = self._owner_hints
+        hints_data = hints._data
+        owner_hint = self._owner_hint
+        acct = self.accountant
+        acct_cols = acct._cols
+        cat_cols = acct.category_columns
+        acct_grow = acct.grow
+        acct_touched = acct._touched
+        acct_win_touched = acct._win_touched
         tel = self.telemetry
         tel_on = bool(tel.enabled)
-        hook = self._fault_hook is not None
+        counter = tel.counter
+        publish_caches = self._publish_cache_counters
+        observe = self._observe
         observers = bool(self._observers)
-        router = self._foreign_router is not None
+        hook = self._fault_hook
+        route = self._foreign_router
+        is_lost = self._latency.is_lost
+        delay = self._latency.delay
+        queue = sim._queue
+        next_seq = sim._seq.__next__
+        next_msg_id = self._msg_ids.__next__
+        schedule = sim.schedule
+        heappush = heapq.heappush
         mode = self._wire_mode
-        spec = self._latency.fastpath_spec()
+        wire_on = mode != "off"
+        if wire_on:
+            wire_encode = self._wire.encode_message
+            wire_decode = self._wire.decode_message
+            wire_size = self._wire.encoded_size
+            audit_record = self.wire_audit.record
+            encode_cache = self.encode_cache
 
-        lines = ["def _deliver(src_node, message, category):"]
-        emit = lines.append
-        observe_miss = (
-            "        _observe(src_node, None, message.src, dst, message.kind,"
-            " message.payload, message.size_bytes)"
-        )
-        emit("    dst = message.dst")
-        emit("    entry = _owner_map.get(dst.host)")
-        emit("    owner = -1")
-        emit("    if entry is not None:")
-        emit("        device = entry[1]")
-        emit("        if device is None:")
-        emit("            owner = entry[0]")
-        emit(
-            "        elif device.inbound(dst.port, message.src,"
-            " message.protocol, _sim.now) is not None:"
-        )
-        emit("            owner = entry[0]")
-        emit("    if owner < 0:")
-        emit("        _stats.filtered += 1")
-        if tel_on:
-            emit('        _counter("net.filtered", layer="net").inc()')
-        if observers:
-            emit(observe_miss)
-        emit("        return")
-        if hook:
+        def _deliver(src_node, message, category):
+            dst = message.dst
+            entry = owner_map.get(dst.host)
+            owner = -1
+            if entry is not None:
+                device = entry[1]
+                if device is None:
+                    owner = entry[0]
+                elif device.inbound(
+                    dst.port, message.src, message.protocol, sim.now
+                ) is not None:
+                    owner = entry[0]
+            if owner < 0:
+                stats.filtered += 1
+                if tel_on:
+                    counter("net.filtered", layer="net").inc()
+                if observers:
+                    observe(src_node, None, message.src, dst, message.kind,
+                            message.payload, message.size_bytes)
+                return
             # Faults that arose while the message was in flight (a partition
             # forming, a node stalling) still swallow it on arrival.
-            emit("    if _hook.on_deliver(src_node, owner) is not None:")
-            emit("        _stats.lost += 1")
-            if tel_on:
-                emit('        _counter("net.lost", layer="net").inc()')
+            if hook is not None and hook.on_deliver(src_node, owner) is not None:
+                stats.lost += 1
+                if tel_on:
+                    counter("net.lost", layer="net").inc()
+                if observers:
+                    observe(src_node, None, message.src, dst, message.kind,
+                            message.payload, message.size_bytes)
+                return
+            try:
+                handler = handler_arr[owner]
+            except IndexError:
+                handler = None
             if observers:
-                emit(observe_miss)
-            emit("        return")
-        emit("    try:")
-        emit("        handler = _handler_arr[owner]")
-        emit("    except IndexError:")
-        emit("        handler = None")
-        if observers:
-            emit(
-                "    _observe(src_node, owner, message.src, dst, message.kind,"
-                " message.payload, message.size_bytes)"
-            )
-        emit("    if handler is None:")
-        emit("        _stats.no_handler += 1")
-        if tel_on:
-            emit('        _counter("net.no_handler", layer="net").inc()')
-        emit("        return")
-        emit("    _stats.delivered += 1")
-        emit("    size = message.size_bytes")
-        emit("    cols = _acct_cols.get(category)")
-        emit("    if cols is None:")
-        emit("        cols = _cat_cols(category)")
-        emit("    try:")
-        emit("        cols[1][owner] += size")
-        emit("    except IndexError:")
-        emit("        _acct_grow(owner)")
-        emit("        cols[1][owner] += size")
-        emit("    cols[3][owner] += size")
-        emit("    _acct_touched[owner] = None")
-        emit("    _acct_win_touched[owner] = None")
-        if tel_on:
-            emit('    _counter("net.msgs_delivered", node=owner, layer="net").inc()')
-            emit('    _counter("net.down_bytes", node=owner, layer="net").inc(size)')
-            emit(
-                '    _counter("net.link.msgs", src=src_node, dst=owner,'
-                ' layer="net").inc()'
-            )
-            emit(
-                '    _counter("net.link.bytes", src=src_node, dst=owner,'
-                ' layer="net").inc(size)'
-            )
-        emit("    handler(message)")
+                observe(src_node, owner, message.src, dst, message.kind,
+                        message.payload, message.size_bytes)
+            if handler is None:
+                stats.no_handler += 1
+                if tel_on:
+                    counter("net.no_handler", layer="net").inc()
+                return
+            stats.delivered += 1
+            size = message.size_bytes
+            cols = acct_cols.get(category)
+            if cols is None:
+                cols = cat_cols(category)
+            try:
+                cols[1][owner] += size
+            except IndexError:
+                acct_grow(owner)
+                cols[1][owner] += size
+            cols[3][owner] += size
+            acct_touched[owner] = None
+            acct_win_touched[owner] = None
+            if tel_on:
+                counter("net.msgs_delivered", node=owner, layer="net").inc()
+                counter("net.down_bytes", node=owner, layer="net").inc(size)
+                counter("net.link.msgs", src=src_node, dst=owner, layer="net").inc()
+                counter(
+                    "net.link.bytes", src=src_node, dst=owner, layer="net"
+                ).inc(size)
+            handler(message)
 
-        emit("")
-        emit(
-            "def send(src_node, dst, kind, payload, size_bytes,"
-            ' protocol=_UDP, category="other"):'
-        )
-        observe_drop = (
-            "        _observe(src_node, None, visible_src, dst, kind,"
-            " payload, size_bytes)"
-        )
-        emit("    if src_node >= 0:")
-        emit("        try:")
-        emit("            local = _local[src_node]")
-        emit("        except IndexError:")
-        emit("            local = None")
-        emit("    else:")
-        emit("        local = None")
-        emit("    if local is None:  # sender already departed")
-        emit("        _stats.filtered += 1")
-        emit("        return")
-        emit("    device = _device[src_node]")
-        emit("    if device is None:")
-        emit("        visible_src = local")
-        emit("    else:")
-        emit("        visible_src = device.outbound(local, dst, protocol, _sim.now)")
-        if mode == "verify":
-            # Loopback codec pass-through: the payload the receiver sees
-            # has been through encode->decode, so any value the codec
-            # cannot carry fails here, in the sim, not on a live socket.
-            emit("    frame = _wire_encode(kind, payload, _encode_cache)")
-            emit("    _audit_record(kind, size_bytes, len(frame))")
-            emit("    payload = _wire_decode(frame).payload")
-        elif mode == "measured":
-            # measured: exact frame size from the size accumulator; no
-            # frame bytes, no CRC, payload delivered as in "off" mode.
-            emit("    measured = _wire_size(kind, payload, _encode_cache)")
-            emit("    _audit_record(kind, size_bytes, measured)")
-            emit("    size_bytes = measured")
-        emit("    _stats.sent += 1")
-        emit("    cols = _acct_cols.get(category)")  # upload side
-        emit("    if cols is None:")
-        emit("        cols = _cat_cols(category)")
-        emit("    try:")
-        emit("        cols[0][src_node] += size_bytes")
-        emit("    except IndexError:")
-        emit("        _acct_grow(src_node)")
-        emit("        cols[0][src_node] += size_bytes")
-        emit("    cols[2][src_node] += size_bytes")
-        emit("    _acct_touched[src_node] = None")
-        emit("    _acct_win_touched[src_node] = None")
-        if tel_on:
-            emit('    _counter("net.msgs_sent", node=src_node, layer="net").inc()')
-            emit(
-                '    _counter("net.up_bytes", node=src_node,'
-                ' layer="net").inc(size_bytes)'
+        def send(src_node, dst, kind, payload, size_bytes,
+                 protocol=Protocol.UDP, category="other"):
+            """Emit one message.  Fire-and-forget: losses are silent, as on UDP.
+
+            A send from a node that already departed (e.g. a mix killed
+            between receiving an onion and its delayed forward) is dropped
+            silently: the dead process cannot emit packets.
+            """
+            if src_node >= 0:
+                try:
+                    local = local_arr[src_node]
+                except IndexError:
+                    local = None
+            else:
+                local = None
+            if local is None:  # sender already departed
+                stats.filtered += 1
+                return
+            device = device_arr[src_node]
+            if device is None:
+                visible_src = local
+            else:
+                visible_src = device.outbound(local, dst, protocol, sim.now)
+            if wire_on:
+                if mode == "verify":
+                    # Loopback codec pass-through: the payload the receiver
+                    # sees has been through encode->decode, so any value the
+                    # codec cannot carry fails here, in the sim, not on a
+                    # live socket.
+                    frame = wire_encode(kind, payload, encode_cache)
+                    audit_record(kind, size_bytes, len(frame))
+                    payload = wire_decode(frame).payload
+                else:
+                    # measured: exact frame size from the size accumulator;
+                    # no frame bytes, no CRC, payload delivered as in "off".
+                    measured = wire_size(kind, payload, encode_cache)
+                    audit_record(kind, size_bytes, measured)
+                    size_bytes = measured
+            stats.sent += 1
+            cols = acct_cols.get(category)  # upload side
+            if cols is None:
+                cols = cat_cols(category)
+            try:
+                cols[0][src_node] += size_bytes
+            except IndexError:
+                acct_grow(src_node)
+                cols[0][src_node] += size_bytes
+            cols[2][src_node] += size_bytes
+            acct_touched[src_node] = None
+            acct_win_touched[src_node] = None
+            if tel_on:
+                counter("net.msgs_sent", node=src_node, layer="net").inc()
+                counter("net.up_bytes", node=src_node, layer="net").inc(size_bytes)
+                counter("net.kind_msgs", kind=kind, layer="net").inc()
+                publish_caches(tel)
+            # Owner hint: inlined LruCache.lookup (counted, no recency churn).
+            hint = hints_data.get(dst.host)
+            if hint is None:  # cold path: first message towards this host
+                hints.misses += 1
+                hint = owner_hint(dst)
+            else:
+                hints.hits += 1
+            if (
+                hook is not None and hook.on_send(src_node, hint) is not None
+            ) or is_lost(src_node, hint):
+                stats.lost += 1
+                if tel_on:
+                    counter("net.lost", layer="net").inc()
+                if observers:
+                    observe(src_node, None, visible_src, dst, kind, payload,
+                            size_bytes)
+                return
+            message = Message(
+                visible_src, dst, kind, payload, size_bytes, protocol,
+                next_msg_id(),
             )
-            emit('    _counter("net.kind_msgs", kind=kind, layer="net").inc()')
-            emit("    _publish_caches(_tel)")
-        # Owner hint: inlined LruCache.lookup (counted, no recency churn).
-        emit("    hint = _hints_data.get(dst.host)")
-        emit("    if hint is None:  # cold path: first message towards this host")
-        emit("        _hints.misses += 1")
-        emit("        hint = _owner_hint(dst)")
-        emit("    else:")
-        emit("        _hints.hits += 1")
-        if hook:
-            emit("    if _hook.on_send(src_node, hint) is not None:")
-            emit("        _stats.lost += 1")
-            if tel_on:
-                emit('        _counter("net.lost", layer="net").inc()')
-            if observers:
-                emit(observe_drop)
-            emit("        return")
-        if spec is None:
-            emit("    if _is_lost(src_node, hint):")
-            emit("        _stats.lost += 1")
-            if tel_on:
-                emit('        _counter("net.lost", layer="net").inc()')
-            if observers:
-                emit(observe_drop)
-            emit("        return")
-        if spec is not None and spec["kind"] == "cluster":
-            transit = "_lat_base + size_bytes * 8 / _lat_bw + _lognorm(_lat_mu, _lat_sigma)"
-        elif spec is not None:  # fixed
-            transit = "_lat_const"
-        else:
-            transit = "_delay(src_node, hint, size_bytes)"
-        emit(
-            "    message = _Message(visible_src, dst, kind, payload,"
-            " size_bytes, protocol, _next_msg_id())"
-        )
-        if hook:
             # Transit shaping (delay/duplicate/reorder windows): only
             # consulted while such a directive is live, so plans without
             # shaping keep traces byte-identical with pre-shaping runs.
-            emit('    if getattr(_hook, "shaping_active", False):')
-            emit("        extra_delay, copies = _hook.on_transit(src_node, hint)")
-            emit(f"        transit = {transit} + extra_delay")
-            emit("        for _ in range(copies):")
-            if router:
-                emit("            if dst.host not in _owner_map:")
-                emit("                _route(src_node, message, category, transit)")
-                emit("                continue")
-            emit(
-                "            _schedule(transit,"
-                " _partial(_net._deliver, src_node, message, category))"
-            )
-            emit("        return")
-        emit(f"    transit = {transit}")
-        emit("    if transit < 0.0:")
-        emit(
-            "        raise _SimulationError("
-            "f'cannot schedule in the past (delay={transit})')"
-        )
-        if router:
-            emit("    if dst.host not in _owner_map:")
-            emit("        _route(src_node, message, category, transit)")
-            emit("        return")
-        # Inlined Simulator.schedule: one Event + heap push, no call.
-        emit("    time = _sim.now + transit")
-        emit("    seq = _next_seq()")
-        emit(
-            "    _heappush(_queue, (time, 0, seq, _Event(time, 0, seq,"
-            " _partial(_net._deliver, src_node, message, category), False, _sim)))"
-        )
-        emit("    _sim._sched_delta += 1")
+            if hook is not None and getattr(hook, "shaping_active", False):
+                extra_delay, copies = hook.on_transit(src_node, hint)
+                transit = delay(src_node, hint, size_bytes) + extra_delay
+                for _ in range(copies):
+                    if route is not None and dst.host not in owner_map:
+                        route(src_node, message, category, transit)
+                    else:
+                        schedule(transit, partial(
+                            net._deliver, src_node, message, category))
+                return
+            transit = delay(src_node, hint, size_bytes)
+            if transit < 0.0:
+                raise SimulationError(
+                    f"cannot schedule in the past (delay={transit})"
+                )
+            if route is not None and dst.host not in owner_map:
+                route(src_node, message, category, transit)
+                return
+            # Inlined Simulator.schedule: one Event + heap push, no call.
+            time = sim.now + transit
+            seq = next_seq()
+            heappush(queue, (time, 0, seq, Event(
+                time, 0, seq,
+                partial(net._deliver, src_node, message, category), False, sim,
+            )))
+            sim._sched_delta += 1
 
-        topo = self._topology
-        acct = self.accountant
-        namespace = {
-            # _net._deliver is resolved per send (not bound at compile
-            # time) so tests and instrumentation can wrap it.
-            "_net": self,
-            "_sim": self._sim,
-            "_stats": self.stats,
-            "_local": topo._local,
-            "_device": topo._device,
-            "_owner_map": topo._owner,
-            "_handler_arr": self._handler_arr,
-            "_hints": self._owner_hints,
-            "_hints_data": self._owner_hints._data,
-            "_owner_hint": self._owner_hint,
-            "_acct_cols": acct._cols,
-            "_cat_cols": acct.category_columns,
-            "_acct_grow": acct.grow,
-            "_acct_touched": acct._touched,
-            "_acct_win_touched": acct._win_touched,
-            "_tel": tel,
-            "_counter": tel.counter,
-            "_publish_caches": self._publish_cache_counters,
-            "_observe": self._observe,
-            "_hook": self._fault_hook,
-            "_route": self._foreign_router,
-            "_Message": Message,
-            "_Event": Event,
-            "_SimulationError": SimulationError,
-            "_partial": partial,
-            "_heappush": heapq.heappush,
-            "_queue": self._sim._queue,
-            "_next_seq": self._sim._seq.__next__,
-            "_next_msg_id": self._msg_ids.__next__,
-            "_schedule": self._sim.schedule,
-            "_UDP": Protocol.UDP,
-            "_is_lost": self._latency.is_lost,
-            "_delay": self._latency.delay,
-        }
-        if mode != "off":
-            namespace["_wire_encode"] = self._wire.encode_message
-            namespace["_wire_decode"] = self._wire.decode_message
-            namespace["_wire_size"] = self._wire.encoded_size
-            namespace["_audit_record"] = self.wire_audit.record
-            namespace["_encode_cache"] = self.encode_cache
-        if spec is not None and spec["kind"] == "cluster":
-            namespace["_lat_base"] = spec["base"]
-            namespace["_lat_bw"] = spec["bw"]
-            namespace["_lat_mu"] = spec["mu"]
-            namespace["_lat_sigma"] = spec["sigma"]
-            namespace["_lognorm"] = spec["lognorm"]
-        elif spec is not None:
-            namespace["_lat_const"] = spec["delay"]
-        exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
-        deliver = namespace["_deliver"]
-        sender = namespace["send"]
-        deliver.__qualname__ = "Network._deliver[compiled]"
-        sender.__qualname__ = "Network.send[compiled]"
-        sender.__doc__ = self._SEND_DOC
-        self._deliver = deliver
-        self.send = sender
+        self._deliver = _deliver
+        self.send = send
 
     # ------------------------------------------------------------------
     def _owner_hint(self, dst: Endpoint) -> NodeId:
@@ -620,8 +552,6 @@ class Network:
         payload: object,
         size_bytes: int,
     ) -> None:
-        if not self._observers:
-            return
         packet: ObservedPacket | None = None
         for observer in self._observers:
             if observer.wants(sender, receiver):

@@ -46,6 +46,7 @@ processes.
 
 from __future__ import annotations
 
+import linecache
 import struct as _struct
 import zlib
 from dataclasses import fields as _dc_fields
@@ -364,6 +365,26 @@ def _enc_dict(buf, obj, cache, _E=_ENCODERS, _fb=_encode_fallback):
         e(buf, value, cache)
 
 
+def _compile_function(name: str, lines: list[str], bindings: dict[str, Any]):
+    """Compile the generated function ``name`` with a readable traceback.
+
+    ``lines`` hold one ``def <name>(...)``; ``bindings`` are the globals it
+    runs against.  The source is compiled under a pseudo-filename unique
+    to the function and registered with :mod:`linecache`, so a crash
+    inside generated code formats with the offending source line rather
+    than a bare ``File "<string>"``.
+    """
+    source = "\n".join(lines) + "\n"
+    filename = f"<repro.wire.codec:{name}>"
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename,
+    )
+    exec(compile(source, filename, "exec"), bindings)  # noqa: S102 - fixed template, schema-derived
+    function = bindings[name]
+    function.__qualname__ = name
+    return function
+
+
 def _make_struct_encoder(sid: int, cls: type, names: tuple[str, ...]):
     """Compile one struct's encoder: prefix + each field unrolled inline.
 
@@ -374,8 +395,9 @@ def _make_struct_encoder(sid: int, cls: type, names: tuple[str, ...]):
     prefix = (
         bytes([_T_STRUCT]) + _uvarint_bytes(sid) + _uvarint_bytes(len(names))
     )
+    function_name = f"_encode_{cls.__name__}"
     lines = [
-        "def encode_fields(buf, obj, cache, _prefix=_prefix, _E=_E, _fb=_fb):",
+        f"def {function_name}(buf, obj, cache, _prefix=_prefix, _E=_E, _fb=_fb):",
         "    buf += _prefix",
     ]
     for name in names:
@@ -387,10 +409,10 @@ def _make_struct_encoder(sid: int, cls: type, names: tuple[str, ...]):
             "        _fb(v)",
             "    e(buf, v, cache)",
         ]
-    namespace = {"_prefix": prefix, "_E": _ENCODERS, "_fb": _encode_fallback}
-    exec("\n".join(lines), namespace)  # noqa: S102 - fixed template, schema-derived
-    encode_fields = namespace["encode_fields"]
-    encode_fields.__qualname__ = f"_encode_{cls.__name__}"
+    encode_fields = _compile_function(
+        function_name, lines,
+        {"_prefix": prefix, "_E": _ENCODERS, "_fb": _encode_fallback},
+    )
 
     if cls not in _CACHED_STRUCTS:
         return encode_fields
@@ -886,8 +908,9 @@ def _make_struct_decoder(sid: int, cls: type, names: tuple[str, ...]):
     # than its annotation still decodes correctly.
     annotations = {f.name: f.type for f in _dc_fields(cls)}
     variables = [f"v{i}" for i in range(n)]
+    function_name = f"_decode_{label}"
     lines = [
-        "def dec(data, pos, _cls=_cls, _D=_D, _memo=_memo, _ds=_ds,"
+        f"def {function_name}(data, pos, _cls=_cls, _D=_D, _memo=_memo, _ds=_ds,"
         " _mismatch=_mismatch, _err=_err):",
         f"    if data[pos] != {n}:",
         "        _mismatch(data, pos)",
@@ -940,14 +963,10 @@ def _make_struct_decoder(sid: int, cls: type, names: tuple[str, ...]):
             f"({count} fields on wire, {_n} known)"
         )
 
-    namespace = {
+    return _compile_function(function_name, lines, {
         "_cls": cls, "_D": _DECODERS, "_memo": _STR_DEC_MEMO, "_ds": _dec_str,
         "_mismatch": mismatch, "_err": WireDecodeError,
-    }
-    exec("\n".join(lines), namespace)  # noqa: S102 - fixed template, schema-derived
-    dec = namespace["dec"]
-    dec.__qualname__ = f"_decode_{label}"
-    return dec
+    })
 
 
 for _sid, _cls in _STRUCT_TABLE:

@@ -14,8 +14,6 @@ import random
 
 import pytest
 
-import repro.analysis as analysis
-import repro.analysis.anonymity as analysis_anonymity
 from repro.adversary import (
     Corruption,
     GlobalObserver,
@@ -69,16 +67,6 @@ def observed(
         payload=payload,
         size_bytes=64,
     )
-
-
-class TestAnalysisReExports:
-    def test_shim_exposes_the_same_objects(self):
-        """repro.analysis keeps working after the move to repro.adversary."""
-        assert analysis.adversary_sweep is adversary_sweep
-        assert analysis.extract_flows is extract_flows
-        assert analysis.exposure is exposure
-        assert analysis_anonymity.carries_trace is carries_trace
-        assert analysis_anonymity.OnionFlow is OnionFlow
 
 
 class TestTraversalCap:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis import adversary_sweep, exposure, extract_flows
+from repro.adversary.exposure import adversary_sweep, exposure, extract_flows
 from repro.core.contact import Gateway, PrivateContact
 from repro.harness import World, WorldConfig
 from repro.net.address import NodeKind

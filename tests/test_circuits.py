@@ -8,6 +8,7 @@ delivery delay including the body decrypt.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -22,13 +23,14 @@ from repro.core.onion import (
     build_onion,
     peel_setup,
 )
+from repro.crypto.aes import ctr_transform
 from repro.crypto.provider import (
     CryptoError,
     LayeredPayload,
     RealCryptoProvider,
     SimCryptoProvider,
 )
-from repro.crypto.stream import layered_wrap, stream_transform
+from repro.crypto.stream import stream_transform
 from repro.harness import World, WorldConfig
 from repro.net.address import NodeKind
 
@@ -111,39 +113,44 @@ class TestLayeredPayload:
         assert provider.accountant.node_total_ms(7, "aes") > 0
 
 
-class TestLayeredWrapKernel:
-    def test_matches_sequential_stream_transform(self):
-        rng = random.Random(3)
-        data = rng.randbytes(777)
-        keys = [rng.randbytes(16) for _ in range(4)]
-        nonces = [rng.randbytes(8) for _ in range(4)]
-        got = layered_wrap(keys, nonces, data)
-        # Reference: apply the transforms innermost-first, one at a time.
-        expected = []
-        acc = data
-        for i in range(3, -1, -1):
-            acc = stream_transform(keys[i], nonces[i], acc)
-            expected.append(acc)
-        expected.reverse()
-        assert got == expected
+class TestWrapLayersMatchesSingleTransforms:
+    """``wrap_layers`` is nothing but the bulk cipher applied per layer."""
 
-    def test_unwrap_is_plain_stream_transform(self):
-        rng = random.Random(4)
-        data = rng.randbytes(129)
-        keys = [rng.randbytes(16) for _ in range(3)]
-        nonces = [rng.randbytes(8) for _ in range(3)]
-        cts = layered_wrap(keys, nonces, data)
-        assert stream_transform(keys[0], nonces[0], cts[0]) == cts[1]
-        assert stream_transform(keys[2], nonces[2], cts[2]) == data
+    @pytest.mark.parametrize("use_aes", [True, False])
+    @pytest.mark.parametrize("n_keys", [1, 2, 3, 4, 5])
+    def test_equals_layer_by_layer_transform(self, use_aes, n_keys):
+        provider = RealCryptoProvider(random.Random(3), key_bits=512, use_aes=use_aes)
+        transform = ctr_transform if use_aes else stream_transform
+        keys = [provider.new_symmetric_key() for _ in range(n_keys)]
+        content = {"seq": n_keys, "pad": "x" * 333}
+        body = provider.wrap_layers(keys, content, 0)
+        nonces, outermost = body.blob
+        assert len(nonces) == len(body.auths) == n_keys
+        # Reference: the transforms innermost-first, one at a time.
+        expected = pickle.dumps(content)
+        for key, nonce in zip(reversed(keys), reversed(nonces)):
+            expected = transform(key, nonce, expected)
+        assert outermost == expected
+        # Every hop authenticates the ciphertext it receives and strips
+        # exactly its own layer.
+        layer = body
+        for index, key in enumerate(keys[:-1]):
+            layer = provider.unwrap_layer(key, layer)
+            _nonces, ciphertext = layer.blob
+            assert transform(key, nonces[index], expected) == ciphertext
+            expected = ciphertext
+        assert provider.unwrap_layer(keys[-1], layer) == content
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            layered_wrap([b"k" * 16], [b"n" * 8, b"m" * 8], b"data")
-        with pytest.raises(ValueError):
-            layered_wrap([], [], b"data")
+    def test_empty_content_round_trips(self, provider):
+        keys = [provider.new_symmetric_key() for _ in range(3)]
+        layer = provider.wrap_layers(keys, b"", 0)
+        for key in keys:
+            layer = provider.unwrap_layer(key, layer)
+        assert layer == b""
 
-    def test_empty_data(self):
-        assert layered_wrap([b"k" * 16], [b"n" * 8], b"") == [b""]
+    @pytest.mark.parametrize("transform", [ctr_transform, stream_transform])
+    def test_empty_body_transform(self, transform):
+        assert transform(b"k" * 16, b"n" * 8, b"") == b""
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,43 @@ class TestCompiledFastPath:
         with pytest.raises(wire.WireEncodeError):
             wire.value_size(NotOnTheWire())
 
+    def test_generated_decoder_traceback_shows_its_source(self):
+        """A crash inside generated code must format with the generated
+        line and a per-function pseudo-filename, not ``File "<string>"``."""
+        import traceback
+        from dataclasses import dataclass
+
+        from repro.wire import codec
+
+        @dataclass(init=False)  # a generated __init__ is itself "<string>"
+        class Exploding:
+            value: int
+
+            def __init__(self, value):
+                raise ValueError("constructor refuses")
+
+        decode = codec._make_struct_decoder(99, Exploding, ("value",))
+        assert decode.__qualname__ == decode.__name__ == "_decode_Exploding"
+        frame = bytes([1]) + wire.encode_value(5)  # one field: the int 5
+        with pytest.raises(wire.WireDecodeError, match="constructor refuses") as info:
+            decode(frame, 0)
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<repro.wire.codec:_decode_Exploding>"' in text
+        assert "return _cls(v0), pos" in text
+        assert 'File "<string>"' not in text
+
+    def test_generated_encoder_traceback_shows_its_source(self):
+        import traceback
+
+        from repro.net.address import Endpoint
+
+        broken = Endpoint.__new__(Endpoint)  # no fields set: obj.host raises
+        with pytest.raises(AttributeError) as info:
+            wire.encode_value(broken)
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<repro.wire.codec:_encode_Endpoint>"' in text
+        assert "v = obj.host" in text
+
 
 class TestEncodeCache:
     def test_cached_encode_is_byte_identical(self):
