@@ -726,7 +726,7 @@ class WhisperCommunicationLayer:
         """The amortized data path: symmetric layer wrap, no RSA at all."""
         wrap_start_ms = self._charged_ms()
         body = self.provider.wrap_layers(
-            list(circuit.keys), content, content_size,
+            circuit.keys, content, content_size,
             node=self.node_id, context=context,
         )
         wrap_ms = self._charged_ms() - wrap_start_ms
@@ -884,21 +884,23 @@ class WhisperCommunicationLayer:
             return
         unwrap_ms = self._charged_ms() - start_ms
         delay = unwrap_ms / 1000.0
+        next_hop = entry.next_hop
         if tel.enabled:
             span = tel.span_start(
                 "wcl.cunwrap", trace_id=frame.trace_id, node=self.node_id,
                 layer="wcl", ms=unwrap_ms,
-                role="dest" if entry.next_hop is None else "mix",
+                role="dest" if next_hop is None else "mix",
             )
             tel.span_end(span, at=now + delay)
             tel.histogram("wcl.cunwrap_ms", layer="wcl").observe(unwrap_ms)
-        if entry.next_hop is None:
+        if next_hop is None:
             # We are the destination; the unwrap returned the content.
             self.stats.circuit_delivered += 1
             self._deliver_after(delay, frame.trace_id, result, frame.body.size_bytes)
-            tel.counter(
-                "wcl.circuit_delivered", node=self.node_id, layer="wcl"
-            ).inc()
+            if tel.enabled:
+                tel.counter(
+                    "wcl.circuit_delivered", node=self.node_id, layer="wcl"
+                ).inc()
             return
         assert isinstance(result, LayeredPayload)
         assert entry.next_circuit_id is not None
@@ -908,9 +910,10 @@ class WhisperCommunicationLayer:
         )
         self.stats.forwarded += 1
         self.stats.circuit_forwarded += 1
-        tel.counter("wcl.forwarded", node=self.node_id, layer="wcl").inc()
-        tel.counter("wcl.circuit_forwarded", node=self.node_id, layer="wcl").inc()
-        self._relay_after(delay, entry.next_hop, forward, "wcl.circuit_data")
+        if tel.enabled:
+            tel.counter("wcl.forwarded", node=self.node_id, layer="wcl").inc()
+            tel.counter("wcl.circuit_forwarded", node=self.node_id, layer="wcl").inc()
+        self._relay_after(delay, next_hop, forward, "wcl.circuit_data")
 
     def handle_circuit_teardown(self, payload: dict) -> None:
         """Explicit teardown walking the forward direction."""

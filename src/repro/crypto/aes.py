@@ -184,13 +184,13 @@ def ctr_transform(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """
     if len(nonce) != 8:
         raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
-    cipher = AES128(key)
-    out = bytearray(len(data))
-    for block_index in range((len(data) + 15) // 16):
-        counter_block = nonce + block_index.to_bytes(8, "big")
-        keystream = cipher.encrypt_block(counter_block)
-        offset = block_index * 16
-        chunk = data[offset : offset + 16]
-        for i, byte in enumerate(chunk):
-            out[offset + i] = byte ^ keystream[i]
-    return bytes(out)
+    length = len(data)
+    if length == 0:
+        return b""
+    encrypt_block = AES128(key).encrypt_block
+    keystream = b"".join(
+        encrypt_block(nonce + block_index.to_bytes(8, "big"))
+        for block_index in range((length + 15) // 16)
+    )
+    value = int.from_bytes(data, "big") ^ int.from_bytes(keystream[:length], "big")
+    return value.to_bytes(length, "big")

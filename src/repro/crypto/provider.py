@@ -4,9 +4,11 @@ All WHISPER layers (onion construction, passports, group keys) talk to a
 :class:`CryptoProvider`.  Two implementations exist:
 
 - :class:`RealCryptoProvider` — genuine RSA (this repo's from-scratch
-  implementation) with hybrid sealing (RSA-wrapped session key + stream
-  body) and AES-CTR payload encryption.  Used by unit tests, the security
-  test-suite and the examples; key size configurable.
+  implementation) with hybrid sealing (RSA-wrapped session key + bulk-
+  encrypted body) and MAC-authenticated payload encryption; the bulk
+  cipher is AES-CTR or the SHAKE-256 stream of :mod:`.stream`.  Used by
+  unit tests, the security test-suite and the examples; key size
+  configurable.
 - :class:`SimCryptoProvider` — structurally identical envelope objects
   with access control enforced by key identity instead of number theory.
   Used for 1,000-node experiment runs where pure-Python bignum math would
@@ -23,6 +25,7 @@ import itertools
 import pickle
 import random
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -90,8 +93,8 @@ class EncryptedPayload:
 class LayeredPayload:
     """A circuit-mode body under N symmetric layers (outermost first).
 
-    ``auths[0]`` authenticates the ciphertext as the *current* outermost
-    hop receives it; unwrapping one layer strips ``auths[0]`` and yields
+    ``auths[0]`` authenticates the nonce and ciphertext as the *current*
+    outermost hop receives them; unwrapping one layer strips ``auths[0]`` and yields
     either another :class:`LayeredPayload` (a mix) or the plaintext object
     (the destination, when one auth remains).  ``size_bytes`` is the body's
     wire-size model and does not shrink per hop — only the per-layer MACs
@@ -144,7 +147,7 @@ class CryptoProvider(ABC):
                         node: NodeId = -1, context: str = "") -> Any:
         """Invert :meth:`encrypt_payload`; raises CryptoError on mismatch."""
 
-    def wrap_layers(self, keys: list[bytes], obj: Any, size_hint: int, *,
+    def wrap_layers(self, keys: Sequence[bytes], obj: Any, size_hint: int, *,
                     node: NodeId = -1, context: str = "") -> LayeredPayload:
         """Encrypt ``obj`` under every key in ``keys`` (outermost first).
 
@@ -185,7 +188,17 @@ class CryptoProvider(ABC):
 
 # ----------------------------------------------------------------------
 class RealCryptoProvider(CryptoProvider):
-    """RSA + AES-CTR (or the fast stream cipher) with pickle serialization."""
+    """RSA plus a symmetric bulk cipher, with pickle serialization.
+
+    ``use_aes=True`` encrypts bodies with this repo's AES-128-CTR (pure
+    Python, validated against FIPS-197 / SP 800-38A vectors: the paper-
+    fidelity cipher).  ``use_aes=False`` uses :func:`.stream.stream_transform`
+    — one ``shake_256`` call and one big-int XOR per layer, both in C —
+    which is what lets a run carry real ciphertext at simulator speed.
+    Either way every payload and circuit layer is encrypt-then-MAC under a
+    32-byte keyed-BLAKE2b tag (:func:`.stream.tag`), checked before any
+    decryption, and the cost model charges the calibrated ``aes`` cost.
+    """
 
     def __init__(
         self,
@@ -198,12 +211,7 @@ class RealCryptoProvider(CryptoProvider):
         if key_bits < 256:
             raise ValueError("hybrid sealing needs at least a 256-bit modulus")
         self._key_bits = key_bits
-        self._use_aes = use_aes
-
-    def _bulk(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
-        if self._use_aes:
-            return ctr_transform(key, nonce, data)
-        return stream_transform(key, nonce, data)
+        self._bulk = ctr_transform if use_aes else stream_transform
 
     def generate_keypair(self) -> KeyPair:
         pair = rsa.generate_keypair(self._key_bits, self._rng)
@@ -246,7 +254,7 @@ class RealCryptoProvider(CryptoProvider):
         body = pickle.dumps(obj)
         nonce = self.new_nonce()
         ciphertext = self._bulk(key, nonce, body)
-        auth = tag(key, ciphertext)
+        auth = tag(key, nonce + ciphertext)
         self.accountant.aes(node, max(len(body), size_hint), context)
         return EncryptedPayload(
             blob=(nonce, ciphertext), auth=auth,
@@ -255,7 +263,7 @@ class RealCryptoProvider(CryptoProvider):
 
     def decrypt_payload(self, key, enc, *, node=-1, context=""):
         nonce, ciphertext = enc.blob
-        if not verify_tag(key, ciphertext, enc.auth):
+        if not verify_tag(key, nonce + ciphertext, enc.auth):
             raise CryptoError("payload authentication failed")
         body = self._bulk(key, nonce, ciphertext)
         self.accountant.aes(node, enc.size_bytes, context)
@@ -269,39 +277,36 @@ class RealCryptoProvider(CryptoProvider):
             raise ValueError("wrap_layers needs at least one key")
         body = pickle.dumps(obj)
         nonces = tuple(self.new_nonce() for _ in keys)
-        # Innermost (destination) layer first, keeping every intermediate
-        # ciphertext: each hop MACs the ciphertext it will receive.
-        ciphertexts: list[bytes] = []
+        # Innermost (destination) layer first; each hop's MAC covers the
+        # nonce and ciphertext that hop will receive.
+        bulk = self._bulk
+        auths: list[bytes] = [b""] * len(keys)
         data = body
         for index in range(len(keys) - 1, -1, -1):
-            data = self._bulk(keys[index], nonces[index], data)
-            ciphertexts.append(data)
-        ciphertexts.reverse()
-        auths = tuple(
-            tag(key, ciphertext)
-            for key, ciphertext in zip(keys, ciphertexts)
-        )
-        self.accountant.aes_layers(
-            node, max(len(body), size_hint), len(keys), context
-        )
+            key = keys[index]
+            nonce = nonces[index]
+            data = bulk(key, nonce, data)
+            auths[index] = tag(key, nonce + data)
+        size = max(len(body), size_hint)
+        self.accountant.aes_layers(node, size, len(keys), context)
         return LayeredPayload(
-            blob=(nonces, ciphertexts[0]), auths=auths,
-            size_bytes=max(len(body), size_hint),
+            blob=(nonces, data), auths=tuple(auths), size_bytes=size,
         )
 
     def unwrap_layer(self, key, layered, *, node=-1, context=""):
         nonces, ciphertext = layered.blob
-        if not layered.auths or not verify_tag(key, ciphertext, layered.auths[0]):
+        auths = layered.auths
+        if not auths or not verify_tag(key, nonces[0] + ciphertext, auths[0]):
             raise CryptoError("circuit layer authentication failed")
         inner = self._bulk(key, nonces[0], ciphertext)
         self.accountant.aes(node, layered.size_bytes, context)
-        if len(layered.auths) == 1:
+        if len(auths) == 1:
             try:
                 return pickle.loads(inner)
             except Exception as exc:
                 raise CryptoError("circuit payload corrupt") from exc
         return LayeredPayload(
-            blob=(nonces[1:], inner), auths=layered.auths[1:],
+            blob=(nonces[1:], inner), auths=auths[1:],
             size_bytes=layered.size_bytes,
         )
 

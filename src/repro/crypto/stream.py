@@ -1,20 +1,19 @@
-"""A fast SHA-256-based stream cipher for large-scale simulation runs.
+"""The fast bulk cipher and MAC: SHAKE-256 keystream, keyed BLAKE2b tag.
 
 Pure-Python AES costs ~100 µs per 16-byte block; encrypting thousands of
 20 KB PPSS view exchanges would dominate wall-clock time without changing
-any protocol behaviour.  This keystream cipher (SHA-256 in counter mode —
-the construction behind many DRBGs) is a drop-in substitute used by the
-simulation crypto provider; the *simulated* CPU cost charged by the cost
-model remains the calibrated AES cost either way.
+any protocol behaviour.  This cipher is the drop-in substitute: the whole
+keystream comes out of one extendable-output call
+(``shake_256(key + nonce).digest(len(data))``) and is applied with one
+big-int XOR, so a layer costs two C calls whatever its length.  The MAC is
+keyed BLAKE2b with a 32-byte digest, one C call per tag.  The *simulated*
+CPU cost charged by the cost model remains the calibrated AES cost either
+way.
 
-The transform runs as one big-int XOR over the whole buffer instead of a
-per-byte Python loop (the same hot-loop treatment the wire codec got:
-CPython bignum XOR is a single C call).
-
-Not intended as a production cipher; it exists so that the simulated
-protocols still perform a real keyed, invertible transformation (tests
-verify that ciphertext reveals nothing without the key and that tampering
-is detectable via the MAC-like tag).
+Both primitives come from the stdlib's ``hashlib``; the composition
+(encrypt-then-MAC with a nonce drawn per layer) is this repo's own and has
+had no review, so it exists to make the simulated protocols perform a real
+keyed, invertible, tamper-evident transformation, not to be deployed.
 """
 
 from __future__ import annotations
@@ -28,30 +27,30 @@ __all__ = [
     "verify_tag",
 ]
 
-_sha256 = hashlib.sha256
+_shake_256 = hashlib.shake_256
+_blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
 
 
 def stream_transform(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with a SHA-256 counter keystream (self-inverse).
-
-    Keystream block ``i`` is ``sha256(key + nonce + i.to_bytes(8))``; the
-    stream is truncated to ``len(data)`` bytes before the XOR.
-    """
+    """XOR ``data`` with ``shake_256(key + nonce)``'s output (self-inverse)."""
     length = len(data)
     if length == 0:
         return b""
-    prefix = key + nonce
-    keystream = b"".join(
-        _sha256(prefix + index.to_bytes(8, "big")).digest()
-        for index in range((length + 31) // 32)
-    )
-    value = int.from_bytes(data, "big") ^ int.from_bytes(keystream[:length], "big")
+    keystream = _shake_256(key + nonce).digest(length)
+    value = _from_bytes(data, "big") ^ _from_bytes(keystream, "big")
     return value.to_bytes(length, "big")
 
 
 def tag(key: bytes, data: bytes) -> bytes:
-    """HMAC-SHA256 authentication tag."""
-    return hmac.new(key, data, hashlib.sha256).digest()
+    """32-byte keyed-BLAKE2b authentication tag, for a key of any length.
+
+    BLAKE2b takes at most 64 key bytes; a longer key is hashed down to 32
+    first (what HMAC does with a key longer than its block).
+    """
+    if len(key) > _blake2b.MAX_KEY_SIZE:
+        key = _blake2b(key, digest_size=32).digest()
+    return _blake2b(data, key=key, digest_size=32).digest()
 
 
 def verify_tag(key: bytes, data: bytes, expected: bytes) -> bool:

@@ -444,7 +444,11 @@ class LiveRuntime:
         if provider == "sim":
             return SimCryptoProvider(rng, self.cpu)
         if provider == "real":
-            return RealCryptoProvider(rng, self.cpu, key_bits=key_bits)
+            # The C-speed stream cipher: pure-Python AES would spend ~0.9 s
+            # of real CPU per message, which a live node cannot afford.
+            return RealCryptoProvider(
+                rng, self.cpu, key_bits=key_bits, use_aes=False
+            )
         raise ValueError(f"unknown provider: {provider!r}")
 
     # ------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Tests for the from-scratch crypto primitives (primes, RSA, AES, stream)."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import aes, primes, rsa, stream
+from repro.crypto import (
+    CryptoError,
+    RealCryptoProvider,
+    aes,
+    primes,
+    rsa,
+    stream,
+)
 
 
 class TestPrimes:
@@ -208,3 +217,90 @@ class TestStreamCipher:
         assert stream.stream_transform(
             key, nonce, stream.stream_transform(key, nonce, data)
         ) == data
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 4096])
+    def test_keystream_is_shake256_of_key_and_nonce(self, length):
+        key, nonce = bytes(range(16)), b"\x01\x02\x03\x04\x05\x06\x07\x08"
+        expected = hashlib.shake_256(key + nonce).digest(length)
+        assert stream.stream_transform(key, nonce, bytes(length)) == expected
+
+    def test_empty_data(self):
+        assert stream.stream_transform(b"key", b"nonce", b"") == b""
+
+    def test_tag_is_keyed_blake2b(self):
+        key = bytes(range(16))
+        expected = hashlib.blake2b(b"data", key=key, digest_size=32).digest()
+        assert stream.tag(key, b"data") == expected
+
+    @pytest.mark.parametrize("key_length", [0, 16, 64, 200])
+    def test_tag_accepts_any_key_length(self, key_length):
+        key = bytes(i % 251 for i in range(key_length))
+        t = stream.tag(key, b"data")
+        assert len(t) == 32
+        assert stream.verify_tag(key, b"data", t)
+        assert not stream.verify_tag(key, b"datb", t)
+        assert not stream.verify_tag(key + b"\x00", b"data", t)
+
+
+def _flip(data: bytes, position: int, mask: int) -> bytes:
+    position %= len(data)
+    return data[:position] + bytes([data[position] ^ mask]) + data[position + 1:]
+
+
+class TestLayerTampering:
+    """Each circuit layer is encrypt-then-MAC over (nonce, ciphertext): a
+    hop rejects any single-byte change to what it owns, with CryptoError
+    and nothing else, and the hops before it notice nothing."""
+
+    OBJ = {"app": "t", "text": "confidential", "n": 7}
+
+    @staticmethod
+    def _peel(provider, keys, layered, stop_at=None):
+        for hop, key in enumerate(keys):
+            if hop == stop_at:
+                with pytest.raises(CryptoError):
+                    provider.unwrap_layer(key, layered)
+                return None
+            layered = provider.unwrap_layer(key, layered)
+        return layered
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        use_aes=st.booleans(),
+        layers=st.integers(1, 5),
+        field=st.sampled_from(["ciphertext", "auth", "nonce"]),
+        index=st.integers(0, 4),
+        position=st.integers(0, 10_000),
+        mask=st.integers(1, 255),
+        seed=st.integers(0, 2**32),
+    )
+    def test_single_byte_flip_fails_at_the_owning_hop(
+        self, use_aes, layers, field, index, position, mask, seed
+    ):
+        provider = RealCryptoProvider(random.Random(seed), use_aes=use_aes)
+        keys = [provider.new_symmetric_key() for _ in range(layers)]
+        layered = provider.wrap_layers(keys, self.OBJ, 0)
+        assert self._peel(provider, keys, layered) == self.OBJ
+
+        nonces, ciphertext = layered.blob
+        auths = layered.auths
+        index %= layers
+        if field == "ciphertext":
+            owner = 0  # only the outermost ciphertext is on the wire
+            ciphertext = _flip(ciphertext, position, mask)
+        elif field == "auth":
+            owner = index
+            auths = (
+                auths[:index] + (_flip(auths[index], position, mask),)
+                + auths[index + 1:]
+            )
+        else:
+            owner = index
+            nonces = (
+                nonces[:index] + (_flip(nonces[index], position, mask),)
+                + nonces[index + 1:]
+            )
+        tampered = dataclasses.replace(
+            layered, blob=(nonces, ciphertext), auths=auths
+        )
+        self._peel(provider, keys, tampered, stop_at=owner)

@@ -11,6 +11,7 @@ Three strata:
   (the CI live-smoke assertion).
 """
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,47 @@ class TestLiveStack:
             assert "nat.data" in rt.network.wire_audit.kinds
             assert rt.network.stats.delivered > 0
             assert rt.accountant.totals(1).up_bytes > 0
+        finally:
+            rt.close()
+
+    def test_real_provider_carries_a_circuit_message(self):
+        """A live node on the real provider's fast cipher: an app message
+        crosses an established circuit as real layered ciphertext."""
+        config = dataclasses.replace(fast_config(), circuit_mode=True)
+        rt = LiveRuntime(seed=11, provider="real", key_bits=512, whisper=config)
+        try:
+            for nid in range(1, 6):
+                rt.add_node(nid)
+            rt.start([rt.descriptor(1)])
+            assert rt.run_until(
+                lambda: all(
+                    len(n.backlog.entries()) >= 2 for n in rt.nodes.values()
+                ),
+                timeout=20,
+            ), "connection backlogs never filled"
+            leader = rt.nodes[1].create_group("live-circuit")
+            joiner = rt.nodes[4].join_group(leader.invite())
+            assert rt.run_until(
+                lambda: joiner.state is MemberState.MEMBER, timeout=30
+            ), "group join failed"
+
+            got = []
+            leader.set_app_handler(lambda payload, reply_to: got.append(payload))
+            src, dst = rt.nodes[4].wcl, rt.nodes[1].wcl
+            # The first message goes per-message and initiates the setup.
+            joiner.send_app(leader.self_contact(), {"app": "t", "n": 1}, 256)
+            assert rt.run_until(
+                lambda: any(c.established for c in src._circuits.values()),
+                timeout=20,
+            ), "circuit never established"
+            before = dst.stats.circuit_delivered
+            joiner.send_app(leader.self_contact(), {"app": "t", "n": 2}, 256)
+            assert rt.run_until(
+                lambda: dst.stats.circuit_delivered > before
+                and {"app": "t", "n": 2} in got,
+                timeout=20,
+            ), "no message delivered over the circuit"
+            assert src.stats.circuit_sent >= 1
         finally:
             rt.close()
 
