@@ -89,6 +89,9 @@ class CpuAccountant:
         self._records: dict[NodeId, dict[tuple[str, str], OpRecord]] = defaultdict(
             lambda: defaultdict(OpRecord)
         )
+        # Running per-node sum of every charge: the WCL reads a node's
+        # total around each crypto step to turn the delta into a delay.
+        self._totals: dict[NodeId, float] = defaultdict(float)
 
     def bind_telemetry(self, telemetry: "Telemetry") -> None:
         """Mirror every charged operation into telemetry counters.
@@ -108,6 +111,7 @@ class CpuAccountant:
     # callers can also apply it as a processing delay.
     def charge(self, node: NodeId, op: str, ms: float, context: str = "") -> float:
         self._records[node][(op, context)].add(ms)
+        self._totals[node] += ms
         tel = self._telemetry
         if tel.enabled:
             tel.counter("crypto.ms", node=node, op=op, layer="crypto").inc(ms)
@@ -158,6 +162,8 @@ class CpuAccountant:
     # -- reporting
     def node_total_ms(self, node: NodeId, op_prefix: str = "") -> float:
         """Total milliseconds charged to ``node`` for ops matching the prefix."""
+        if not op_prefix:
+            return self._totals.get(node, 0.0)
         records = self._records.get(node)
         if not records:
             return 0.0
@@ -190,3 +196,4 @@ class CpuAccountant:
 
     def reset(self) -> None:
         self._records.clear()
+        self._totals.clear()

@@ -4,6 +4,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import (
     CostModel,
@@ -158,6 +160,58 @@ class TestCostAccounting:
         accountant.rsa_decrypt(1)
         accountant.reset()
         assert accountant.node_total_ms(1) == 0.0
+        assert accountant.nodes() == []
+        accountant.aes(1, 1024)
+        assert accountant.node_total_ms(1) == pytest.approx(
+            accountant.model.aes_ms(1024)
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        charges=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["rsa_decrypt", "rsa_encrypt", "rsa_sign", "rsa_verify",
+                     "aes", "aes_layers"]
+                ),
+                st.integers(0, 3),  # node
+                st.sampled_from(["", "wcl.request", "wcl.response", "ppss"]),
+                st.integers(0, 65_536),  # size (symmetric ops only)
+                st.integers(1, 5),  # layers (aes_layers only)
+            ),
+            max_size=60,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_running_total_matches_the_records(self, charges, seed):
+        """The O(1) per-node total agrees with what the per-(op, context)
+        records add up to, under load jitter, for any interleaving."""
+        accountant = CpuAccountant(rng=random.Random(seed))
+        for op, node, context, size, layers in charges:
+            if op == "aes":
+                accountant.aes(node, size, context)
+            elif op == "aes_layers":
+                accountant.aes_layers(node, size, layers, context)
+            else:
+                getattr(accountant, op)(node, context)
+        for node in range(4):
+            breakdown = accountant.op_breakdown(node)
+            assert accountant.node_total_ms(node) == pytest.approx(
+                sum(r.total_ms for r in breakdown.values()), abs=1e-9
+            )
+            assert accountant.node_total_ms(node, "rsa") == pytest.approx(
+                sum(
+                    r.total_ms for op, r in breakdown.items()
+                    if op.startswith("rsa")
+                ),
+                abs=1e-9,
+            )
+            assert accountant.node_total_ms(node, "aes") == pytest.approx(
+                breakdown["aes"].total_ms if "aes" in breakdown else 0.0,
+                abs=1e-9,
+            )
+        accountant.reset()
+        assert all(accountant.node_total_ms(node) == 0.0 for node in range(4))
 
     def test_sim_charges_follow_serialized_size(self):
         """Regression: the sim provider once charged a flat 256 bytes of AES
