@@ -185,8 +185,6 @@ def ctr_transform(key: bytes, nonce: bytes, data: bytes) -> bytes:
     if len(nonce) != 8:
         raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
     length = len(data)
-    if length == 0:
-        return b""
     encrypt_block = AES128(key).encrypt_block
     keystream = b"".join(
         encrypt_block(nonce + block_index.to_bytes(8, "big"))

@@ -89,8 +89,7 @@ class CpuAccountant:
         self._records: dict[NodeId, dict[tuple[str, str], OpRecord]] = defaultdict(
             lambda: defaultdict(OpRecord)
         )
-        # Running per-node sum of every charge: the WCL reads a node's
-        # total around each crypto step to turn the delta into a delay.
+        # Running per-node sum: the WCL reads it around every crypto step.
         self._totals: dict[NodeId, float] = defaultdict(float)
 
     def bind_telemetry(self, telemetry: "Telemetry") -> None:
@@ -164,22 +163,16 @@ class CpuAccountant:
         """Total milliseconds charged to ``node`` for ops matching the prefix."""
         if not op_prefix:
             return self._totals.get(node, 0.0)
-        records = self._records.get(node)
-        if not records:
-            return 0.0
         return sum(
             record.total_ms
-            for (op, _ctx), record in records.items()
+            for (op, _ctx), record in self._records.get(node, {}).items()
             if op.startswith(op_prefix)
         )
 
     def node_context_ms(self, node: NodeId, context: str) -> float:
-        records = self._records.get(node)
-        if not records:
-            return 0.0
         return sum(
             record.total_ms
-            for (_op, ctx), record in records.items()
+            for (_op, ctx), record in self._records.get(node, {}).items()
             if ctx == context
         )
 

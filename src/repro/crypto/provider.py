@@ -5,10 +5,9 @@ All WHISPER layers (onion construction, passports, group keys) talk to a
 
 - :class:`RealCryptoProvider` — genuine RSA (this repo's from-scratch
   implementation) with hybrid sealing (RSA-wrapped session key + bulk-
-  encrypted body) and MAC-authenticated payload encryption; the bulk
-  cipher is AES-CTR or the SHAKE-256 stream of :mod:`.stream`.  Used by
-  unit tests, the security test-suite and the examples; key size
-  configurable.
+  encrypted body) and MAC'd payload encryption under AES-CTR or the
+  :mod:`.stream` cipher.  Used by unit tests, the security test-suite
+  and the examples; key size configurable.
 - :class:`SimCryptoProvider` — structurally identical envelope objects
   with access control enforced by key identity instead of number theory.
   Used for 1,000-node experiment runs where pure-Python bignum math would
@@ -94,7 +93,7 @@ class LayeredPayload:
     """A circuit-mode body under N symmetric layers (outermost first).
 
     ``auths[0]`` authenticates the nonce and ciphertext as the *current*
-    outermost hop receives them; unwrapping one layer strips ``auths[0]`` and yields
+    outermost hop receives them; unwrapping strips ``auths[0]`` and yields
     either another :class:`LayeredPayload` (a mix) or the plaintext object
     (the destination, when one auth remains).  ``size_bytes`` is the body's
     wire-size model and does not shrink per hop — only the per-layer MACs
@@ -190,14 +189,11 @@ class CryptoProvider(ABC):
 class RealCryptoProvider(CryptoProvider):
     """RSA plus a symmetric bulk cipher, with pickle serialization.
 
-    ``use_aes=True`` encrypts bodies with this repo's AES-128-CTR (pure
-    Python, validated against FIPS-197 / SP 800-38A vectors: the paper-
-    fidelity cipher).  ``use_aes=False`` uses :func:`.stream.stream_transform`
-    — one ``shake_256`` call and one big-int XOR per layer, both in C —
-    which is what lets a run carry real ciphertext at simulator speed.
-    Either way every payload and circuit layer is encrypt-then-MAC under a
-    32-byte keyed-BLAKE2b tag (:func:`.stream.tag`), checked before any
-    decryption, and the cost model charges the calibrated ``aes`` cost.
+    ``use_aes=True`` is the paper-fidelity cipher, this repo's pure-Python
+    AES-128-CTR; ``use_aes=False`` is :func:`.stream.stream_transform`, one
+    SHAKE-256 call and one big-int XOR per layer.  Either way payloads and
+    circuit layers are encrypt-then-MAC (:func:`.stream.tag` over nonce and
+    ciphertext, checked before decrypting) and charged as ``aes``.
     """
 
     def __init__(
@@ -283,15 +279,12 @@ class RealCryptoProvider(CryptoProvider):
         auths: list[bytes] = [b""] * len(keys)
         data = body
         for index in range(len(keys) - 1, -1, -1):
-            key = keys[index]
-            nonce = nonces[index]
+            key, nonce = keys[index], nonces[index]
             data = bulk(key, nonce, data)
             auths[index] = tag(key, nonce + data)
         size = max(len(body), size_hint)
         self.accountant.aes_layers(node, size, len(keys), context)
-        return LayeredPayload(
-            blob=(nonces, data), auths=tuple(auths), size_bytes=size,
-        )
+        return LayeredPayload(blob=(nonces, data), auths=tuple(auths), size_bytes=size)
 
     def unwrap_layer(self, key, layered, *, node=-1, context=""):
         nonces, ciphertext = layered.blob

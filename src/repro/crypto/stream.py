@@ -29,16 +29,13 @@ __all__ = [
 
 _shake_256 = hashlib.shake_256
 _blake2b = hashlib.blake2b
-_from_bytes = int.from_bytes
 
 
 def stream_transform(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with ``shake_256(key + nonce)``'s output (self-inverse)."""
     length = len(data)
-    if length == 0:
-        return b""
     keystream = _shake_256(key + nonce).digest(length)
-    value = _from_bytes(data, "big") ^ _from_bytes(keystream, "big")
+    value = int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
     return value.to_bytes(length, "big")
 
 

@@ -444,8 +444,7 @@ class LiveRuntime:
         if provider == "sim":
             return SimCryptoProvider(rng, self.cpu)
         if provider == "real":
-            # The C-speed stream cipher: pure-Python AES would spend ~0.9 s
-            # of real CPU per message, which a live node cannot afford.
+            # Pure-Python AES would cost ~0.9 s of real CPU per message.
             return RealCryptoProvider(
                 rng, self.cpu, key_bits=key_bits, use_aes=False
             )

@@ -247,6 +247,10 @@ def _flip(data: bytes, position: int, mask: int) -> bytes:
     return data[:position] + bytes([data[position] ^ mask]) + data[position + 1:]
 
 
+def _flip_item(items: tuple, index: int, position: int, mask: int) -> tuple:
+    return items[:index] + (_flip(items[index], position, mask),) + items[index + 1:]
+
+
 class TestLayerTampering:
     """Each circuit layer is encrypt-then-MAC over (nonce, ciphertext): a
     hop rejects any single-byte change to what it owns, with CryptoError
@@ -284,22 +288,14 @@ class TestLayerTampering:
 
         nonces, ciphertext = layered.blob
         auths = layered.auths
-        index %= layers
+        owner = index % layers
         if field == "ciphertext":
             owner = 0  # only the outermost ciphertext is on the wire
             ciphertext = _flip(ciphertext, position, mask)
         elif field == "auth":
-            owner = index
-            auths = (
-                auths[:index] + (_flip(auths[index], position, mask),)
-                + auths[index + 1:]
-            )
+            auths = _flip_item(auths, owner, position, mask)
         else:
-            owner = index
-            nonces = (
-                nonces[:index] + (_flip(nonces[index], position, mask),)
-                + nonces[index + 1:]
-            )
+            nonces = _flip_item(nonces, owner, position, mask)
         tampered = dataclasses.replace(
             layered, blob=(nonces, ciphertext), auths=auths
         )
