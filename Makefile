@@ -4,7 +4,7 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: install test bench bench-full load soak anonymity examples trace clean
+.PHONY: install test bench load soak anonymity examples trace clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -12,11 +12,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# The repository benchmark (BENCHMARK.json): full pass; writes
+# bench/out/result.json for bench/compare.py.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-full:
-	REPRO_BENCH_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) bench/run.py
 
 # Heavy-traffic workload scenarios (CBR, Zipf lookups, flash crowd,
 # multigroup, loss burst) over the deployed PPSS/T-Chord stack.
@@ -48,5 +47,5 @@ trace:
 	$(PYTHON) -m repro.telemetry trace.jsonl
 
 clean:
-	rm -rf .pytest_cache .hypothesis build *.egg-info trace.jsonl
+	rm -rf .pytest_cache .hypothesis build *.egg-info trace.jsonl bench/out
 	find . -name __pycache__ -type d -exec rm -rf {} +

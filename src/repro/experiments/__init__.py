@@ -1,8 +1,8 @@
 """The paper's evaluation (Section V): one module per table/figure.
 
 Every module exposes ``run(scale=..., seed=...) -> Report``; rendering the
-report prints the same rows/series the paper plots.  The benchmark suite in
-``benchmarks/`` is a thin wrapper over these functions.
+report prints the same rows/series the paper plots.  ``python -m
+repro.experiments <name>`` runs one from the command line.
 """
 
 from . import (
@@ -15,10 +15,8 @@ from . import (
     table2_cpu,
     wire_format,
 )
-from .common import bench_scale
 
 __all__ = [
-    "bench_scale",
     "fig5_biased_pss",
     "fig6_key_sampling",
     "fig7_rtt",

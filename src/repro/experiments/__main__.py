@@ -54,6 +54,8 @@ EXPERIMENTS = {
     "wire": ("Wire format — codec throughput and measured sizes",
              wire_format.run),
     "scale": ("Scale — 5,000-node PSS+WCL headroom", scale_experiment.run),
+    "scale100k": ("Scale100k — 100,000-node sharded gossip window",
+                  scale_experiment.run_100k),
     "ablation-path": ("Ablation — path length", ablations.run_path_length),
     "ablation-pi": ("Ablation — Pi sweep", ablations.run_pi_sweep),
     "ablation-leases": ("Ablation — NAT leases", ablations.run_session_leases),
@@ -81,9 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for multi-point sweeps (default 1 = "
-             "sequential; output is byte-identical either way; 0 = one "
-             "per core)",
+        help="worker processes for multi-point sweeps, execution lanes "
+             "for scale100k (default 1 = sequential; output is "
+             "byte-identical either way; 0 = one per core)",
     )
     parser.add_argument(
         "--nodes", type=int, default=None,
@@ -151,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         except RecoveryViolation as exc:
             print(f"{name}: FAILED — {exc}", file=sys.stderr)
             return 1
-        except (FaultPlanError, OSError) as exc:
+        except FaultPlanError as exc:
             print(f"{name}: bad fault plan — {exc}", file=sys.stderr)
             return 1
         print(report.render())

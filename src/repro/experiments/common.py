@@ -3,39 +3,18 @@
 Each experiment module exposes ``run(scale=..., seed=...) -> Report``.
 ``scale`` multiplies population sizes: 1.0 reproduces the paper's setup
 (1,000-node cluster / 400-node PlanetLab slice); smaller values give quick
-sanity runs.  The ``REPRO_BENCH_SCALE`` environment variable selects the
-default for the benchmark suite: ``full`` (1.0), ``default`` (0.5) or
-``quick`` (0.2).
+sanity runs.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 from ..core.node import WhisperNode
 from ..core.ppss import PpssConfig
 from ..harness.world import World
 
-__all__ = ["bench_scale", "scaled", "subscribe_groups", "GroupPlan"]
-
-_SCALES = {"full": 1.0, "default": 0.5, "quick": 0.2}
-
-
-def bench_scale() -> float:
-    """The population scale selected via REPRO_BENCH_SCALE."""
-    raw = os.environ.get("REPRO_BENCH_SCALE", "default").strip().lower()
-    if raw in _SCALES:
-        return _SCALES[raw]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BENCH_SCALE must be full|default|quick or a float, got {raw!r}"
-        ) from None
-    if not 0.01 <= value <= 2.0:
-        raise ValueError(f"REPRO_BENCH_SCALE out of range: {value}")
-    return value
+__all__ = ["scaled", "subscribe_groups", "GroupPlan"]
 
 
 def scaled(count: int, scale: float, minimum: int = 10) -> int:

@@ -15,7 +15,6 @@ determinism contract, made visible.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from dataclasses import dataclass, field, replace
 
@@ -164,15 +163,9 @@ def _fmt_latency(value: object) -> str:
     return f"{value:.3f}" if isinstance(value, float) else "-"
 
 
-def run_scenario(
-    name: str, seed: int, scale: float = 1.0, probe=None
-) -> LoadResult:
+def run_scenario(name: str, seed: int, scale: float = 1.0) -> LoadResult:
     """Run one load scenario in its own world; ``<base>+loss`` variants
-    overlay a mid-stream loss burst and window the delivery accounting.
-
-    ``probe`` is an optional :class:`~repro.perf.probe.PerfProbe`: phases
-    wrap deploy/converge/traffic and the world's simulator + telemetry are
-    attached, so ``bench_load`` gets the standard throughput metrics."""
+    overlay a mid-stream loss burst and window the delivery accounting."""
     with_loss = name.endswith("+loss")
     base = name[: -len("+loss")] if with_loss else name
     spec = build_scenario(base, scale)
@@ -189,30 +182,23 @@ def run_scenario(
                 for m in spec.models
             ),
         )
-    phase = probe.phase if probe is not None else _null_phase
     world = World(WorldConfig(seed=seed, telemetry_enabled=True))
-    with phase("deploy"):
-        world.populate(world_size(spec, scale))
-        world.start_all()
-        world.run(_WARMUP)
-    with phase("converge"):
-        attached = AttachedWorkload(world, spec, seed=seed)
-        world.run(_CONVERGE)
+    world.populate(world_size(spec, scale))
+    world.start_all()
+    world.run(_WARMUP)
+    attached = AttachedWorkload(world, spec, seed=seed)
+    world.run(_CONVERGE)
     attached.arm()
 
     horizon = spec.horizon()
     result = LoadResult(
         name=name, nodes=len(world.nodes), groups=spec.groups
     )
-    with phase("traffic"):
-        if with_loss:
-            _run_loss_windows(world, attached, horizon, result)
-        else:
-            world.run(horizon + _DRAIN)
+    if with_loss:
+        _run_loss_windows(world, attached, horizon, result)
+    else:
+        world.run(horizon + _DRAIN)
     attached.finish()
-    if probe is not None:
-        probe.attach_sim(world.sim)
-        probe.attach_telemetry(world.telemetry)
 
     check_invariants(world)
     driver = attached.driver
@@ -230,10 +216,6 @@ def run_scenario(
         world.telemetry.export_jsonl().encode("utf-8")
     ).hexdigest()
     return result
-
-
-def _null_phase(name: str):
-    return contextlib.nullcontext()
 
 
 def _pooled_latency(world: World) -> dict[str, float]:

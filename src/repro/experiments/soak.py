@@ -38,7 +38,13 @@ from dataclasses import dataclass, field
 from ..core.node import WhisperConfig, WhisperNode
 from ..core.ppss import MemberState, PpssConfig
 from ..faults.live import LiveFaultFabric
-from ..faults.plan import FaultPlan, LossBurst, NatRebind, Stall
+from ..faults.plan import (
+    FaultPlan,
+    FaultPlanError,
+    LossBurst,
+    NatRebind,
+    Stall,
+)
 from ..harness.invariants import RecoveryViolation, check_post_heal_success
 from ..harness.report import Report, Table
 from ..nat.traversal import TraversalPolicy
@@ -382,8 +388,12 @@ def run(
     """Soak report; raises :class:`RecoveryViolation` below ``route_floor``."""
     n_nodes = nodes if nodes is not None else scaled(100, scale, minimum=24)
     if fault_plan is not None:
-        with open(fault_plan, "r", encoding="utf-8") as fh:
-            plan = FaultPlan.from_json(fh.read())
+        try:
+            with open(fault_plan, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise FaultPlanError(f"cannot read fault plan: {exc}") from exc
+        plan = FaultPlan.from_json(text)
     else:
         plan = default_plan()
     result = run_soak(n_nodes, seed=seed, plan=plan, trace_out=trace_out)

@@ -17,8 +17,7 @@ are also scriptable through the churn script language
     from 700s to 760s reorder 10% by 80ms
 
 and serializable to/from canonical JSON (``FaultPlan.to_json`` /
-``FaultPlan.from_json``) so soak schedules travel on CLIs and into
-recorded perf extras.
+``FaultPlan.from_json``) so soak schedules travel on CLIs.
 """
 
 from .injector import FaultInjector, FaultStats

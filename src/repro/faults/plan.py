@@ -281,7 +281,7 @@ class FaultPlan:
         return iter(self.directives)
 
     # ------------------------------------------------------------------
-    # serialization: soak schedules travel on CLIs and into perf extras
+    # serialization: soak schedules travel on CLIs
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, no whitespace variance)."""

@@ -48,7 +48,6 @@ import hashlib
 import itertools
 import json
 import random
-import resource
 import time as _time
 from dataclasses import replace
 from functools import partial
@@ -60,10 +59,6 @@ from ..parallel.executor import derive_seed
 from .world import World, WorldConfig
 
 __all__ = ["ShardedWorld"]
-
-
-def _rss_kb() -> int:
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 class ShardedWorld:
@@ -86,11 +81,9 @@ class ShardedWorld:
         self._nat_cycle = itertools.cycle(EMULATED_TYPES)
         self._introducers: list | None = None
         self.now = 0.0
-        # Instrumentation for the perf probe's timing half: where shard
-        # wall-time goes (per-partition compute vs barrier exchange) and
-        # process peak RSS observed after each partition's turn.
+        # Where shard wall-time goes: per-partition compute vs barrier
+        # exchange (the repository benchmark's harness.* metrics).
         self.compute_s: list[float] = [0.0] * partitions
-        self.partition_rss_kb: list[int] = [0] * partitions
         self.barrier_s = 0.0
         self.barrier_windows = 0
         self.cross_shard_msgs = 0
@@ -261,9 +254,6 @@ class ShardedWorld:
                 started = _time.perf_counter()
                 self.worlds[p].sim.run(until=window_end)
                 self.compute_s[p] += _time.perf_counter() - started
-                rss = _rss_kb()
-                if rss > self.partition_rss_kb[p]:
-                    self.partition_rss_kb[p] = rss
             started = _time.perf_counter()
             self._exchange(window_end)
             self.barrier_s += _time.perf_counter() - started
@@ -297,7 +287,7 @@ class ShardedWorld:
         check diffs this byte-for-byte across lane counts.  Each header
         embeds the partition's event count, clock and fabric totals, so
         the SHA pins per-partition behaviour even when telemetry is
-        disabled (the big benches run telemetry-off); with telemetry on,
+        disabled (``scale100k`` runs telemetry-off); with telemetry on,
         the full per-partition counter stream follows its header.
         """
         chunks: list[str] = []

@@ -1,10 +1,11 @@
 """Seeded random payload generators, one per registered message kind.
 
-The property tests and ``benchmarks/bench_wire_codec.py`` both need
-realistic payloads for every kind in the registry — including awkward
-cases (None-able fields, empty buffers, nested onions, piggybacked
-election state).  Generators are deterministic given the ``random.Random``
-they are handed, so test failures reproduce from the seed alone.
+The property tests and the ``wire`` experiment
+(:mod:`repro.experiments.wire_format`) both need realistic payloads for
+every kind in the registry — including awkward cases (None-able fields,
+empty buffers, nested onions, piggybacked election state).  Generators are
+deterministic given the ``random.Random`` they are handed, so test
+failures reproduce from the seed alone.
 """
 
 from __future__ import annotations

@@ -1,15 +1,12 @@
 """Smoke tests for the experiment modules at tiny scale.
 
-These keep the benchmark harness from rotting: every experiment must build,
-run, and produce a well-formed report.  Population sizes are minimal, so
-numbers here are meaningless — the real runs live in ``benchmarks/``.
+These keep the experiments from rotting: every one must build, run, and
+produce a well-formed report.  Population sizes are minimal, so numbers
+here are meaningless — the recorded runs live in ``results/``.
 """
-
-import pytest
 
 from repro.experiments import (
     ablations,
-    bench_scale,
     fig5_biased_pss,
     fig6_key_sampling,
     fig7_rtt,
@@ -18,26 +15,6 @@ from repro.experiments import (
     table1_churn,
     table2_cpu,
 )
-
-
-class TestBenchScale:
-    def test_named_scales(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "full")
-        assert bench_scale() == 1.0
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
-        assert bench_scale() == 0.2
-
-    def test_numeric_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.3")
-        assert bench_scale() == 0.3
-
-    def test_bad_scale_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "gigantic")
-        with pytest.raises(ValueError):
-            bench_scale()
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "7.5")
-        with pytest.raises(ValueError):
-            bench_scale()
 
 
 def assert_report_ok(report, min_sections=1):

@@ -1,9 +1,8 @@
-"""Integration tests for the ``load`` experiment and ``bench_load``.
+"""Integration tests for the ``load`` experiment.
 
 Small-scale versions of the acceptance properties: the attached workload
 delivers over a real deployed stack, same-seed runs render byte-identical
-reports at any worker count, the loss-burst variant actually recovers,
-and the bench's deterministic document half reproduces exactly.
+reports at any worker count, and the loss-burst variant actually recovers.
 """
 
 from __future__ import annotations
@@ -93,19 +92,3 @@ class TestLossRecovery:
             check_stream_recovery(0.95, 0.40, 0.70)  # never recovered
         with pytest.raises(RecoveryViolation):
             check_stream_recovery(0.95, 0.96, 0.95)  # fault never bit
-
-
-class TestBenchLoad:
-    def test_deterministic_half_reproduces(self):
-        from repro.perf.bench import run_bench_load
-        from repro.perf.probe import deterministic_view
-
-        first = run_bench_load(scale=SCALE, seed=SEED, scenario="cbr")
-        second = run_bench_load(scale=SCALE, seed=SEED, scenario="cbr")
-        assert deterministic_view(first.document) == deterministic_view(
-            second.document
-        )
-        extras = first.document["workload"]
-        assert extras["offered"] > 0
-        assert 0.0 <= extras["delivery_ratio"] <= 1.0
-        assert first.document["trace_sha"]

@@ -114,7 +114,7 @@ class TestRunSweep:
 class TestExperimentDeterminism:
     @pytest.mark.slow
     def test_fig5_report_byte_identical_across_worker_counts(self):
-        """The contract the CI parallel-smoke job enforces at larger scale:
+        """The contract the CI determinism-smoke job enforces at larger scale:
         a real experiment sweep renders the same bytes at any worker count."""
         from repro.experiments import fig5_biased_pss
 
@@ -130,15 +130,3 @@ class TestExperimentDeterminism:
         sequential = fig6_key_sampling.run(workers=1, **kwargs).render()
         parallel = fig6_key_sampling.run(workers=3, **kwargs).render()
         assert parallel == sequential
-
-    def test_fig6_bench_deterministic_half_identical_across_workers(self):
-        """The PerfProbe document's deterministic half must not leak the
-        worker count (it lives in the timing section instead)."""
-        from repro.perf.bench import run_fig6
-
-        kwargs = dict(scale=0.1, label="test")
-        seq = run_fig6(workers=1, **kwargs)
-        par = run_fig6(workers=2, **kwargs)
-        assert seq.deterministic_json() == par.deterministic_json()
-        assert seq.document["timing"]["workers"] == 1
-        assert par.document["timing"]["workers"] == 2

@@ -1,23 +1,32 @@
-"""Same-seed output digests for comparing two commits byte for byte.
+"""Same-seed output digests, pinned by the golden file next to this one.
 
-Run it from the root of each checkout and diff the two outputs::
+Every line is a pure function of the source tree when printed by a fresh
+interpreter (``python tests/test_trace_identity.py``, which is also how
+the test runs it): sharded trace SHAs at three lane counts, three ``load``
+scenario SHAs, telemetry JSONL SHA plus fabric counters for a
+gossip-and-group world over latency model x wire mode, and a real-crypto
+circuit-mode world for both bulk ciphers.
 
-    PYTHONPATH=src python benchmarks/trace_identity.py > /tmp/a.txt
+A change that moves a trace on purpose re-records the golden file in the
+same commit, so the movement shows up in review::
 
-Every line is a pure function of the source tree: sharded trace SHAs at
-three lane counts, three ``load`` scenario SHAs, telemetry JSONL SHA plus
-fabric counters for a gossip-and-group world over latency model x wire
-mode, and a real-crypto circuit-mode world for both bulk ciphers.
+    PYTHONPATH=src python tests/test_trace_identity.py > tests/trace_identity.txt
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
+import pathlib
+import subprocess
+import sys
 
 from repro.core.node import WhisperConfig
 from repro.experiments.load import run_scenario
 from repro.harness import World, WorldConfig
 from repro.harness.sharded import ShardedWorld
+
+GOLDEN = pathlib.Path(__file__).with_name("trace_identity.txt")
 
 
 def _sha(text: str) -> str:
@@ -77,6 +86,26 @@ def circuits() -> None:
             real_use_aes=use_aes, whisper=WhisperConfig(circuit_mode=True),
         )
         _report(f"circuits aes={use_aes}", _grouped_world(config, nodes=40, members=6))
+
+
+def test_traces_match_the_golden_file():
+    # A fresh interpreter, as when re-recording: PPSS exchange ids and
+    # accreditation nonces count per process, and ``measured`` wire mode
+    # sizes each frame by its encoded (varint) length.
+    run = subprocess.run(
+        [sys.executable, __file__], capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    got = run.stdout.splitlines()
+    want = GOLDEN.read_text(encoding="utf-8").splitlines()
+    moved = "\n".join(
+        difflib.unified_diff(want, got, GOLDEN.name, "this tree", lineterm="", n=0)
+    )
+    assert got == want, (
+        f"same-seed traces moved:\n{moved}\n"
+        "if that is intended, re-record the golden file and commit it:\n"
+        "  PYTHONPATH=src python tests/test_trace_identity.py > tests/trace_identity.txt"
+    )
 
 
 if __name__ == "__main__":
