@@ -9,8 +9,9 @@ export PYTHONPATH
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
+# --durations: every CI log names the slowest fixtures and tests.
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest tests/ --durations=15
 
 # The repository benchmark (BENCHMARK.json): full pass; writes
 # bench/out/result.json for bench/compare.py.

@@ -491,9 +491,8 @@ class PrivatePeerSamplingService:
         pending.attempts += 1
         pending.tried.add((attempt.first_mix, attempt.second_mix))
         if pending.timer is None:
-            pending.timer = Timer(
-                self._sim, lambda: self._exchange_timeout(pending.xid)
-            )
+            xid = pending.xid  # closing over ``pending`` would cycle through its timer
+            pending.timer = Timer(self._sim, lambda: self._exchange_timeout(xid))
         pending.timer.start(self.config.response_timeout)
 
     def _exchange_timeout(self, xid: int) -> None:

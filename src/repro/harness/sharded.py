@@ -35,15 +35,26 @@ How the pieces fit:
   injected into their destination simulators at
   ``max(arrival_time, window_end)``.  Quantizing cross-shard arrivals to
   window boundaries is the deliberate fidelity trade: intra-window
-  cross-shard latency is rounded up to the boundary, which is why
-  experiments choose windows at the protocol cycle period where delivery
-  at "next cycle edge" matches gossip semantics.  Injection order is the
+  cross-shard latency is rounded up to the boundary, so results depend on
+  the window length — 10 sim-s windows (one PSS cycle) make 72% of
+  cross-shard exchanges miss the 5 s response timeout, which is why
+  ``bench/`` runs 1 sim-s windows while ``scale100k`` still records the
+  degraded overlay (ROADMAP item 3(a)).  Injection order is the
   sorted key order, so destination event sequence numbers — and therefore
   every downstream tie-break — are identical regardless of lane grouping.
+- **Collector policy** — :meth:`ShardedWorld.run_windows` switches the
+  cyclic collector off for the whole call and runs one young collection
+  (``gc.collect(1)``: the window's survivors, never the populated world)
+  per barrier, timed inside ``barrier_s``.  The steady-state message path
+  makes no reference cycles (``tests/test_gc_contract.py``); the
+  per-barrier collection bounds what rare paths (churn, faults, joins)
+  make.  The populated world is not frozen (``gc.freeze``): a ``World``
+  is cyclic, so a frozen one would never be reclaimed.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -77,6 +88,9 @@ class ShardedWorld:
         self._outboxes: list[list[tuple]] = [[] for _ in range(partitions)]
         self._outbox_seq = [itertools.count() for _ in range(partitions)]
         self._node_partition: dict[NodeId, int] = {}
+        # Reachable host -> home partition, for the hosts NatTopology._owner
+        # registers (route() probes it once per cross-shard send).
+        self._host_partition: dict[str, int] = {}
         self._ids = itertools.count(1)  # global node ids, dense like World's
         self._nat_cycle = itertools.cycle(EMULATED_TYPES)
         self._introducers: list | None = None
@@ -127,7 +141,10 @@ class ShardedWorld:
             node_id = next(self._ids)
             home = derive_seed(self._master_seed, "shard-of", node_id) % self.partitions
             self._node_partition[node_id] = home
-            self.worlds[home].add_node(nat_type, node_id=node_id)
+            world = self.worlds[home]
+            world.add_node(nat_type, node_id=node_id)
+            host = world.topology.assignment(node_id).reachable_host
+            self._host_partition[host] = home
         # Every partition's fabric addresses the whole deployment's hosts,
         # so its owner-hint working set is the global population, not the
         # local one attach() derives from.
@@ -176,22 +193,24 @@ class ShardedWorld:
         network = world.network
         outbox = self._outboxes[home]
         next_seq = self._outbox_seq[home].__next__
-        node_partition = self._node_partition
-        master = self._master_seed
-        partitions = self.partitions
+        host_partition = self._host_partition
+        partition_of = self.partition_of
 
-        def route(src_node: NodeId, message: Message, category: str, transit: float) -> None:
-            host = message.dst.host
+        def unregistered(host: str) -> int:
+            """Partition of a host no partition registered (``priv-N``, a
+            never-populated id, a malformed name): by the id in its name,
+            else this partition, where local delivery drops it."""
             try:
                 node_id = int(host.split("-", 1)[1])
             except (IndexError, ValueError):
-                node_id = -1
-            if node_id >= 0:
-                target = node_partition.get(node_id)
-                if target is None:
-                    target = derive_seed(master, "shard-of", node_id) % partitions
-            else:
-                target = home
+                return home
+            return partition_of(node_id) if node_id >= 0 else home
+
+        def route(src_node: NodeId, message: Message, category: str, transit: float) -> None:
+            host = message.dst.host
+            target = host_partition.get(host)
+            if target is None:
+                target = unregistered(host)
             if target == home:
                 # A host this partition owns (or owned): schedule the normal
                 # local delivery so ingress filtering and drop accounting
@@ -218,8 +237,9 @@ class ShardedWorld:
             return 0
         # (arrival_time, priority, seq, src): seq is per-partition but src
         # is globally unique and one sender lives in exactly one partition,
-        # so the 4-tuple totally orders the merged window.
-        pending.sort(key=lambda entry: entry[:4])
+        # so the leading 4 fields totally order the merged window and tuple
+        # comparison never reaches ``message``.
+        pending.sort()
         for arrival, priority, _seq, src, target, message, category in pending:
             world = self.worlds[target]
             at = arrival if arrival > window_end else window_end
@@ -248,17 +268,28 @@ class ShardedWorld:
         order = [
             p for lane in range(lanes) for p in range(lane, self.partitions, lanes)
         ]
-        for _ in range(windows):
-            window_end = self.now + window_s
-            for p in order:
+        # Collector policy (module docstring): off for the whole call, so
+        # Simulator.run's own disable/enable nests as a no-op instead of
+        # releasing a window's deferred collections over the populated
+        # world; one young collection per barrier, booked to the barrier.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(windows):
+                window_end = self.now + window_s
+                for p in order:
+                    started = _time.perf_counter()
+                    self.worlds[p].sim.run(until=window_end)
+                    self.compute_s[p] += _time.perf_counter() - started
                 started = _time.perf_counter()
-                self.worlds[p].sim.run(until=window_end)
-                self.compute_s[p] += _time.perf_counter() - started
-            started = _time.perf_counter()
-            self._exchange(window_end)
-            self.barrier_s += _time.perf_counter() - started
-            self.barrier_windows += 1
-            self.now = window_end
+                self._exchange(window_end)
+                gc.collect(1)
+                self.barrier_s += _time.perf_counter() - started
+                self.barrier_windows += 1
+                self.now = window_end
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # measurement

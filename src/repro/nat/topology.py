@@ -40,6 +40,12 @@ class NatAssignment:
     def kind(self) -> NodeKind:
         return NodeKind.NATTED if self.nat_type.is_natted else NodeKind.PUBLIC
 
+    @property
+    def reachable_host(self) -> str:
+        """The host other nodes address: the NAT device's, else our own."""
+        device = self.device
+        return device.public_host if device is not None else self.local_endpoint.host
+
 
 class NatTopology:
     """Creates and tracks per-node NAT assignments.
@@ -96,13 +102,12 @@ class NatTopology:
         if nat_type.is_natted:
             device = NatDevice(nat_id=node_id, nat_type=nat_type)
             local = Endpoint(f"priv-{node_id}", _NODE_PORT)
-            self._owner[device.public_host] = (node_id, device)
         else:
             device = None
             local = Endpoint(f"pub-{node_id}", _NODE_PORT)
-            self._owner[local.host] = (node_id, None)
         assignment = NatAssignment(node_id, nat_type, device, local)
         self._assignments[node_id] = assignment
+        self._owner[assignment.reachable_host] = (node_id, device)
         locals_, devices = self._local, self._device
         if node_id >= len(locals_):
             pad = node_id + 1 - len(locals_)
@@ -117,10 +122,7 @@ class NatTopology:
         assignment = self._assignments.pop(node_id, None)
         if assignment is None:
             return
-        if assignment.device is not None:
-            self._owner.pop(assignment.device.public_host, None)
-        else:
-            self._owner.pop(assignment.local_endpoint.host, None)
+        self._owner.pop(assignment.reachable_host, None)
         self._local[node_id] = None
         self._device[node_id] = None
 

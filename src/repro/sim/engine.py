@@ -224,9 +224,10 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         fired = 0
-        # Event churn produces no reference cycles, so generational GC scans
-        # during the run are pure overhead (~10% of wall time at scale).
-        # Suppress collection for the duration and restore on exit.
+        # Event churn produces no reference cycles (pinned by
+        # tests/test_gc_contract.py), so generational GC scans during the
+        # run are pure overhead.  Suppress collection for the duration and
+        # restore on exit.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

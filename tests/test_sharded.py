@@ -10,6 +10,11 @@ sort is what makes that true, so it gets its own tie-break test.
 
 from __future__ import annotations
 
+import gc
+import random
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.harness.sharded import ShardedWorld
@@ -174,6 +179,83 @@ class TestBarrierOrdering:
         ]
         assert fired[0][0] == 4.0  # quantized to the window boundary
 
+    def test_keyless_sort_injects_in_four_field_key_order(self):
+        """Entries equal on arrival and priority: ``(seq, src)`` decides.
+
+        The barrier sorts whole entries; the leading four fields are
+        unique, so the order is that of the 4-field key and comparison
+        never reaches ``target`` or the (unorderable) message.
+        """
+        world = ShardedWorld(WorldConfig(seed=9), partitions=2)
+        fired: list[tuple] = []
+        for dest in world.worlds:
+            dest.network._deliver = lambda src, message, category: fired.append(message)
+        entries = [
+            (5.0, 0, seq, src, (seq + src) % 2, object(), "other")
+            for seq in range(6)
+            for src in (2, 3, 7, 11)
+        ]
+        random.Random(1).shuffle(entries)
+        for index, entry in enumerate(entries):
+            world._outboxes[index % 2].append(entry)
+        assert world._exchange(window_end=4.0) == len(entries)
+        # One simulator at a time: compare per destination, where event
+        # sequence numbers (injection order) break the exact time tie.
+        for target, dest in enumerate(world.worlds):
+            fired.clear()
+            dest.sim.run(until=10.0)
+            assert fired == [
+                entry[5]
+                for entry in sorted(entries, key=lambda entry: entry[:4])
+                if entry[4] == target
+            ]
+
+    def test_route_resolves_every_kind_of_host_like_the_name_parse(self):
+        """The host table sends each host where ``int(host.split("-")[1])`` did."""
+        world = ShardedWorld(WorldConfig(seed=11), partitions=2)
+        world.populate(24)
+        world.start_all()
+
+        def hosted(partition: int, kind: NodeKind) -> int:
+            return next(
+                node_id
+                for node_id, node in world.worlds[partition].nodes.items()
+                if node.cm.kind is kind
+            )
+
+        departed = hosted(1, NodeKind.PUBLIC)
+        world.worlds[1].kill_node(departed)
+        hosts = [
+            f"pub-{hosted(0, NodeKind.PUBLIC)}",
+            f"pub-{hosted(1, NodeKind.PUBLIC)}",
+            f"nat-{hosted(0, NodeKind.NATTED)}",
+            f"nat-{hosted(1, NodeKind.NATTED)}",
+            f"priv-{hosted(1, NodeKind.NATTED)}",  # registered by no partition
+            f"pub-{departed}",
+            "pub-999",  # never populated: homed by hash
+            "nat--5",
+            "nat-x",
+            "localhost",
+        ]
+        for home in (0, 1):
+            sim = world.worlds[home].sim
+            outbox = world._outboxes[home]
+            route = world.worlds[home].network._foreign_router
+            for host in hosts:
+                try:
+                    node_id = int(host.split("-", 1)[1])
+                except (IndexError, ValueError):
+                    node_id = -1
+                expected = world.partition_of(node_id) if node_id >= 0 else home
+                message = SimpleNamespace(dst=SimpleNamespace(host=host))
+                queued, scheduled = len(outbox), sim.pending()
+                route(1, message, "other", 0.25)
+                if expected == home:
+                    assert (len(outbox), sim.pending()) == (queued, scheduled + 1), host
+                else:
+                    assert (len(outbox), sim.pending()) == (queued + 1, scheduled), host
+                    assert outbox[-1][4:6] == (expected, message), host
+
     def test_same_partition_route_falls_back_to_local_delivery(self):
         """A host parsed to the router's own partition schedules locally.
 
@@ -233,6 +315,58 @@ class TestMergedTrace:
     def test_compute_and_barrier_instrumentation_populated(self):
         world = _run(2)
         assert world.barrier_windows == WINDOWS
-        assert world.barrier_s >= 0.0
+        assert world.barrier_s > 0.0
         assert len(world.compute_s) == PARTITIONS
         assert all(s > 0.0 for s in world.compute_s)
+
+
+class TestCollectorPolicy:
+    """``run_windows`` owns the cyclic collector for the whole call."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_one_young_collection_per_barrier_and_nothing_else(self):
+        world = _build()
+        world.run_windows(1.0, 3)
+        collections: list[list] = []  # [generation, started, stopped]
+
+        def record(phase: str, info: dict) -> None:
+            if phase == "start":
+                collections.append([info["generation"], time.perf_counter(), None])
+            else:
+                collections[-1][2] = time.perf_counter()
+
+        barrier_before = world.barrier_s
+        gc.callbacks.append(record)
+        try:
+            world.run_windows(1.0, 5)
+        finally:
+            gc.callbacks.remove(record)
+        # No full collection over the populated world, no automatic young
+        # ones released by Simulator.run re-enabling the collector.
+        assert [generation for generation, _, _ in collections] == [1] * 5
+        collecting = sum(stopped - started for _, started, stopped in collections)
+        assert 0.0 < collecting <= world.barrier_s - barrier_before
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_on_return_is_the_state_on_entry(self, enabled):
+        world = _build()
+        (gc.enable if enabled else gc.disable)()
+        world.run_windows(1.0, 2)
+        assert gc.isenabled() is enabled
+
+    def test_collector_state_restored_when_a_callback_raises(self):
+        world = _build()
+
+        def boom() -> None:
+            raise RuntimeError("scheduled callback failed")
+
+        world.worlds[PARTITIONS - 1].sim.schedule(0.5, boom)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="scheduled callback failed"):
+            world.run_windows(1.0, 2)
+        assert gc.isenabled()
