@@ -4,7 +4,7 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: install test bench load soak anonymity examples trace clean
+.PHONY: install test loc bench load soak anonymity examples trace clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -12,6 +12,11 @@ install:
 # --durations: every CI log names the slowest fixtures and tests.
 test:
 	$(PYTHON) -m pytest tests/ --durations=15
+
+# Source size, the figure ROADMAP aim 2 tracks (informational: nothing
+# fails on it).
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -1
 
 # The repository benchmark (BENCHMARK.json): full pass; writes
 # bench/out/result.json for bench/compare.py.

@@ -51,7 +51,6 @@ __all__ = [
     "CircuitSetupPacket",
     "CircuitFrame",
     "build_circuit_setup",
-    "peel_setup",
 ]
 
 
@@ -152,18 +151,20 @@ def build_onion(
 def peel(
     provider: CryptoProvider,
     keypair: KeyPair,
-    packet: OnionPacket,
+    packet: OnionPacket | CircuitSetupPacket,
     *,
     node: NodeId = -1,
     context: str = "",
-) -> tuple[OnionLayer, OnionPacket | None]:
-    """Decrypt our layer.
+) -> tuple[
+    OnionLayer | CircuitSetupLayer, OnionPacket | CircuitSetupPacket | None
+]:
+    """Decrypt our layer of a data onion or a circuit-setup onion.
 
     Returns ``(layer, forward_packet)``; ``forward_packet`` is None when we
     are the destination.  Raises CryptoError when the header was not
     prepared for our key (mis-routed packet).
     """
-    layer: OnionLayer = provider.open(keypair, packet.header, node=node, context=context)
+    layer = provider.open(keypair, packet.header, node=node, context=context)
     if layer.next_hop is None:
         return layer, None
     assert layer.inner is not None
@@ -274,28 +275,3 @@ def build_circuit_setup(
         )
     sealed = replace(sealed, size_bytes=len(path) * sizes.onion_layer_overhead)
     return CircuitSetupPacket(header=sealed, trace_id=provider.next_trace_id())
-
-
-def peel_setup(
-    provider: CryptoProvider,
-    keypair: KeyPair,
-    packet: CircuitSetupPacket,
-    *,
-    node: NodeId = -1,
-    context: str = "",
-) -> tuple[CircuitSetupLayer, CircuitSetupPacket | None]:
-    """Decrypt our setup layer; mirrors :func:`peel` for data onions."""
-    layer: CircuitSetupLayer = provider.open(
-        keypair, packet.header, node=node, context=context
-    )
-    if layer.next_hop is None:
-        return layer, None
-    assert layer.inner is not None
-    shrunk = replace(
-        layer.inner,
-        size_bytes=max(
-            sizes.onion_layer_overhead,
-            packet.header.size_bytes - sizes.onion_layer_overhead,
-        ),
-    )
-    return layer, packet.with_header(shrunk)

@@ -46,7 +46,6 @@ from .onion import (
     build_circuit_setup,
     build_onion,
     peel,
-    peel_setup,
 )
 
 __all__ = ["WhisperCommunicationLayer", "AttemptInfo", "WclStats"]
@@ -776,7 +775,7 @@ class WhisperCommunicationLayer:
         tel = self.telemetry
         start_ms = self._charged_ms()
         try:
-            layer, forward = peel_setup(
+            layer, forward = peel(
                 self.provider, self.keypair, packet,
                 node=self.node_id, context="wcl.peel",
             )

@@ -2,14 +2,14 @@
 
 The whole-system robustness gate: N supervised WHISPER stacks on *real*
 UDP sockets inside one process, carrying an open-loop CBR workload while
-a :class:`~repro.faults.live.LiveFaultFabric` executes a scripted fault
+a :class:`~repro.faults.LiveFaultFabric` executes a scripted fault
 schedule against their datagrams — a loss burst, a stall window, abrupt
 node kills (healed by the :class:`~repro.runtime.supervisor.NodeSupervisor`),
 and NAT rebinds that re-home sockets mid-run.
 
 Every number in the report is telemetry-verified: the fabric's fault
 counters, the supervisor's restart counters and the workload ledgers are
-cross-checked against the ``faults.live.*`` / ``supervisor.*`` /
+cross-checked against the ``fault.*`` / ``supervisor.*`` /
 ``workload.*`` instruments, so a fault that was injected but not counted
 (or counted but not injected) fails loudly rather than skewing the ratio.
 
@@ -336,14 +336,7 @@ def _run_soak(
         )
     stats = fabric.stats
     result.fault_counts = {
-        "dropped": stats.dropped,
-        "delayed": stats.delayed,
-        "duplicated": stats.duplicated,
-        "reordered": stats.reordered,
-        "rebinds": stats.rebinds,
-        "nodes_stalled": stats.nodes_stalled,
-        "activated": stats.faults_activated,
-        "healed": stats.faults_healed,
+        name: value for name, value in vars(stats).items() if name != "decisions"
     }
     result.decision_digest = _digest(fabric.decision_digest())
     _cross_check_telemetry(rt, supervisor, stats, result)
@@ -357,14 +350,22 @@ def _cross_check_telemetry(rt, supervisor, fault_stats, result: SoakResult) -> N
         agg = metrics.aggregate(name)
         return int(agg.get("sum", 0)) if agg else 0
 
+    drops = (
+        fault_stats.blackhole_drops + fault_stats.stall_drops
+        + fault_stats.partition_drops + fault_stats.loss_drops
+    )
+    shaped = (
+        fault_stats.delays_injected + fault_stats.duplicates_injected
+        + fault_stats.reorders_injected
+    )
     checks = [
-        ("faults.live.injected", fault_stats.faults_activated),
-        ("faults.live.healed", fault_stats.faults_healed),
-        ("faults.live.dropped", fault_stats.dropped),
-        ("faults.live.delayed", fault_stats.delayed),
-        ("faults.live.duplicated", fault_stats.duplicated),
-        ("faults.live.rebinds", fault_stats.rebinds),
-        ("faults.live.stalled_nodes", fault_stats.nodes_stalled),
+        ("fault.injected", fault_stats.faults_activated),
+        ("fault.healed", fault_stats.faults_healed),
+        ("fault.drops", drops),
+        ("fault.shaped", shaped),
+        ("fault.stalled_nodes", fault_stats.nodes_stalled),
+        ("fault.nat_resets", fault_stats.nat_resets),
+        ("fault.nat_rebinds", fault_stats.nat_rebinds),
         ("supervisor.restarts", supervisor.stats.restarts),
         ("net.rebinds", rt.network.stats.rebinds),
     ]
@@ -437,7 +438,7 @@ def run(
     if result.telemetry_consistent:
         report.note(
             "All fault and restart counts are telemetry-verified "
-            "(faults.live.*, supervisor.*, net.* counters match in-memory "
+            "(fault.*, supervisor.*, net.* counters match in-memory "
             "stats).  Same seed + plan reproduces the decision digest."
         )
     else:

@@ -1,9 +1,10 @@
 """Fault injection: deterministic partial failures for robustness testing.
 
-See :mod:`.plan` for the fault taxonomy, :mod:`.injector` for execution on
-the simulated fabric and :mod:`.live` for execution against real UDP
-datagrams (:class:`~repro.faults.live.LiveFaultFabric`).  Fault directives
-are also scriptable through the churn script language
+See :mod:`.plan` for the fault taxonomy, :mod:`.injector` for the one plan
+executor (:class:`~repro.faults.injector.FaultExecutor`) and its simulator
+port, and :mod:`.live` for its port onto real UDP datagrams
+(:class:`~repro.faults.LiveFaultFabric`).  Fault directives are also
+scriptable through the churn script language
 (:mod:`repro.churn.script`)::
 
     from 300s to 600s partition groups a|b
@@ -20,8 +21,8 @@ and serializable to/from canonical JSON (``FaultPlan.to_json`` /
 ``FaultPlan.from_json``) so soak schedules travel on CLIs.
 """
 
-from .injector import FaultInjector, FaultStats
-from .live import LiveFaultFabric, LiveFaultStats
+from .injector import FaultExecutor, FaultInjector, FaultStats
+from .live import LiveFaultFabric
 from .plan import (
     Blackhole,
     Delay,
@@ -43,12 +44,12 @@ __all__ = [
     "Delay",
     "Duplicate",
     "FaultDirective",
+    "FaultExecutor",
     "FaultInjector",
     "FaultPlan",
     "FaultPlanError",
     "FaultStats",
     "LiveFaultFabric",
-    "LiveFaultStats",
     "LossBurst",
     "NatRebind",
     "NatReset",

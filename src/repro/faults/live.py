@@ -1,20 +1,18 @@
 """Fault injection against real UDP datagrams.
 
-:class:`LiveFaultFabric` is the live-mode twin of
-:class:`~repro.faults.injector.FaultInjector`: it executes the same seeded
-:class:`~repro.faults.plan.FaultPlan` directives, but as a send/recv
-interposition layer on :class:`~repro.runtime.live.LiveNetwork` — the
-datagrams it drops, delays, duplicates, reorders and re-homes are real
-frames on real sockets.  Directive-by-directive:
+:class:`LiveFaultFabric` is the live port of
+:class:`~repro.faults.injector.FaultExecutor`: the same plan state machine
+the simulator runs, bound to a :class:`~repro.runtime.live.LiveNetwork` as
+a send/recv interposition layer — the datagrams it drops, delays,
+duplicates, reorders and re-homes are real frames on real sockets.  What
+the port adds to the shared executor, directive by directive:
 
-- **loss bursts** — probabilistic drop before ``sendto``;
 - **delay / reorder** — the frame is held on an
   :class:`~repro.runtime.clock.AsyncioScheduler` timer and transmitted
   when it fires (reordering emerges from holding back a minority);
 - **duplicate** — a second ``sendto`` of the same frame;
-- **blackholes** — directed (src → dst) drops, the destination resolved
-  through the network's endpoint-owner map;
-- **partitions** — seeded group splits over the currently-bound nodes;
+- **blackholes / partitions** — source and destination are resolved
+  through the network's endpoint-owner map, over the currently-bound nodes;
 - **stalls** — the victim's handler is detached for the window (inbound
   lands in ``no_handler``) and its outbound is swallowed: alive, timers
   firing, totally dark;
@@ -25,62 +23,31 @@ frames on real sockets.  Directive-by-directive:
 
 Determinism on a wall clock is necessarily weaker than in the simulator:
 per-datagram draws depend on how much traffic actually flowed.  What *is*
-reproducible run-to-run — and what :meth:`decision_digest` certifies — is
+reproducible run-to-run — and what ``decision_digest()`` certifies — is
 every plan-level decision: activation order and every victim selection
 (stall victims, rebind victims, partition grouping), because those draw
 from a dedicated seeded stream in sorted-node order, never from traffic.
-
-Every injected fault is counted in telemetry under ``faults.live.*``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..net.address import Endpoint, NodeId
 from ..telemetry import NULL_TELEMETRY
-from .plan import (
-    Blackhole,
-    Delay,
-    Duplicate,
-    FaultDirective,
-    FaultPlan,
-    LossBurst,
-    NatRebind,
-    NatReset,
-    Partition,
-    Reorder,
-    Stall,
-)
+from .injector import FaultExecutor
 
 if TYPE_CHECKING:
     from ..runtime.clock import ScheduledCall
     from ..runtime.live import LiveNetwork
     from ..telemetry import Telemetry
 
-__all__ = ["LiveFaultFabric", "LiveFaultStats"]
+__all__ = ["LiveFaultFabric"]
 
 
-@dataclass
-class LiveFaultStats:
-    """What the live fabric did to real datagrams."""
-
-    dropped: int = 0  # loss + blackhole + stall + partition swallows
-    delayed: int = 0
-    duplicated: int = 0
-    reordered: int = 0
-    rebinds: int = 0
-    nodes_stalled: int = 0
-    faults_activated: int = 0
-    faults_healed: int = 0
-    # Plan-level decisions in execution order: (kind, victims) tuples.
-    decisions: list[tuple[str, tuple[NodeId, ...]]] = field(default_factory=list)
-
-
-class LiveFaultFabric:
-    """Executes a FaultPlan against a LiveNetwork's real datagrams."""
+class LiveFaultFabric(FaultExecutor):
+    """The live port: executes a FaultPlan against real datagrams."""
 
     def __init__(
         self,
@@ -88,113 +55,64 @@ class LiveFaultFabric:
         seed: int = 0,
         telemetry: "Telemetry | None" = None,
     ) -> None:
-        self.network = network
-        self.scheduler = network._scheduler
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Two independent seeded streams: plan-level decisions (victim
         # selection, partition grouping) must reproduce run-to-run no
         # matter how much traffic flowed, so per-datagram draws get their
         # own stream and can never perturb them.
-        self._plan_rng = random.Random(seed)
-        self._wire_rng = random.Random(seed ^ 0x5EED5EED)
-        self.stats = LiveFaultStats()
-        # Active fault state (same vocabulary as the sim injector).
-        self._blackholes: set[tuple[NodeId, NodeId]] = set()
-        self._stalled: set[NodeId] = set()
+        super().__init__(
+            network._scheduler,
+            telemetry if telemetry is not None else NULL_TELEMETRY,
+            random.Random(seed),
+            random.Random(seed ^ 0x5EED5EED),
+        )
+        self.network = network
         self._stashed_handlers: dict[NodeId, object] = {}
-        self._loss_rates: list[float] = []
-        self._delays: list[Delay] = []
-        self._dup_rates: list[float] = []
-        self._reorders: list[Reorder] = []
-        self._partition: dict[NodeId, int] | None = None
-        self._partition_groups = 0
-        self._timers: list["ScheduledCall"] = []
+        # Held frames in flight; a handle leaves when its timer fires.
+        self._held: set["ScheduledCall"] = set()
         network.set_fault_fabric(self)
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def arm(self, plan: FaultPlan | list[FaultDirective]) -> None:
-        """Schedule every directive relative to the current live clock."""
-        for directive in plan:
-            self.schedule(directive)
+    def _at(self, time: float, callback: Callable[[], object]) -> None:
+        # A wall clock moves while a plan is being armed, and
+        # ``AsyncioScheduler.schedule_at`` raises on an instant that just
+        # elapsed (an ``at=0`` directive): clamp it to "now".
+        delay = max(0.0, time - self._clock.now)
+        self._pending.append(self._clock.schedule(delay, callback))
 
-    def schedule(self, directive: FaultDirective) -> None:
-        if isinstance(directive, Blackhole):
-            self._after(directive.at, lambda d=directive: self._open_blackhole(d))
-        elif isinstance(directive, LossBurst):
-            self._window(
-                directive.start, directive.end, "loss",
-                lambda d=directive: self._loss_rates.append(d.rate),
-                lambda d=directive: self._remove(self._loss_rates, d.rate),
-            )
-        elif isinstance(directive, Partition):
-            self._after(directive.start, lambda d=directive: self._split(d))
-        elif isinstance(directive, Stall):
-            self._after(directive.at, lambda d=directive: self._stall(d))
-        elif isinstance(directive, (NatReset, NatRebind)):
-            # On real sockets a reset and a rebind are the same observable
-            # event: the endpoint the world knew stops working.
-            self._after(directive.at, lambda d=directive: self._rebind(d))
-        elif isinstance(directive, Delay):
-            self._window(
-                directive.start, directive.end, "delay",
-                lambda d=directive: self._delays.append(d),
-                lambda d=directive: self._remove(self._delays, d),
-            )
-        elif isinstance(directive, Duplicate):
-            self._window(
-                directive.start, directive.end, "duplicate",
-                lambda d=directive: self._dup_rates.append(d.rate),
-                lambda d=directive: self._remove(self._dup_rates, d.rate),
-            )
-        elif isinstance(directive, Reorder):
-            self._window(
-                directive.start, directive.end, "reorder",
-                lambda d=directive: self._reorders.append(d),
-                lambda d=directive: self._remove(self._reorders, d),
-            )
-        else:
-            raise TypeError(f"not a fault directive: {directive!r}")
+    def _population(self) -> Iterable[NodeId]:
+        return self.network.endpoints
 
-    def _after(self, delay: float, callback) -> None:
-        self._timers.append(self.scheduler.schedule(max(0.0, delay), callback))
+    def _reset_nat_of(self, node: NodeId) -> int:
+        # On real sockets a reset and a rebind are the same observable
+        # event: the endpoint the world knew stops working.
+        self.network.rebind_endpoint(node)
+        return 0
 
-    def _window(self, start: float, end: float, kind: str, on, off) -> None:
-        def activate() -> None:
-            on()
-            self._record_activation(kind)
+    def _on_stall(self, node: NodeId) -> None:
+        handler = self.network._handlers.get(node)
+        if handler is not None:
+            # Detach for the window: the node's own timers keep firing (it
+            # thinks it is fine) while its inbound counts as no_handler.
+            self._stashed_handlers[node] = handler
+            self.network.detach(node)
 
-        def heal() -> None:
-            off()
-            self._record_heal(kind)
-
-        self._after(start, activate)
-        self._after(end, heal)
-
-    @staticmethod
-    def _remove(active: list, item) -> None:
-        try:
-            active.remove(item)
-        except ValueError:
-            pass
+    def _on_unstall(self, node: NodeId) -> None:
+        handler = self._stashed_handlers.pop(node, None)
+        network = self.network
+        # Only restore if nothing re-attached meanwhile (a supervisor
+        # restart installs a fresh incarnation's handler, which wins).
+        if (
+            handler is not None
+            and not network.is_attached(node)
+            and node in network.endpoints
+        ):
+            network.attach(node, handler)  # type: ignore[arg-type]
 
     def cancel_pending(self) -> None:
-        """Cancel not-yet-fired directives and heal everything active."""
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-        self.heal_all()
-
-    def heal_all(self) -> None:
-        self._blackholes.clear()
-        self._loss_rates.clear()
-        self._delays.clear()
-        self._dup_rates.clear()
-        self._reorders.clear()
-        self._partition = None
-        for node_id in list(self._stalled):
-            self._unstall_node(node_id)
+        """Also cancels held frames: nothing is transmitted afterwards."""
+        for call in self._held:
+            call.cancel()
+        self._held.clear()
+        super().cancel_pending()
 
     def detach(self) -> None:
         """Remove the interposition layer (datagrams flow clean again)."""
@@ -206,218 +124,27 @@ class LiveFaultFabric:
     # ------------------------------------------------------------------
     def outbound(self, src_node: NodeId, dst: Endpoint, frame: bytes) -> None:
         """Decide one egress datagram's fate; transmit 0..n times."""
+        if self.drop_reason(src_node, self.network.owner_of(dst)) or self.loss_reason():
+            return
+        hold, copies = self.shape()
         addr = (dst.host, dst.port)
-        reason = self._swallow_reason(src_node, self.network.owner_of(dst))
-        if reason is not None:
-            self.stats.dropped += 1
-            self._count("faults.live.dropped", reason=reason)
-            return
-        if self._loss_rates and self._wire_rng.random() < self._effective_loss():
-            self.stats.dropped += 1
-            self._count("faults.live.dropped", reason="loss")
-            return
-        hold = 0.0
-        for directive in self._delays:
-            if (
-                directive.rate >= 1.0
-                or self._wire_rng.random() < directive.rate
-            ):
-                hold += directive.delay
-                if directive.jitter:
-                    hold += self._wire_rng.random() * directive.jitter
-                self.stats.delayed += 1
-                self._count("faults.live.delayed")
-        for directive in self._reorders:
-            if self._wire_rng.random() < directive.rate:
-                hold += directive.delay
-                self.stats.reordered += 1
-                self._count("faults.live.reordered")
-        copies = 1
-        for rate in self._dup_rates:
-            if self._wire_rng.random() < rate:
-                copies += 1
-                self.stats.duplicated += 1
-                self._count("faults.live.duplicated")
         for _ in range(copies):
             if hold > 0.0:
-                self._timers.append(
-                    self.scheduler.schedule(
-                        hold,
-                        lambda s=src_node, f=frame, a=addr:
-                            self.network.transmit(s, f, a),
-                    )
-                )
+                self._hold(hold, src_node, frame, addr)
             else:
                 self.network.transmit(src_node, frame, addr)
 
+    def _hold(
+        self, hold: float, src_node: NodeId, frame: bytes, addr: tuple[str, int]
+    ) -> None:
+        def release() -> None:
+            self._held.discard(call)
+            self.network.transmit(src_node, frame, addr)
+
+        call = self._clock.schedule(hold, release)
+        self._held.add(call)
+
     def inbound(self, node_id: NodeId, addr: tuple[str, int]) -> str | None:
-        """Reason an ingress datagram is swallowed, or None to deliver.
-
-        Faults that arose while the datagram was in flight (a partition
-        forming, the receiver stalling) still swallow it on arrival.
-        """
+        """Reason an ingress datagram is swallowed, or None to deliver."""
         src = self.network.owner_of(Endpoint(addr[0], addr[1]))
-        reason = self._swallow_reason(src, node_id)
-        if reason is not None:
-            self.stats.dropped += 1
-            self._count("faults.live.dropped", reason=reason)
-        return reason
-
-    def _swallow_reason(
-        self, src: NodeId | None, dst: NodeId | None
-    ) -> str | None:
-        if src is not None and dst is not None and (src, dst) in self._blackholes:
-            return "blackhole"
-        if src in self._stalled or dst in self._stalled:
-            return "stall"
-        partition = self._partition
-        if partition is not None and src is not None and dst is not None:
-            if self._group_of(src) != self._group_of(dst):
-                return "partition"
-        return None
-
-    def _effective_loss(self) -> float:
-        keep = 1.0
-        for rate in self._loss_rates:
-            keep *= 1.0 - rate
-        return 1.0 - keep
-
-    def _group_of(self, node: NodeId) -> int:
-        assert self._partition is not None
-        group = self._partition.get(node)
-        if group is None:
-            # Late arrivals land in a deterministic group, as in the sim.
-            group = node % self._partition_groups
-            self._partition[node] = group
-        return group
-
-    # ------------------------------------------------------------------
-    # activations
-    # ------------------------------------------------------------------
-    def _open_blackhole(self, directive: Blackhole) -> None:
-        self._blackholes.add((directive.src, directive.dst))
-        self._decide("blackhole", (directive.src, directive.dst))
-        self._record_activation("blackhole")
-        if directive.duration is not None:
-            self._after(
-                directive.duration,
-                lambda: self._close_blackhole(directive),
-            )
-
-    def _close_blackhole(self, directive: Blackhole) -> None:
-        self._blackholes.discard((directive.src, directive.dst))
-        self._record_heal("blackhole")
-
-    def _split(self, directive: Partition) -> None:
-        ids = sorted(self.network.endpoints)
-        self._plan_rng.shuffle(ids)
-        groups = directive.group_count
-        self._partition = {nid: i % groups for i, nid in enumerate(ids)}
-        self._partition_groups = groups
-        self._decide("partition", tuple(ids))
-        self._record_activation("partition")
-        self._after(directive.end - directive.start, self._heal_partition)
-
-    def _heal_partition(self) -> None:
-        self._partition = None
-        self._record_heal("partition")
-
-    def _stall(self, directive: Stall) -> None:
-        ids = sorted(
-            nid for nid in self.network.endpoints if nid not in self._stalled
-        )
-        count = min(len(ids), max(1, round(len(ids) * directive.fraction)))
-        victims = self._plan_rng.sample(ids, count) if count else []
-        for nid in victims:
-            self._stall_node(nid)
-        self.stats.nodes_stalled += len(victims)
-        self._decide("stall", tuple(victims))
-        self._record_activation("stall")
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "faults.live.stalled_nodes", layer="fault"
-            ).inc(len(victims))
-        self._after(directive.duration, lambda: self._unstall(victims))
-
-    def _stall_node(self, node_id: NodeId) -> None:
-        self._stalled.add(node_id)
-        network = self.network
-        handler = network._handlers.get(node_id)
-        if handler is not None:
-            # Detach for the window: the node's own timers keep firing (it
-            # thinks it is fine) while its inbound counts as no_handler.
-            self._stashed_handlers[node_id] = handler
-            network.detach(node_id)
-
-    def _unstall(self, victims: list[NodeId]) -> None:
-        for nid in victims:
-            self._unstall_node(nid)
-        self._record_heal("stall")
-
-    def _unstall_node(self, node_id: NodeId) -> None:
-        self._stalled.discard(node_id)
-        handler = self._stashed_handlers.pop(node_id, None)
-        network = self.network
-        # Only restore if nothing re-attached meanwhile (a supervisor
-        # restart installs a fresh incarnation's handler, which wins).
-        if (
-            handler is not None
-            and not network.is_attached(node_id)
-            and node_id in network.endpoints
-        ):
-            network.attach(node_id, handler)  # type: ignore[arg-type]
-
-    def _rebind(self, directive: "NatReset | NatRebind") -> None:
-        ids = sorted(self.network.endpoints)
-        count = min(len(ids), max(1, round(len(ids) * directive.fraction)))
-        victims = self._plan_rng.sample(ids, count) if count else []
-        for nid in victims:
-            self.network.rebind_endpoint(nid)
-        self.stats.rebinds += len(victims)
-        self._decide("nat_rebind", tuple(victims))
-        self._record_activation("nat_rebind")
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "faults.live.rebinds", layer="fault"
-            ).inc(len(victims))
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def stalled_nodes(self) -> set[NodeId]:
-        return set(self._stalled)
-
-    def partition_active(self) -> bool:
-        return self._partition is not None
-
-    def decision_digest(self) -> tuple[tuple[str, tuple[NodeId, ...]], ...]:
-        """Every plan-level fault decision so far, in execution order.
-
-        Same seed + same plan + same hosted node set ⇒ identical digest
-        across runs, regardless of traffic — the reproducibility contract
-        the soak experiment asserts.
-        """
-        return tuple(self.stats.decisions)
-
-    def _decide(self, kind: str, victims: tuple[NodeId, ...]) -> None:
-        self.stats.decisions.append((kind, victims))
-
-    def _count(self, name: str, **labels: object) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.counter(name, layer="fault", **labels).inc()
-
-    def _record_activation(self, kind: str) -> None:
-        self.stats.faults_activated += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "faults.live.injected", layer="fault", kind=kind
-            ).inc()
-            self.telemetry.instant(f"faults.live.{kind}.on", layer="fault")
-
-    def _record_heal(self, kind: str) -> None:
-        self.stats.faults_healed += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "faults.live.healed", layer="fault", kind=kind
-            ).inc()
-            self.telemetry.instant(f"faults.live.{kind}.off", layer="fault")
+        return self.drop_reason(src, node_id)

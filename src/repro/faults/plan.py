@@ -7,8 +7,9 @@ loss-rate bursts, network partitions that later heal, nodes that stall
 mappings.  This module declares those faults as data — small frozen
 dataclasses that a script parser (see :mod:`repro.churn.script`) or an
 experiment builds directly — and bundles them into a :class:`FaultPlan`
-that the :class:`~repro.faults.injector.FaultInjector` executes on the
-simulated clock.
+that the :class:`~repro.faults.injector.FaultExecutor` executes on either
+clock: simulated (:class:`~repro.faults.injector.FaultInjector`) or live
+(:class:`~repro.faults.LiveFaultFabric`).
 
 All times are relative to the moment the plan is armed (exactly like churn
 scripts), so the same plan can run after any warm-up period.

@@ -39,7 +39,7 @@ How the pieces fit:
   the window length — 10 sim-s windows (one PSS cycle) make 72% of
   cross-shard exchanges miss the 5 s response timeout, which is why
   ``bench/`` runs 1 sim-s windows while ``scale100k`` still records the
-  degraded overlay (ROADMAP item 3(a)).  Injection order is the
+  degraded overlay (ROADMAP ``sharded-exact``).  Injection order is the
   sorted key order, so destination event sequence numbers — and therefore
   every downstream tie-break — are identical regardless of lane grouping.
 - **Collector policy** — :meth:`ShardedWorld.run_windows` switches the

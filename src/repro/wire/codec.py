@@ -22,16 +22,16 @@ Hot path layout (the ``wire_mode="verify"/"measured"`` cost):
 - encoding dispatches on ``type(obj)`` through :data:`_ENCODERS`, a table
   of **precompiled closures** built once at import time — per-struct
   encoders carry their tag/id/field-count prefix as a single constant
-  ``bytes`` and an :func:`operator.attrgetter` over the declared fields,
+  ``bytes`` and load each declared field with a plain attribute access,
   so no reflective ``dataclasses.fields``/``getattr`` work happens per
   message (the reference implementation survives as
   :func:`reference_encode_value` and the test suite pins byte-identity);
 - decoding runs over a :class:`memoryview` (no body copy per frame) via
   the tag-indexed :data:`_DECODERS` table, with per-struct decoders that
   construct dataclasses positionally;
-- :func:`value_size` walks the same tables but only *accumulates* sizes,
-  so size-only callers (``encoded_size``, ``wire_mode="measured"``
-  accounting) never build a frame at all;
+- :func:`value_size` is ``len(encode_value(...))``: size-only callers
+  (``encoded_size``, ``wire_mode="measured"`` accounting) take the same
+  traversal and the same encode-cache hits as a real encode;
 - hot immutable structs (descriptors, circulating public keys, view
   entries) can be served from an optional per-network LRU **encode
   cache** (:class:`~repro.core.lru.LruCache`): pass it as ``cache=`` and
@@ -51,7 +51,6 @@ import struct as _struct
 import zlib
 from dataclasses import fields as _dc_fields
 from enum import Enum
-from operator import attrgetter
 from typing import Any, Callable
 
 from ..core.contact import Gateway, PrivateContact
@@ -227,7 +226,6 @@ def _unzigzag(value: int) -> int:
 # compiled encoders: type -> closure(buf, obj, cache)
 
 _ENCODERS: dict[type, Callable[[bytearray, Any, LruCache | None], None]] = {}
-_SIZERS: dict[type, Callable[[Any, LruCache | None], int]] = {}
 
 _pack_float = _struct.Struct(">d").pack
 _unpack_float = _struct.Struct(">d").unpack_from
@@ -448,105 +446,6 @@ def _make_enum_encoder(eid: int, members: tuple[Any, ...]):
     return enc
 
 
-# -- size accumulators (same dispatch, no bytes built) ----------------------
-
-def _size_of(obj: Any, cache: LruCache | None) -> int:
-    sizer = _SIZERS.get(obj.__class__)
-    if sizer is None:
-        _encode_fallback(obj)
-    return sizer(obj, cache)
-
-
-def _size_int(obj, cache):
-    v = obj + obj if obj >= 0 else -obj - obj - 1
-    return 1 + (((v.bit_length() + 6) // 7) or 1)
-
-
-def _size_bytes(obj, cache):
-    n = len(obj)
-    return 1 + (((n.bit_length() + 6) // 7) or 1) + n
-
-
-def _size_str(obj, cache):
-    n = len(obj.encode("utf-8"))
-    return 1 + (((n.bit_length() + 6) // 7) or 1) + n
-
-
-def _size_seq(obj, cache):
-    n = len(obj)
-    total = 1 + (((n.bit_length() + 6) // 7) or 1)
-    sizers = _SIZERS
-    for item in obj:
-        s = sizers.get(item.__class__)
-        if s is None:
-            _encode_fallback(item)
-        total += s(item, cache)
-    return total
-
-
-def _size_dict(obj, cache):
-    n = len(obj)
-    total = 1 + (((n.bit_length() + 6) // 7) or 1)
-    sizers = _SIZERS
-    for key, value in obj.items():
-        s = sizers.get(key.__class__)
-        if s is None:
-            _encode_fallback(key)
-        total += s(key, cache)
-        s = sizers.get(value.__class__)
-        if s is None:
-            _encode_fallback(value)
-        total += s(value, cache)
-    return total
-
-
-def _make_struct_sizer(cls: type, names: tuple[str, ...], encoder):
-    sid, _ = _STRUCT_BY_TYPE[cls]
-    prefix_len = 1 + _uvarint_len(sid) + _uvarint_len(len(names))
-    if len(names) > 1:
-        getter = attrgetter(*names)
-    else:
-        single = names[0]
-        def getter(obj, _n=single):
-            return (getattr(obj, _n),)
-
-    if cls in _CACHED_STRUCTS:
-        # Route through the caching encoder: a hit is one dict lookup +
-        # len(); a miss encodes once and seeds the cache for later sends.
-        def size_cached(obj, cache, _enc=encoder):
-            if cache is not None:
-                buf = bytearray()
-                _enc(buf, obj, cache)
-                return len(buf)
-            return _size_fields(obj, None)
-    else:
-        size_cached = None
-
-    def _size_fields(obj, cache, _prefix_len=prefix_len, _get=getter):
-        total = _prefix_len
-        sizers = _SIZERS
-        for item in _get(obj):
-            s = sizers.get(item.__class__)
-            if s is None:
-                _encode_fallback(item)
-            total += s(item, cache)
-        return total
-
-    return size_cached if size_cached is not None else _size_fields
-
-
-def _make_enum_sizer(eid: int, members: tuple[Any, ...]):
-    table = {
-        member: 1 + _uvarint_len(eid) + _uvarint_len(index)
-        for index, member in enumerate(members)
-    }
-
-    def size(obj, cache, _table=table):
-        return _table[obj]
-
-    return size
-
-
 def _build_tables() -> None:
     _ENCODERS[type(None)] = _enc_none
     _ENCODERS[bool] = _enc_bool
@@ -557,24 +456,12 @@ def _build_tables() -> None:
     _ENCODERS[list] = _make_seq_encoder(_T_LIST)
     _ENCODERS[tuple] = _make_seq_encoder(_T_TUPLE)
     _ENCODERS[dict] = _enc_dict
-    _SIZERS[type(None)] = lambda obj, cache: 1
-    _SIZERS[bool] = lambda obj, cache: 1
-    _SIZERS[int] = _size_int
-    _SIZERS[float] = lambda obj, cache: 9
-    _SIZERS[bytes] = _size_bytes
-    _SIZERS[str] = _size_str
-    _SIZERS[list] = _size_seq
-    _SIZERS[tuple] = _size_seq
-    _SIZERS[dict] = _size_dict
     for sid, cls in _STRUCT_TABLE:
         names = _STRUCT_BY_TYPE[cls][1]
-        encoder = _make_struct_encoder(sid, cls, names)
-        _ENCODERS[cls] = encoder
-        _SIZERS[cls] = _make_struct_sizer(cls, names, encoder)
+        _ENCODERS[cls] = _make_struct_encoder(sid, cls, names)
     for eid, ecls in _ENUM_TABLE:
         members = _ENUM_BY_TYPE[ecls][1]
         _ENCODERS[ecls] = _make_enum_encoder(eid, members)
-        _SIZERS[ecls] = _make_enum_sizer(eid, members)
 
 
 _build_tables()
@@ -591,11 +478,8 @@ def encode_value(obj: Any, cache: LruCache | None = None) -> bytes:
 
 
 def value_size(obj: Any, cache: LruCache | None = None) -> int:
-    """Exact ``len(encode_value(obj))`` without building the bytes."""
-    sizer = _SIZERS.get(obj.__class__)
-    if sizer is None:
-        _encode_fallback(obj)
-    return sizer(obj, cache)
+    """Exact ``len(encode_value(obj, cache))``."""
+    return len(encode_value(obj, cache))
 
 
 # ---------------------------------------------------------------------------

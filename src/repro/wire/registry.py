@@ -302,11 +302,11 @@ def decode_message(data: bytes) -> DecodedMessage:
 
 
 def encoded_size(kind: str, payload: Any, cache: LruCache | None = None) -> int:
-    """Exact on-the-wire frame size for a message, without building it.
+    """Exact on-the-wire frame size for a message.
 
     Matches ``len(encode_message(kind, payload))`` byte for byte (pinned by
-    test) via the codec's size-accumulator path: no body bytes, no frame
-    assembly, no CRC.
+    test): the body is encoded for its length, but there is no frame
+    assembly and no CRC.
     """
     spec = spec_for(kind)
     spec.check(payload, exc=WireEncodeError)

@@ -22,7 +22,6 @@ from repro.core.onion import (
     build_circuit_setup,
     build_onion,
     peel,
-    peel_setup,
 )
 from repro.crypto.aes import ctr_transform
 from repro.crypto.costmodel import CpuAccountant
@@ -179,12 +178,12 @@ class TestCircuitSetup:
     def test_full_path_peeling(self, provider):
         keypairs, specs, hops = self.make(provider)
         packet = build_circuit_setup(provider, specs, hops)
-        layer, fwd = peel_setup(provider, keypairs[0], packet)
+        layer, fwd = peel(provider, keypairs[0], packet)
         assert layer.hop == hops[0]
         assert layer.next_hop.node_id == 201
-        layer2, fwd2 = peel_setup(provider, keypairs[1], fwd)
+        layer2, fwd2 = peel(provider, keypairs[1], fwd)
         assert layer2.hop == hops[1]
-        layer3, fwd3 = peel_setup(provider, keypairs[2], fwd2)
+        layer3, fwd3 = peel(provider, keypairs[2], fwd2)
         assert layer3.hop == hops[2]
         assert layer3.next_hop is None and fwd3 is None
 
@@ -192,7 +191,7 @@ class TestCircuitSetup:
         keypairs, specs, hops = self.make(provider)
         packet = build_circuit_setup(provider, specs, hops)
         with pytest.raises(CryptoError):
-            peel_setup(provider, keypairs[1], packet)
+            peel(provider, keypairs[1], packet)
 
     def test_path_hop_count_must_match(self, provider):
         keypairs, specs, hops = self.make(provider)

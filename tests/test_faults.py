@@ -1,19 +1,29 @@
 """Tests for the fault-injection subsystem: plan, injector, script glue."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.churn import ChurnDriver, ChurnScriptError, parse_script
 from repro.faults import (
     Blackhole,
+    Delay,
+    Duplicate,
+    FaultExecutor,
     FaultInjector,
     FaultPlan,
     LossBurst,
     NatReset,
     Partition,
+    Reorder,
     Stall,
     is_fault_directive,
 )
 from repro.harness import World, WorldConfig
+from repro.sim.engine import Simulator
+from repro.telemetry import NULL_TELEMETRY
 
 
 class TestPlan:
@@ -224,6 +234,84 @@ class TestInjector:
                 )
             )
         assert stats[0] == stats[1]
+
+
+class BareExecutor(FaultExecutor):
+    """The executor with no fabric: a bare clock and ten node ids."""
+
+    def __init__(self):
+        self.clock = Simulator()
+        super().__init__(
+            self.clock, NULL_TELEMETRY, random.Random(1), random.Random(2)
+        )
+
+    def _population(self):
+        return range(10)
+
+    def idle(self):
+        return not (
+            self._blackholes or self._losses or self.shaping_active
+            or self.stalled_nodes() or self.partition_active()
+        )
+
+
+_times = st.floats(0.0, 100.0)
+_spans = st.floats(0.5, 100.0)
+_rates = st.floats(0.01, 1.0)
+_windows = st.one_of(
+    st.builds(lambda t, d, r: LossBurst(t, t + d, r), _times, _spans, _rates),
+    st.builds(lambda t, d, r: Delay(t, t + d, 0.05, rate=r), _times, _spans, _rates),
+    st.builds(lambda t, d, r: Duplicate(t, t + d, r), _times, _spans, _rates),
+    st.builds(lambda t, d, r: Reorder(t, t + d, r), _times, _spans, _rates),
+)
+_blackholes = st.builds(
+    Blackhole, _times, st.integers(0, 9), st.integers(0, 9),
+    st.one_of(st.none(), _spans),
+)
+_population_wide = st.one_of(
+    st.builds(lambda t, d: Partition(t, t + d), _times, _spans),
+    st.builds(Stall, _times, st.floats(0.1, 1.0), _spans),
+)
+
+
+class TestExecutor:
+    """Properties of the plan state machine itself, on a bare clock."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(_windows, _blackholes), max_size=12))
+    def test_every_window_that_opens_closes(self, directives):
+        executor = BareExecutor()
+        executor.arm(directives)
+        executor.clock.run()  # until every scheduled edge has fired
+        permanent = {
+            (d.src, d.dst) for d in directives
+            if isinstance(d, Blackhole) and d.duration is None
+        }
+        assert not executor._losses and not executor.shaping_active
+        assert executor._blackholes <= permanent
+        stats = executor.stats
+        assert stats.faults_activated == len(directives)
+        assert stats.faults_activated - stats.faults_healed == sum(
+            isinstance(d, Blackhole) and d.duration is None for d in directives
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(_windows, _blackholes, _population_wide), max_size=12),
+        _times,
+    )
+    def test_cancel_pending_from_any_state_leaves_nothing_active(
+        self, directives, stop_at
+    ):
+        executor = BareExecutor()
+        executor.arm(directives)
+        executor.clock.run(until=stop_at)
+        executor.cancel_pending()
+        assert executor.idle()
+        fired = executor.stats.faults_activated
+        executor.clock.run()  # nothing is left on the clock to fire
+        assert executor.idle()
+        assert executor.stats.faults_activated == fired
 
 
 class TestDriverIntegration:

@@ -12,6 +12,9 @@ Four strata:
 - soak: the whole gauntlet end-to-end at toy scale.
 """
 
+import random
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.node import WhisperConfig
@@ -135,32 +138,79 @@ class TestPlanJson:
 # ======================================================================
 # sim/live parity
 # ======================================================================
-def sim_world(seed: int = 42, n: int = 12) -> World:
-    world = World(WorldConfig(seed=seed))
+def sim_world(seed: int = 42, n: int = 12, telemetry: bool = False) -> World:
+    world = World(WorldConfig(seed=seed, telemetry_enabled=telemetry))
     world.populate(n)
     world.start_all()
     world.run(30.0)
     return world
 
 
-class TestParity:
-    def test_every_directive_activates_in_both_modes(self):
-        # Sim side: the injector accepts and activates all nine kinds.
-        world = sim_world()
-        injector = FaultInjector(world)
-        injector.arm(all_kinds_plan())
-        world.run(2.0)
-        assert injector.stats.faults_activated == 9
+PARITY_IDS = list(range(1, 13))  # the ids a 12-node World hands out
 
-        # Live side: the fabric accepts and activates the same plan.
-        rt = quiet_runtime(4)
-        try:
-            fabric = LiveFaultFabric(rt.network, seed=1)
-            fabric.arm(all_kinds_plan())
-            rt.run_for(0.8)
-            assert fabric.stats.faults_activated == 9
-        finally:
-            rt.close()
+
+@contextmanager
+def sim_fabric(seed: int = 1):
+    """(executor, run(seconds), telemetry) on the simulator."""
+    world = sim_world(n=len(PARITY_IDS), telemetry=True)
+    assert sorted(n.node_id for n in world.alive_nodes()) == PARITY_IDS
+    injector = FaultInjector(world, rng=random.Random(seed))
+    yield injector, world.run, world.telemetry
+
+
+@contextmanager
+def live_fabric(seed: int = 1):
+    """The same three things on real loopback sockets, same node ids."""
+    rt = LiveRuntime(provider="sim", telemetry_enabled=True)
+    try:
+        for nid in PARITY_IDS:
+            rt.add_node(nid)
+        fabric = LiveFaultFabric(rt.network, seed=seed, telemetry=rt.telemetry)
+        yield fabric, rt.run_for, rt.telemetry
+    finally:
+        rt.close()
+
+
+class TestParity:
+    @pytest.mark.parametrize("fabric", [sim_fabric, live_fabric], ids=["sim", "live"])
+    def test_every_directive_activates_in_both_modes(self, fabric):
+        with fabric() as (executor, run, telemetry):
+            executor.arm(all_kinds_plan())
+            run(0.8)
+            stats = executor.stats
+            assert stats.faults_activated == 9
+            # A blackhole without a duration and the two NAT one-shots
+            # never heal; the four windows, the partition and the stall do.
+            assert stats.faults_healed == 6
+            assert stats.nodes_stalled == 4  # 30% of 12
+            assert stats.nat_resets >= 1 and stats.nat_rebinds >= 1
+            assert [kind for kind, _ in executor.decision_digest()] == [
+                "blackhole", "partition", "stall", "nat_reset", "nat_rebind",
+            ]
+            metrics = telemetry.metrics
+            kinds = dict.fromkeys(
+                ("blackhole", "loss", "partition", "stall", "nat_reset",
+                 "nat_rebind", "delay", "duplicate", "reorder"), 1,
+            )
+            assert metrics.values_by_label("fault.injected", "kind") == kinds
+            del kinds["blackhole"], kinds["nat_reset"], kinds["nat_rebind"]
+            assert metrics.values_by_label("fault.healed", "kind") == kinds
+            assert metrics.value("fault.stalled_nodes", layer="fault") == 4
+
+    def test_same_plan_same_decision_digest_on_both_fabrics(self):
+        plan = FaultPlan.of(
+            Blackhole(0.05, 1, 2), Stall(0.1, 0.25, 0.2), Partition(0.15, 0.4)
+        )
+        digests = []
+        for fabric in (sim_fabric, live_fabric):
+            with fabric(seed=99) as (executor, run, _telemetry):
+                executor.arm(plan)
+                run(0.6)
+                digests.append(executor.decision_digest())
+        assert digests[0] == digests[1]
+        assert [kind for kind, _ in digests[0]] == [
+            "blackhole", "stall", "partition",
+        ]
 
     def test_sim_transit_shaping_is_deterministic(self):
         def run_once():
@@ -219,7 +269,7 @@ class TestLiveFabric:
                 ping(rt, 0, 1)
             rt.run_for(0.2)
             assert received[1] == []
-            assert fabric.stats.dropped == 5
+            assert fabric.stats.loss_drops == 5
         finally:
             rt.close()
 
@@ -236,7 +286,7 @@ class TestLiveFabric:
             rt.run_for(0.3)
             assert received[1] == []  # 0 -> 1 swallowed
             assert len(received[0]) == 4  # 1 -> 0 unaffected
-            assert fabric.stats.dropped == 4
+            assert fabric.stats.blackhole_drops == 4
         finally:
             rt.close()
 
@@ -253,7 +303,42 @@ class TestLiveFabric:
             assert received[1] == []  # still held
             rt.run_for(1.0)
             assert len(received[1]) == 3  # released after the hold
-            assert fabric.stats.delayed == 3
+            assert fabric.stats.delays_injected == 3
+        finally:
+            rt.close()
+
+    def test_held_frame_handles_leave_when_they_fire(self):
+        rt = quiet_runtime(2)
+        try:
+            received = attach_collectors(rt, 2)
+            fabric = LiveFaultFabric(rt.network, seed=3)
+            fabric.arm(FaultPlan.of(Delay(0.0, 5.0, delay=0.1)))
+            rt.run_for(0.05)
+            for _ in range(20):
+                ping(rt, 0, 1)
+            assert len(fabric._held) == 20
+            rt.run_for(0.5)
+            assert len(received[1]) == 20
+            # Drained: only the plan's own edges (bounded by the plan) are
+            # still referenced, not one handle per delayed datagram.
+            assert not fabric._held
+            assert len(fabric._pending) == 2  # window open + window close
+        finally:
+            rt.close()
+
+    def test_detach_mid_window_cancels_held_frames(self):
+        rt = quiet_runtime(2)
+        try:
+            received = attach_collectors(rt, 2)
+            fabric = LiveFaultFabric(rt.network, seed=3)
+            fabric.arm(FaultPlan.of(Delay(0.0, 5.0, delay=0.3)))
+            rt.run_for(0.05)
+            for _ in range(3):
+                ping(rt, 0, 1)
+            fabric.detach()
+            rt.run_for(0.6)
+            assert received[1] == []  # frames in flight died with the fabric
+            assert not fabric._held
         finally:
             rt.close()
 
@@ -268,7 +353,7 @@ class TestLiveFabric:
                 ping(rt, 0, 1)
             rt.run_for(0.3)
             assert len(received[1]) == 6
-            assert fabric.stats.duplicated == 3
+            assert fabric.stats.duplicates_injected == 3
         finally:
             rt.close()
 
@@ -289,7 +374,7 @@ class TestLiveFabric:
             rt.run_for(0.8)
             senders = [m.payload["from"] for m in received[1]]
             assert senders == [222, 111]  # the younger datagram won
-            assert fabric.stats.reordered == 1
+            assert fabric.stats.reorders_injected == 1
         finally:
             rt.close()
 
@@ -303,7 +388,7 @@ class TestLiveFabric:
             after = dict(rt.network.endpoints)
             assert set(before) == set(after)
             assert all(before[nid] != after[nid] for nid in before)
-            assert fabric.stats.rebinds == 3
+            assert fabric.stats.nat_rebinds == 3
             assert rt.network.stats.rebinds == 3
         finally:
             rt.close()
@@ -340,9 +425,9 @@ class TestLiveFabric:
                 ping(rt, 0, 1)
             rt.run_for(0.4)
             metrics = rt.telemetry.metrics
-            assert metrics.aggregate("faults.live.dropped")["sum"] == 4
-            assert metrics.aggregate("faults.live.rebinds")["sum"] == 1
-            assert metrics.aggregate("faults.live.injected")["sum"] == 2
+            assert metrics.aggregate("fault.drops")["sum"] == 4
+            assert metrics.aggregate("fault.nat_rebinds")["sum"] == 1
+            assert metrics.aggregate("fault.injected")["sum"] == 2
         finally:
             rt.close()
 
@@ -497,9 +582,10 @@ class TestSoakSmoke:
         # Traffic flowed in every window and the fault schedule bit.
         for window in ("before", "during", "after"):
             assert result.windows[window][1] > 0
-        assert result.fault_counts["dropped"] > 0
-        assert result.fault_counts["rebinds"] >= 1
-        assert result.fault_counts["activated"] == 3
+        counts = result.fault_counts
+        assert counts["loss_drops"] + counts["stall_drops"] > 0
+        assert counts["nat_rebinds"] >= 1
+        assert counts["faults_activated"] == 3
         # The kills happened and the supervisor healed them.
         assert len(result.killed) >= 2
         assert result.restarts >= len(result.killed)
