@@ -339,9 +339,9 @@ class ConnectionManager:
         """The peer stopped answering: declare the session dead."""
         self._sessions.pop(peer, None)
         self.stats_sessions_evicted += 1
-        self.telemetry.counter(
-            "cm.session_evicted", node=self.node_id, layer="nat"
-        ).inc()
+        tel = self.telemetry
+        if tel.enabled:
+            tel.counter("cm.session_evicted", node=self.node_id, layer="nat").inc()
         for listener in self._evict_listeners:
             listener(peer)
 
@@ -439,10 +439,10 @@ class ConnectionManager:
             self.telemetry.span_end(
                 pending.span, ok=error is None, error=error,
             )
-        self.telemetry.counter(
-            "nat.connects", layer="nat",
-            outcome="ok" if error is None else "fail",
-        ).inc()
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "nat.connects", layer="nat", outcome="ok" if error is None else "fail"
+            ).inc()
         if error is None:
             for callback in pending.on_ready:
                 callback()
@@ -710,7 +710,8 @@ class ConnectionManager:
                     {"from": self.node_id}, sizes.connect_control, "nat",
                 )
             self.stats_punches += 1
-            self.telemetry.counter("nat.punches", layer="nat").inc()
+            if self.telemetry.enabled:
+                self.telemetry.counter("nat.punches", layer="nat").inc()
         else:
             # The rendezvous chain stays on the path: our replies travel the
             # reversed chain (RV first, then the hops back to the requester;
@@ -719,7 +720,8 @@ class ConnectionManager:
             reverse_chain = tuple(reversed(reply_path[1:])) or (rv,)
             self._install_session(requester, endpoint=None, relay=reverse_chain)
             self.stats_relay_sessions += 1
-            self.telemetry.counter("nat.relay_sessions", layer="nat").inc()
+            if self.telemetry.enabled:
+                self.telemetry.counter("nat.relay_sessions", layer="nat").inc()
         accept = {
             "path": offer["reply_path"],
             "target": self.node_id,
@@ -757,7 +759,8 @@ class ConnectionManager:
             )
             self._install_session(target, endpoint=None, relay=tuple(chain))
             self.stats_relay_sessions += 1
-            self.telemetry.counter("nat.relay_sessions", layer="nat").inc()
+            if self.telemetry.enabled:
+                self.telemetry.counter("nat.relay_sessions", layer="nat").inc()
         self._settle(target, error=None)
 
     def _on_hello(self, message: Message) -> None:

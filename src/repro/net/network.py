@@ -399,8 +399,8 @@ class Network:
                     audit_record(kind, size_bytes, len(frame))
                     payload = wire_decode(frame).payload
                 else:
-                    # measured: exact frame size from the size accumulator;
-                    # no frame bytes, no CRC, payload delivered as in "off".
+                    # measured: exact frame size, the body encoded for its
+                    # length; no frame, no CRC, payload delivered as in "off".
                     measured = wire_size(kind, payload, encode_cache)
                     audit_record(kind, size_bytes, measured)
                     size_bytes = measured

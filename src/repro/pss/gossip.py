@@ -29,7 +29,7 @@ from typing import Callable, Protocol as TypingProtocol
 
 from ..crypto.provider import PublicKey
 from ..nat.traversal import ConnectionManager, NodeDescriptor
-from ..net.address import NodeId
+from ..net.address import NodeId, NodeKind
 from ..net.message import sizes
 from ..sim.clock import Clock
 from ..sim.process import PeriodicTask, Timer
@@ -201,18 +201,18 @@ class PeerSamplingService:
         if not self._introducers:
             return None
         self.stats.rebootstraps += 1
-        self.telemetry.counter(
-            "pss.rebootstraps", node=self.node_id, layer="pss"
-        ).inc()
+        tel = self.telemetry
+        if tel.enabled:
+            tel.counter("pss.rebootstraps", node=self.node_id, layer="pss").inc()
         entries = [ViewEntry(descriptor=d, age=0) for d in self._introducers]
         self.view.replace_all(self.policy.truncate(entries))
         return self.view.oldest()
 
     def _contact_failed(self, target: NodeId) -> None:
         self.stats.contact_failures += 1
-        self.telemetry.counter(
-            "pss.contact_failures", node=self.node_id, layer="pss"
-        ).inc()
+        tel = self.telemetry
+        if tel.enabled:
+            tel.counter("pss.contact_failures", node=self.node_id, layer="pss").inc()
         self.view.remove(target)
         for listener in self._failure_listeners:
             listener(target)
@@ -236,9 +236,9 @@ class PeerSamplingService:
     def _response_timeout(self, target: NodeId) -> None:
         self._pending.pop(target, None)
         self.stats.response_timeouts += 1
-        self.telemetry.counter(
-            "pss.response_timeouts", node=self.node_id, layer="pss"
-        ).inc()
+        tel = self.telemetry
+        if tel.enabled:
+            tel.counter("pss.response_timeouts", node=self.node_id, layer="pss").inc()
         self.view.remove(target)
         self.cm.drop_session(target)
         for listener in self._failure_listeners:
@@ -300,45 +300,18 @@ class PeerSamplingService:
         sender: NodeDescriptor,
         sent: list[ViewEntry],
     ) -> None:
-        """Cyclon-style merge with the healer's freshest-wins duplicates.
+        """Merge one exchange into the view (see :meth:`View.merge`).
 
-        Received entries (the sender's fresh self-descriptor is treated as
-        one of them on the passive side) fill empty view slots first, then
-        replace the entries we shipped to the partner, then — healing — the
-        oldest remaining entries.  Afterwards the WHISPER bias re-instates
-        the Pi P-node floor from the union of everything seen.
+        The sender's fresh self-descriptor is treated as one more received
+        entry; ``sent`` is the sample we shipped to the partner.
         """
-        incoming = [self._compress_route(e) for e in received]
-        incoming.append(ViewEntry(descriptor=sender, age=0))
-        replaceable = [e.node_id for e in sent if e.node_id in self.view]
-        evicted: dict[NodeId, ViewEntry] = {}
-        for entry in sorted(incoming, key=lambda e: (e.age, e.node_id)):
-            if entry.node_id == self.node_id:
-                continue
-            if entry.descriptor.route_too_long():
-                continue
-            current = self.view.get(entry.node_id)
-            if current is not None:
-                if entry.age < current.age:
-                    self._view_put(entry)
-                continue
-            if len(self.view) < self.view.capacity:
-                self._view_put(entry)
-            elif replaceable:
-                victim = replaceable.pop(0)
-                removed = self.view.get(victim)
-                if removed is not None:
-                    evicted[victim] = removed
-                self.view.remove(victim)
-                self._view_put(entry)
-            else:
-                oldest = self.view.oldest()
-                if oldest is not None and oldest.age > entry.age:
-                    evicted[oldest.node_id] = oldest
-                    self.view.remove(oldest.node_id)
-                    self._view_put(entry)
-        self._enforce_public_floor(incoming, evicted)
-        self._enforce_public_cap(incoming, evicted)
+        incoming = [self._compress_route(entry) for entry in received]
+        incoming.append(ViewEntry(sender, 0))
+        policy = self.policy
+        self.view.merge(
+            incoming, sent, self.node_id,
+            getattr(policy, "pi", 0), getattr(policy, "cap_public", False),
+        )
 
     def _compress_route(self, entry: ViewEntry) -> ViewEntry:
         """Drop the rendezvous chain when we can reach the node ourselves.
@@ -350,94 +323,20 @@ class PeerSamplingService:
         circulate — P-node entries never grow routes, so without this the
         overlay would slowly skew public.
         """
-        descriptor = entry.descriptor
-        if descriptor.is_public or not descriptor.route:
-            return entry
-        if self.cm.has_session(descriptor.node_id):
-            return ViewEntry(
-                descriptor=NodeDescriptor(
-                    descriptor.node_id,
-                    descriptor.kind,
-                    descriptor.nat_type,
-                    descriptor.public_endpoint,
-                    (),
-                ),
-                age=entry.age,
-            )
+        d = entry.descriptor
+        if d.route and d.kind is not NodeKind.PUBLIC and self.cm.has_session(d.node_id):
+            bare = NodeDescriptor(d.node_id, d.kind, d.nat_type, d.public_endpoint, ())
+            return ViewEntry(bare, entry.age)
         return entry
-
-    def _enforce_public_cap(
-        self, incoming: list[ViewEntry], evicted: dict[NodeId, ViewEntry]
-    ) -> None:
-        """Aggressive load-limiting variant (ablation): P-nodes above the Pi
-        freshest are swapped back out for N-node candidates when available,
-        capping P-node view presence near Pi."""
-        pi = getattr(self.policy, "pi", 0)
-        if not getattr(self.policy, "cap_public", False) or pi <= 0:
-            return
-        publics = sorted(
-            self.view.public_entries(), key=lambda e: (e.age, e.node_id)
-        )
-        surplus = publics[pi:]
-        if not surplus:
-            return
-        pool: dict[NodeId, ViewEntry] = {}
-        for entry in list(evicted.values()) + list(incoming):
-            if entry.is_public or entry.node_id == self.node_id:
-                continue
-            if entry.node_id in self.view or entry.descriptor.route_too_long():
-                continue
-            current = pool.get(entry.node_id)
-            if current is None or entry.age < current.age:
-                pool[entry.node_id] = entry
-        replacements = sorted(pool.values(), key=lambda e: (e.age, e.node_id))
-        # Oldest surplus P-nodes go first.
-        for victim in reversed(surplus):
-            if not replacements:
-                break
-            self.view.remove(victim.node_id)
-            self._view_put(replacements.pop(0))
-
-    def _view_put(self, entry: ViewEntry) -> None:
-        self.view.put(entry)
-
-    def _enforce_public_floor(
-        self, incoming: list[ViewEntry], evicted: dict[NodeId, ViewEntry]
-    ) -> None:
-        """Section III-B-1: keep at least Pi P-nodes in the view, using the
-        freshest P-node candidates from the view and the received entries."""
-        pi = getattr(self.policy, "pi", 0)
-        if pi <= 0:
-            return
-        deficit = pi - self.view.count_public()
-        if deficit <= 0:
-            return
-        pool: dict[NodeId, ViewEntry] = {}
-        for entry in list(evicted.values()) + list(incoming):
-            if not entry.is_public or entry.node_id == self.node_id:
-                continue
-            if entry.node_id in self.view:
-                continue
-            current = pool.get(entry.node_id)
-            if current is None or entry.age < current.age:
-                pool[entry.node_id] = entry
-        candidates = sorted(pool.values(), key=lambda e: (e.age, e.node_id))
-        for candidate in candidates[:deficit]:
-            if len(self.view) >= self.view.capacity:
-                victims = [e for e in self.view.entries() if not e.is_public]
-                if not victims:
-                    break
-                victim = max(victims, key=lambda e: (e.age, e.node_id))
-                self.view.remove(victim.node_id)
-            self._view_put(candidate)
 
     def _record_exchange(
         self, peer: NodeDescriptor, key: PublicKey | None, initiated: bool
     ) -> None:
-        self.telemetry.counter(
-            "pss.exchanges", node=self.node_id, layer="pss",
-            role="initiator" if initiated else "responder",
-        ).inc()
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "pss.exchanges", node=self.node_id, layer="pss",
+                role="initiator" if initiated else "responder",
+            ).inc()
         if key is not None:
             self.known_keys[peer.node_id] = key
             self._trim_known_keys()

@@ -81,6 +81,63 @@ class TestView:
         assert len(view.sample(rng, 2)) == 2
         assert len(view.sample(rng, 10)) == 4
 
+    def test_sample_and_reads_carry_absolute_ages(self):
+        view = View(capacity=5)
+        view.replace_all([entry(1, age=0), entry(2, age=3)])
+        view.increment_ages()
+        view.increment_ages()
+        view.put(entry(3, age=1))  # stored below the offset
+        ages = {1: 2, 2: 5, 3: 1}
+        assert {e.node_id: e.age for e in view.sample(random.Random(1), 5)} == ages
+        assert {e.node_id: e.age for e in view.entries()} == ages
+        assert all(ages[e.node_id] == e.age for e in view.sample(random.Random(1), 2))
+        assert view.oldest() == entry(2, age=5)
+        assert view.random_entry(random.Random(1)).age in ages.values()
+
+    def test_sample_draws_over_slot_order(self):
+        view = View(capacity=5)
+        view.replace_all([entry(i) for i in range(1, 6)])
+        expected = random.Random(4).sample(view.node_ids(), 3)
+        assert [e.node_id for e in view.sample(random.Random(4), 3)] == expected
+
+    def test_merge_refresh_keeps_slot(self):
+        view = View(capacity=3)
+        view.replace_all([entry(1, age=4), entry(2, age=4), entry(3, age=4)])
+        view.increment_ages()
+        view.merge([entry(2, age=1), entry(3, age=9)], sent=[], self_id=99)
+        assert view.entries() == [entry(1, age=5), entry(2, age=1), entry(3, age=5)]
+
+    def test_merge_evict_and_insert_appends(self):
+        view = View(capacity=3)
+        view.replace_all([entry(1, age=2), entry(2, age=2), entry(3, age=2)])
+        # Node 1 was shipped: it gives way first; then healing takes the
+        # oldest (highest node id on an age tie) for a strictly fresher entry.
+        view.merge([entry(7, age=1), entry(8, age=0)], sent=[entry(1)], self_id=99)
+        assert view.node_ids() == [2, 8, 7]
+        view.merge([entry(9, age=2)], sent=[], self_id=99)  # not strictly fresher
+        assert view.node_ids() == [2, 8, 7]
+
+    def test_merge_ties_break_on_node_id_then_arrival(self):
+        view = View(capacity=2)
+        first = ViewEntry(descriptor(5), age=1)
+        second = ViewEntry(descriptor(5, public=True), age=1)
+        view.merge([entry(6, age=1), first, second], sent=[], self_id=99)
+        # 5 sorts before 6; of its two copies the first to arrive is kept.
+        assert view.entries() == [first, entry(6, age=1)]
+
+    def test_merge_drops_self_and_overlong_routes(self):
+        import dataclasses
+        view = View(capacity=3)
+        long_route = dataclasses.replace(descriptor(5), route=tuple(range(100, 110)))
+        view.merge([entry(99), ViewEntry(long_route, 0)], sent=[], self_id=99)
+        assert len(view) == 0
+
+    def test_merge_floor_evicts_oldest_natted_for_spare_public(self):
+        view = View(capacity=3)
+        view.replace_all([entry(1, age=0), entry(2, age=1), entry(3, age=0)])
+        view.merge([entry(50, age=9, public=True)], sent=[], self_id=99, pi=1)
+        assert view.node_ids() == [1, 3, 50]
+
     def test_random_entry_empty(self):
         assert View(capacity=3).random_entry(random.Random(1)) is None
 
