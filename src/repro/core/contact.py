@@ -9,7 +9,7 @@ NAT-traversed session towards the member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..crypto.provider import PublicKey
 from ..nat.traversal import NodeDescriptor
@@ -56,6 +56,3 @@ class PrivateContact:
     def wire_size(self) -> int:
         """Serialized size (Section V-E: N-node entries carry Π keys)."""
         return sizes.private_view_entry(len(self.gateways))
-
-    def with_gateways(self, gateways: tuple[Gateway, ...]) -> "PrivateContact":
-        return replace(self, gateways=gateways)

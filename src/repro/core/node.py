@@ -21,7 +21,6 @@ from ..net.address import NodeId
 from ..net.message import Message
 from ..net.network import Network
 from ..pss.gossip import PeerSamplingService, PssConfig
-from ..pss.policies import BiasedHealerPolicy
 from ..sim.clock import Clock
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .backlog import ConnectionBacklog
@@ -80,9 +79,7 @@ class WhisperNode:
         self.pss = PeerSamplingService(
             node_id, self.cm, sim, rng,
             config=self.config.pss,
-            policy=BiasedHealerPolicy(
-                self.config.pss.view_size, self.config.pi, rng=rng
-            ),
+            pi=self.config.pi,
             public_key=self.keypair.public,
             telemetry=self.telemetry,
         )

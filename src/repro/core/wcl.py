@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from ..crypto.provider import (
@@ -29,7 +30,7 @@ from ..crypto.provider import (
     PublicKey,
 )
 from ..nat.traversal import ConnectionManager, NodeDescriptor
-from ..net.address import Endpoint, NodeId, NodeKind
+from ..net.address import NodeId, NodeKind
 from ..net.message import sizes
 from ..nat.types import NatType
 from ..sim.clock import Clock
@@ -150,7 +151,7 @@ class WhisperCommunicationLayer:
         self._circuit_mode = False
         self._circuit_lifetime = 600.0
         self._circuits: dict[NodeId, _SourceCircuit] = {}  # by contact
-        self._circuit_by_id: dict[int, NodeId] = {}  # first-link label -> contact
+        self._circuit_by_id: dict[int, _SourceCircuit] = {}  # by first-link label
         self._relay: dict[int, _RelayCircuit] = {}  # by our inbound label
         self._relay_back: dict[int, int] = {}  # next hop's label -> ours
 
@@ -203,45 +204,29 @@ class WhisperCommunicationLayer:
         plan = self._plan_path(contact, exclude, mixes)
         if plan is None:
             self.stats.no_path += 1
-            self.telemetry.counter("wcl.no_path", node=self.node_id, layer="wcl").inc()
+            self._tick("wcl.no_path")
             return None
         first, second, middles, path = plan
-        build_start_ms = self._charged_ms()
-        packet = build_onion(
-            self.provider, path, content, content_size,
-            node=self.node_id, context=context,
+        packet, build_ms = self._charged(
+            build_onion, context, self.provider, path, content, content_size
         )
-        build_ms = self._charged_ms() - build_start_ms
         tel = self.telemetry
         if tel.enabled:
-            # The span covers the CPU time the build charges: the packet hits
-            # the wire exactly when the span closes.
-            span = tel.span_start(
-                f"{context}.build", trace_id=packet.trace_id,
-                node=self.node_id, layer="wcl", ms=build_ms, hops=len(path),
-            )
-            tel.span_end(span, at=self._sim.now + build_ms / 1000.0)
-            tel.counter("wcl.sent", node=self.node_id, layer="wcl").inc()
+            self._span(f"{context}.build", packet.trace_id, build_ms, hops=len(path))
+            self._tick("wcl.sent")
             tel.histogram("wcl.build_ms", layer="wcl").observe(build_ms)
-        # The CPU time spent building the onion delays the transmission.
-        self._sim.schedule(
-            build_ms / 1000.0,
-            lambda: self._emit(first.node_id, packet, context),
-        )
+        self._emit_after(build_ms, first, "wcl.onion", packet, context)
         self.stats.sent += 1
-        return AttemptInfo(
-            first_mix=first.node_id, second_mix=second.node_id,
-            trace_id=packet.trace_id,
-            middle_mixes=tuple(m.node_id for m in middles),
-        )
+        return AttemptInfo(first, second, packet.trace_id, middles)
 
     def _plan_path(
         self,
         contact: PrivateContact,
         exclude: set[tuple[NodeId, NodeId]],
         mixes: int,
-    ) -> tuple[Any, Any, list, list[HopSpec]] | None:
-        """Draw ``(first, second, middles)`` and lay out the hop list.
+    ) -> tuple[NodeId, NodeId, tuple[NodeId, ...], list[HopSpec]] | None:
+        """Draw the mixes and lay out the hop list: ``(first mix, second
+        mix, middle mixes, path)``.
 
         Shared by per-message sends and circuit setups.  None when no
         usable mix pair remains or the backlog cannot supply the middles.
@@ -258,21 +243,17 @@ class WhisperCommunicationLayer:
         dest_endpoint = (
             contact.descriptor.public_endpoint if contact.is_public else None
         )
+        # The first mix is reached over an open session; every later mix is
+        # a P-node, reached by the endpoint its hop spec carries.
         path = [HopSpec(first.node_id, first.key)]
         path += [
-            HopSpec(
-                m.node_id, m.key, public_endpoint=m.descriptor.public_endpoint,
-            )
-            for m in middles
+            HopSpec(m.node_id, m.key, public_endpoint=m.descriptor.public_endpoint)
+            for m in (*middles, second)
         ]
-        path += [
-            HopSpec(
-                second.node_id, second.key,
-                public_endpoint=second.descriptor.public_endpoint,
-            ),
-            HopSpec(contact.node_id, contact.key, public_endpoint=dest_endpoint),
-        ]
-        return first, second, middles, path
+        path.append(
+            HopSpec(contact.node_id, contact.key, public_endpoint=dest_endpoint)
+        )
+        return first.node_id, second.node_id, tuple(m.node_id for m in middles), path
 
     def _select_middle_mixes(self, count: int, forbidden: set[NodeId]) -> list:
         """P-nodes from the CB serving as intermediate hops (mixes > 2)."""
@@ -285,37 +266,30 @@ class WhisperCommunicationLayer:
         self._rng.shuffle(candidates)
         return candidates[:count]
 
-    def _emit(self, first_mix: NodeId, packet: OnionPacket, context: str) -> None:
-        self.telemetry.instant(
-            f"{context}.sent", trace_id=packet.trace_id,
-            node=self.node_id, layer="wcl",
-        )
-        self.cm.send_via_session(
-            first_mix, "wcl.onion", packet, packet.wire_size, "wcl"
-        )
-
     def _select_mixes(
         self,
         contact: PrivateContact,
         exclude: set[tuple[NodeId, NodeId]],
     ) -> tuple[object, object] | None:
         """Draw an (A, B) pair honouring the paper's constraints."""
+        forbidden = {self.node_id, contact.node_id}
         second_candidates: list[Gateway] = [
-            g for g in contact.gateways
-            if g.node_id not in (self.node_id, contact.node_id)
+            g for g in contact.gateways if g.node_id not in forbidden
         ]
-        if contact.is_public:
+
+        def add_public_seconds(entries: list[CbEntry]) -> None:
             # Any known P-node can reach a public destination directly.
-            for entry in self.backlog.public_entries():
-                if entry.node_id not in (self.node_id, contact.node_id) and all(
+            for entry in entries:
+                if entry.is_public and entry.node_id not in forbidden and all(
                     g.node_id != entry.node_id for g in second_candidates
                 ):
                     second_candidates.append(
                         Gateway(descriptor=entry.descriptor, key=entry.key)
                     )
-        firsts = self.backlog.first_mix_candidates(
-            exclude={self.node_id, contact.node_id}
-        )
+
+        if contact.is_public:
+            add_public_seconds(self.backlog.public_entries())
+        firsts = self.backlog.first_mix_candidates(exclude=forbidden)
         self._rng.shuffle(second_candidates)
         self._rng.shuffle(firsts)
         pair = self._pick_pair(firsts, second_candidates, exclude)
@@ -330,25 +304,17 @@ class WhisperCommunicationLayer:
         # exclusions, not the backlog, are the binding constraint.
         if self.backlog.count_public() >= self.backlog.pi:
             return None
-        widened = self._degraded_pool({self.node_id, contact.node_id})
+        widened = self._degraded_pool(forbidden)
         if not widened:
             return None
         self._rng.shuffle(widened)
         firsts = firsts + widened
         if contact.is_public:
-            for entry in widened:
-                if entry.is_public and all(
-                    g.node_id != entry.node_id for g in second_candidates
-                ):
-                    second_candidates.append(
-                        Gateway(descriptor=entry.descriptor, key=entry.key)
-                    )
+            add_public_seconds(widened)
         pair = self._pick_pair(firsts, second_candidates, exclude)
         if pair is not None:
             self.stats.degraded_paths += 1
-            self.telemetry.counter(
-                "wcl.degraded_path", node=self.node_id, layer="wcl"
-            ).inc()
+            self._tick("wcl.degraded_path")
         return pair
 
     @staticmethod
@@ -393,44 +359,26 @@ class WhisperCommunicationLayer:
     # ------------------------------------------------------------------
     def handle_onion(self, packet: OnionPacket) -> None:
         """An onion arrived over one of our sessions: peel, then act."""
-        tel = self.telemetry
-        decrypt_start_ms = self._charged_ms()
-        try:
-            layer, forward = peel(
-                self.provider, self.keypair, packet,
-                node=self.node_id, context="wcl.peel",
-            )
-        except CryptoError:
-            self.stats.misrouted += 1
-            tel.counter("wcl.misrouted", node=self.node_id, layer="wcl").inc()
+        peeled = self._peel(packet, "wcl.peel")
+        if peeled is None:
             return
-        decrypt_ms = self._charged_ms() - decrypt_start_ms
+        layer, forward, decrypt_ms = peeled
+        tel = self.telemetry
         if tel.enabled:
-            span = tel.span_start(
-                "wcl.peel", trace_id=packet.trace_id, node=self.node_id,
-                layer="wcl", ms=decrypt_ms,
-                role="dest" if forward is None else "mix",
-            )
-            tel.span_end(span, at=self._sim.now + decrypt_ms / 1000.0)
             tel.histogram("wcl.peel_ms", layer="wcl").observe(decrypt_ms)
-        delay = decrypt_ms / 1000.0
         if forward is None:
             # We are the destination: recover the content with k.
             assert layer.key is not None
-            body_start_ms = self._charged_ms()
-            try:
-                content = self.provider.decrypt_payload(
-                    layer.key, packet.body, node=self.node_id, context="wcl.body"
-                )
-            except CryptoError:
-                self.stats.misrouted += 1
-                tel.counter("wcl.misrouted", node=self.node_id, layer="wcl").inc()
+            opened = self._open(
+                self.provider.decrypt_payload, "wcl.body", layer.key, packet.body
+            )
+            if opened is None:
                 return
             # The body decrypt is charged CPU like the peel; the receive
             # upcall fires only after *both* (an earlier revision delayed
             # by the header peel alone, so delivery looked cheaper than
             # the accountant said it was).
-            body_ms = self._charged_ms() - body_start_ms
+            content, body_ms = opened
             self._deliver_after(
                 (decrypt_ms + body_ms) / 1000.0, packet.trace_id,
                 content, packet.body.size_bytes,
@@ -438,9 +386,7 @@ class WhisperCommunicationLayer:
             return
         next_hop = layer.next_hop
         assert next_hop is not None
-        self.stats.forwarded += 1
-        tel.counter("wcl.forwarded", node=self.node_id, layer="wcl").inc()
-        self._relay_after(delay, next_hop, forward, "wcl.onion")
+        self._relay_after(decrypt_ms / 1000.0, next_hop, forward, "wcl.onion")
 
     # ------------------------------------------------------------------
     # batched mixing (anonymity countermeasure)
@@ -485,9 +431,7 @@ class WhisperCommunicationLayer:
             return
         self._mix_pool.append((packet.trace_id, next_hop, packet, kind))
         self.stats.mix_held += 1
-        self.telemetry.counter(
-            "wcl.mix_held", node=self.node_id, layer="wcl"
-        ).inc()
+        self._tick("wcl.mix_held")
         if self._mix_flush_scheduled_epoch != self._mix_epoch:
             epoch = self._mix_epoch
             self._mix_flush_scheduled_epoch = epoch
@@ -508,9 +452,7 @@ class WhisperCommunicationLayer:
             return
         for _trace_id, next_hop, packet, kind in sorted(pool, key=lambda h: h[0]):
             self._forward(next_hop, packet, kind)
-        self.telemetry.counter(
-            "wcl.mix_flushed", node=self.node_id, layer="wcl"
-        ).inc(len(pool))
+        self._tick("wcl.mix_flushed", len(pool))
 
     def _deliver_after(
         self, delay: float, trace_id: int, content: Any, size: int
@@ -523,57 +465,56 @@ class WhisperCommunicationLayer:
             tel.instant(
                 "wcl.delivered", trace_id=trace_id, node=self.node_id, layer="wcl",
             )
-            tel.counter("wcl.delivered", node=self.node_id, layer="wcl").inc()
+            self._tick("wcl.delivered")
         upcall = self._receive_upcall
         if upcall is not None:
             self._sim.schedule(delay, lambda: upcall(content, size))
 
     def _relay_after(self, delay: float, next_hop: NextHop, packet, kind: str) -> None:
-        """Pass ``packet`` on once the CPU time it cost has elapsed —
-        through the mix pool when batched mixing is on."""
+        """We are a mix: count the forward and pass ``packet`` on once the
+        CPU time it cost has elapsed — through the mix pool when batched
+        mixing is on."""
+        self.stats.forwarded += 1
+        if self.telemetry.enabled:
+            self._tick("wcl.forwarded")
         relay = (
             self._forward if self._mix_batch_interval is None
             else self._hold_for_mixing
         )
         self._sim.schedule(delay, lambda: relay(next_hop, packet, kind))
 
-    @staticmethod
-    def _public_descriptor(next_hop: NextHop) -> NodeDescriptor:
-        """What a session towards a P-node hop needs: id and endpoint."""
-        return NodeDescriptor(
-            node_id=next_hop.node_id,
-            kind=NodeKind.PUBLIC,
-            nat_type=NatType.OPEN,
+    def _forward(self, next_hop, packet, kind: str = "wcl.onion") -> None:
+        def send() -> None:
+            if not self.cm.send_via_session(
+                next_hop.node_id, kind, packet, packet.wire_size, "wcl"
+            ):
+                self._forward_failed()
+
+        self._reach(next_hop, send, self._forward_failed)
+
+    def _reach(
+        self, next_hop: NextHop, send: Callable[[], object], on_fail: Callable[[], None]
+    ) -> None:
+        """Run ``send`` once the next hop can be reached: a P-node hop
+        carries its endpoint and gets a session opened on demand (all a
+        session towards a P-node needs is its id and endpoint); any other
+        hop is reached over the session the path constraints guarantee."""
+        if next_hop.public_endpoint is None:
+            send()
+            return
+        descriptor = NodeDescriptor(
+            node_id=next_hop.node_id, kind=NodeKind.PUBLIC, nat_type=NatType.OPEN,
             public_endpoint=next_hop.public_endpoint,
         )
-
-    def _forward(self, next_hop, packet, kind: str = "wcl.onion") -> None:
-        if next_hop.public_endpoint is not None:
-            self.cm.ensure_session(
-                self._public_descriptor(next_hop),
-                on_ready=lambda: self._forward_via_session(
-                    next_hop.node_id, packet, kind
-                ),
-                on_fail=lambda reason: self._forward_failed(),
-            )
-        else:
-            self._forward_via_session(next_hop.node_id, packet, kind)
-
-    def _forward_via_session(
-        self, node_id: NodeId, packet, kind: str = "wcl.onion"
-    ) -> None:
-        if not self.cm.send_via_session(
-            node_id, kind, packet, packet.wire_size, "wcl"
-        ):
-            self._forward_failed()
+        self.cm.ensure_session(
+            descriptor, on_ready=send, on_fail=lambda reason: on_fail()
+        )
 
     def _forward_failed(self) -> None:
         # A mix cannot report the break without revealing path structure;
         # the source recovers by end-to-end timeout (Table I "Alt." rows).
         self.stats.forward_failures += 1
-        self.telemetry.counter(
-            "wcl.forward_failures", node=self.node_id, layer="wcl"
-        ).inc()
+        self._tick("wcl.forward_failures")
 
     # ------------------------------------------------------------------
     # circuit mode (amortized RSA: HORNET/Sphinx-style persistent paths)
@@ -623,17 +564,14 @@ class WhisperCommunicationLayer:
         the circuit is torn down rather than retried).
         """
         circuit = self._circuits.get(contact.node_id)
-        now = self._sim.now
         if circuit is not None:
             if (circuit.first_mix, circuit.second_mix) in exclude:
                 self._close_source_circuit(circuit, notify=True)
                 return None
-            if now >= circuit.expires_at:
+            if self._sim.now >= circuit.expires_at:
                 self._close_source_circuit(circuit, notify=False)
                 self.stats.circuit_rekeys += 1
-                self.telemetry.counter(
-                    "wcl.circuit_rekeys", node=self.node_id, layer="wcl"
-                ).inc()
+                self._tick("wcl.circuit_rekeys")
                 circuit = None  # rekey: a fresh setup goes out below
             elif len(circuit.keys) != mixes + 1:
                 # A different path length was requested; leave the circuit
@@ -666,47 +604,27 @@ class WhisperCommunicationLayer:
         labels = [self._new_circuit_label() for _ in path]
         hops = [
             CircuitHop(
-                circuit_id=labels[index],
-                key=keys[index],
-                next_circuit_id=(
-                    labels[index + 1] if index + 1 < len(path) else None
-                ),
+                circuit_id=label, key=key, next_circuit_id=next_label,
                 lifetime=self._circuit_lifetime,
             )
-            for index in range(len(path))
+            for label, key, next_label in zip(labels, keys, [*labels[1:], None])
         ]
-        build_start_ms = self._charged_ms()
-        packet = build_circuit_setup(
-            self.provider, path, hops, node=self.node_id, context=f"{context}.csetup",
+        packet, build_ms = self._charged(
+            build_circuit_setup, f"{context}.csetup", self.provider, path, hops
         )
-        build_ms = self._charged_ms() - build_start_ms
-        now = self._sim.now
-        self._circuits[contact.node_id] = _SourceCircuit(
-            contact_id=contact.node_id,
-            circuit_id=labels[0],
-            keys=keys,
-            first_mix=first.node_id,
-            second_mix=second.node_id,
-            middle_mixes=tuple(m.node_id for m in middles),
-            expires_at=now + self._circuit_lifetime,
+        circuit = _SourceCircuit(
+            contact_id=contact.node_id, circuit_id=labels[0], keys=keys,
+            first_mix=first, second_mix=second, middle_mixes=middles,
+            expires_at=self._sim.now + self._circuit_lifetime,
         )
-        self._circuit_by_id[labels[0]] = contact.node_id
+        self._circuits[contact.node_id] = self._circuit_by_id[labels[0]] = circuit
         self.stats.circuit_setups += 1
-        tel = self.telemetry
-        if tel.enabled:
-            span = tel.span_start(
-                f"{context}.circuit_setup", trace_id=packet.trace_id,
-                node=self.node_id, layer="wcl", ms=build_ms, hops=len(path),
+        if self.telemetry.enabled:
+            self._span(
+                f"{context}.circuit_setup", packet.trace_id, build_ms, hops=len(path)
             )
-            tel.span_end(span, at=now + build_ms / 1000.0)
-            tel.counter("wcl.circuit_setups", node=self.node_id, layer="wcl").inc()
-        first_mix = first.node_id
-        self._sim.schedule(
-            build_ms / 1000.0,
-            lambda: self.cm.send_via_session(
-                first_mix, "wcl.circuit_setup", packet, packet.wire_size, "wcl"
-            ),
-        )
+            self._tick("wcl.circuit_setups")
+        self._emit_after(build_ms, first, "wcl.circuit_setup", packet)
 
     def _new_circuit_label(self) -> int:
         """A fresh per-link circuit label (locally collision-checked)."""
@@ -723,39 +641,26 @@ class WhisperCommunicationLayer:
         context: str,
     ) -> AttemptInfo:
         """The amortized data path: symmetric layer wrap, no RSA at all."""
-        wrap_start_ms = self._charged_ms()
-        body = self.provider.wrap_layers(
-            circuit.keys, content, content_size,
-            node=self.node_id, context=context,
+        body, wrap_ms = self._charged(
+            self.provider.wrap_layers, context, circuit.keys, content, content_size
         )
-        wrap_ms = self._charged_ms() - wrap_start_ms
         frame = CircuitFrame(
             circuit_id=circuit.circuit_id, body=body,
             trace_id=self.provider.next_trace_id(),
         )
         tel = self.telemetry
         if tel.enabled:
-            span = tel.span_start(
-                f"{context}.cwrap", trace_id=frame.trace_id,
-                node=self.node_id, layer="wcl", ms=wrap_ms,
-                hops=len(circuit.keys),
+            self._span(
+                f"{context}.cwrap", frame.trace_id, wrap_ms, hops=len(circuit.keys)
             )
-            tel.span_end(span, at=self._sim.now + wrap_ms / 1000.0)
-            tel.counter("wcl.sent", node=self.node_id, layer="wcl").inc()
-            tel.counter("wcl.circuit_sent", node=self.node_id, layer="wcl").inc()
+            self._tick("wcl.sent")
+            self._tick("wcl.circuit_sent")
             tel.histogram("wcl.circuit_wrap_ms", layer="wcl").observe(wrap_ms)
-        first_mix = circuit.first_mix
-        self._sim.schedule(
-            wrap_ms / 1000.0,
-            lambda: self.cm.send_via_session(
-                first_mix, "wcl.circuit_data", frame, frame.wire_size, "wcl"
-            ),
-        )
+        self._emit_after(wrap_ms, circuit.first_mix, "wcl.circuit_data", frame)
         self.stats.sent += 1
         self.stats.circuit_sent += 1
         return AttemptInfo(
-            first_mix=circuit.first_mix, second_mix=circuit.second_mix,
-            trace_id=frame.trace_id, middle_mixes=circuit.middle_mixes,
+            circuit.first_mix, circuit.second_mix, frame.trace_id, circuit.middle_mixes
         )
 
     def _close_source_circuit(
@@ -764,26 +669,17 @@ class WhisperCommunicationLayer:
         self._circuits.pop(circuit.contact_id, None)
         self._circuit_by_id.pop(circuit.circuit_id, None)
         if notify:
-            self.cm.send_via_session(
-                circuit.first_mix, "wcl.circuit_teardown",
-                {"circuit": circuit.circuit_id}, sizes.circuit_header, "wcl",
+            self._send_control(
+                circuit.first_mix, "wcl.circuit_teardown", circuit.circuit_id
             )
 
     # -- relay/destination side ----------------------------------------
     def handle_circuit_setup(self, peer: NodeId, packet: CircuitSetupPacket) -> None:
         """A setup onion arrived: install per-hop state, forward or ack."""
-        tel = self.telemetry
-        start_ms = self._charged_ms()
-        try:
-            layer, forward = peel(
-                self.provider, self.keypair, packet,
-                node=self.node_id, context="wcl.peel",
-            )
-        except CryptoError:
-            self.stats.misrouted += 1
-            tel.counter("wcl.misrouted", node=self.node_id, layer="wcl").inc()
+        peeled = self._peel(packet, "wcl.circuit_install")
+        if peeled is None:
             return
-        decrypt_ms = self._charged_ms() - start_ms
+        layer, forward, decrypt_ms = peeled
         hop = layer.hop
         now = self._sim.now
         self._sweep_expired_relays(now)
@@ -796,27 +692,15 @@ class WhisperCommunicationLayer:
         )
         if hop.next_circuit_id is not None:
             self._relay_back[hop.next_circuit_id] = hop.circuit_id
-        if tel.enabled:
-            span = tel.span_start(
-                "wcl.circuit_install", trace_id=packet.trace_id,
-                node=self.node_id, layer="wcl", ms=decrypt_ms,
-                role="dest" if forward is None else "mix",
-            )
-            tel.span_end(span, at=now + decrypt_ms / 1000.0)
-            tel.counter(
-                "wcl.circuit_installed", node=self.node_id, layer="wcl"
-            ).inc()
+        if self.telemetry.enabled:
+            self._tick("wcl.circuit_installed")
         delay = decrypt_ms / 1000.0
         if forward is None:
             # We are the destination: complete the handshake with an ack
             # walking hop-by-hop back along the reverse labels.
             circuit_id = hop.circuit_id
             self._sim.schedule(
-                delay,
-                lambda: self.cm.send_via_session(
-                    peer, "wcl.circuit_ack",
-                    {"circuit": circuit_id}, sizes.circuit_header, "wcl",
-                ),
+                delay, lambda: self._send_control(peer, "wcl.circuit_ack", circuit_id)
             )
             return
         next_hop = layer.next_hop
@@ -830,29 +714,17 @@ class WhisperCommunicationLayer:
     def handle_circuit_ack(self, peer: NodeId, payload: dict) -> None:
         """A backward setup ack: mark established, or relay further back."""
         circuit_id = payload["circuit"]
-        contact_id = self._circuit_by_id.get(circuit_id)
-        if contact_id is not None:
-            circuit = self._circuits.get(contact_id)
-            if (
-                circuit is not None
-                and circuit.circuit_id == circuit_id
-                and not circuit.established
-            ):
+        circuit = self._circuit_by_id.get(circuit_id)
+        if circuit is not None:
+            if not circuit.established:
                 circuit.established = True
-                self.telemetry.counter(
-                    "wcl.circuit_established", node=self.node_id, layer="wcl"
-                ).inc()
+                self._tick("wcl.circuit_established")
             return
         our_label = self._relay_back.get(circuit_id)
-        if our_label is None:
-            return  # stale or unknown: a mix never complains
         entry = self._relay.get(our_label)
         if entry is None:
-            return
-        self.cm.send_via_session(
-            entry.prev_peer, "wcl.circuit_ack",
-            {"circuit": our_label}, sizes.circuit_header, "wcl",
-        )
+            return  # stale or unknown: a mix never complains
+        self._send_control(entry.prev_peer, "wcl.circuit_ack", our_label)
 
     def handle_circuit_data(self, frame: CircuitFrame) -> None:
         """A data frame: unwrap our layer, deliver or relabel + forward."""
@@ -861,45 +733,33 @@ class WhisperCommunicationLayer:
         if entry is None:
             # Unknown label: the circuit-mode analogue of an onion that
             # does not open with our key.
-            self.stats.misrouted += 1
-            tel.counter("wcl.misrouted", node=self.node_id, layer="wcl").inc()
+            self._misrouted()
             return
-        now = self._sim.now
-        if now >= entry.expires_at:
+        if self._sim.now >= entry.expires_at:
             self._drop_relay_entry(frame.circuit_id, entry)
             self.stats.circuit_expired += 1
-            tel.counter(
-                "wcl.circuit_expired", node=self.node_id, layer="wcl"
-            ).inc()
+            self._tick("wcl.circuit_expired")
             return
-        start_ms = self._charged_ms()
-        try:
-            result = self.provider.unwrap_layer(
-                entry.key, frame.body, node=self.node_id, context="wcl.cunwrap",
-            )
-        except CryptoError:
-            self.stats.misrouted += 1
-            tel.counter("wcl.misrouted", node=self.node_id, layer="wcl").inc()
+        opened = self._open(
+            self.provider.unwrap_layer, "wcl.cunwrap", entry.key, frame.body
+        )
+        if opened is None:
             return
-        unwrap_ms = self._charged_ms() - start_ms
+        result, unwrap_ms = opened
         delay = unwrap_ms / 1000.0
         next_hop = entry.next_hop
         if tel.enabled:
-            span = tel.span_start(
-                "wcl.cunwrap", trace_id=frame.trace_id, node=self.node_id,
-                layer="wcl", ms=unwrap_ms,
+            self._span(
+                "wcl.cunwrap", frame.trace_id, unwrap_ms,
                 role="dest" if next_hop is None else "mix",
             )
-            tel.span_end(span, at=now + delay)
             tel.histogram("wcl.cunwrap_ms", layer="wcl").observe(unwrap_ms)
         if next_hop is None:
             # We are the destination; the unwrap returned the content.
             self.stats.circuit_delivered += 1
             self._deliver_after(delay, frame.trace_id, result, frame.body.size_bytes)
             if tel.enabled:
-                tel.counter(
-                    "wcl.circuit_delivered", node=self.node_id, layer="wcl"
-                ).inc()
+                self._tick("wcl.circuit_delivered")
             return
         assert isinstance(result, LayeredPayload)
         assert entry.next_circuit_id is not None
@@ -907,38 +767,29 @@ class WhisperCommunicationLayer:
             circuit_id=entry.next_circuit_id, body=result,
             trace_id=frame.trace_id,
         )
-        self.stats.forwarded += 1
         self.stats.circuit_forwarded += 1
         if tel.enabled:
-            tel.counter("wcl.forwarded", node=self.node_id, layer="wcl").inc()
-            tel.counter("wcl.circuit_forwarded", node=self.node_id, layer="wcl").inc()
+            self._tick("wcl.circuit_forwarded")
         self._relay_after(delay, next_hop, forward, "wcl.circuit_data")
 
     def handle_circuit_teardown(self, payload: dict) -> None:
         """Explicit teardown walking the forward direction."""
         circuit_id = payload["circuit"]
-        entry = self._relay.pop(circuit_id, None)
+        entry = self._relay.get(circuit_id)
         if entry is None:
             return
-        if entry.next_circuit_id is not None:
-            self._relay_back.pop(entry.next_circuit_id, None)
-        self.telemetry.counter(
-            "wcl.circuit_torn_down", node=self.node_id, layer="wcl"
-        ).inc()
+        self._drop_relay_entry(circuit_id, entry)
+        self._tick("wcl.circuit_torn_down")
         if entry.next_hop is None or entry.next_circuit_id is None:
             return
         next_hop, next_label = entry.next_hop, entry.next_circuit_id
-        send = lambda: self.cm.send_via_session(  # noqa: E731
-            next_hop.node_id, "wcl.circuit_teardown",
-            {"circuit": next_label}, sizes.circuit_header, "wcl",
+        self._reach(
+            next_hop,
+            lambda: self._send_control(
+                next_hop.node_id, "wcl.circuit_teardown", next_label
+            ),
+            on_fail=lambda: None,  # silent, like every break on a path
         )
-        if next_hop.public_endpoint is not None:
-            self.cm.ensure_session(
-                self._public_descriptor(next_hop),
-                on_ready=send, on_fail=lambda reason: None,
-            )
-        else:
-            send()
 
     def _drop_relay_entry(self, circuit_id: int, entry: _RelayCircuit) -> None:
         self._relay.pop(circuit_id, None)
@@ -947,15 +798,93 @@ class WhisperCommunicationLayer:
 
     def _sweep_expired_relays(self, now: float) -> None:
         """Drop relay entries past their deadline (bounds idle state)."""
-        expired = [
-            (circuit_id, entry)
-            for circuit_id, entry in self._relay.items()
-            if now >= entry.expires_at
-        ]
-        for circuit_id, entry in expired:
-            self._drop_relay_entry(circuit_id, entry)
+        for circuit_id, entry in list(self._relay.items()):
+            if now >= entry.expires_at:
+                self._drop_relay_entry(circuit_id, entry)
 
     # ------------------------------------------------------------------
+    # the pipeline steps every packet family shares (Fig. 2: run a crypto
+    # operation, charge its CPU time, record it, act once it has elapsed)
+    # ------------------------------------------------------------------
+    def _charged(
+        self, op: Callable[..., Any], context: str, *args
+    ) -> tuple[Any, float]:
+        """Run one crypto operation, charged to this node under ``context``:
+        ``(its result, the CPU ms it charged)``."""
+        start_ms = self._charged_ms()
+        result = op(*args, node=self.node_id, context=context)
+        return result, self._charged_ms() - start_ms
+
+    def _open(
+        self, op: Callable[..., Any], context: str, secret: Any, envelope: Any
+    ) -> tuple[Any, float] | None:
+        """The charged decrypt step of a receive path, ``op(secret, envelope)``.
+        None — counted as ``misrouted``, never reported (a mix does not
+        complain) — when the envelope does not open under our key.  Written
+        out rather than forwarded to :meth:`_charged`: a circuit message
+        passes here three times and ``op(*args)`` costs ~0.5 us more a call."""
+        start_ms = self._charged_ms()
+        try:
+            result = op(secret, envelope, node=self.node_id, context=context)
+        except CryptoError:
+            self._misrouted()
+            return None
+        return result, self._charged_ms() - start_ms
+
     def _charged_ms(self) -> float:
         """Cumulative CPU ms charged to this node (delta = cost of a step)."""
         return self.provider.accountant.node_total_ms(self.node_id)
+
+    def _peel(self, packet: OnionPacket | CircuitSetupPacket, span: str):
+        """Open our layer of a data or setup onion: ``(layer, packet to
+        forward or None at the destination, CPU ms)``, or None (misrouted)."""
+        opened = self._open(
+            partial(peel, self.provider), "wcl.peel", self.keypair, packet
+        )
+        if opened is None:
+            return None
+        (layer, forward), decrypt_ms = opened
+        if self.telemetry.enabled:
+            role = "dest" if forward is None else "mix"
+            self._span(span, packet.trace_id, decrypt_ms, role=role)
+        return layer, forward, decrypt_ms
+
+    def _misrouted(self) -> None:
+        self.stats.misrouted += 1
+        self._tick("wcl.misrouted")
+
+    def _tick(self, name: str, amount: int = 1) -> None:
+        self.telemetry.counter(name, node=self.node_id, layer="wcl").inc(amount)
+
+    def _span(self, name: str, trace_id: int, ms: float, **labels: Any) -> None:
+        """Record a charged step (callers check ``tel.enabled``).  The span
+        covers the CPU time the step charged: what the step produced leaves
+        this node, or reaches the upcall, exactly when the span closes."""
+        tel = self.telemetry
+        span = tel.span_start(
+            name, trace_id=trace_id, node=self.node_id, layer="wcl", ms=ms, **labels
+        )
+        tel.span_end(span, at=self._sim.now + ms / 1000.0)
+
+    def _emit_after(
+        self, build_ms: float, first_mix: NodeId, kind: str, packet,
+        sent_context: str | None = None,
+    ) -> None:
+        """The CPU time a build charged delays its transmission: ``packet``
+        goes out on the first-mix session once ``build_ms`` have elapsed.
+        A per-message onion marks that instant as ``<context>.sent``."""
+        def emit() -> None:
+            if sent_context is not None:
+                self.telemetry.instant(
+                    f"{sent_context}.sent", trace_id=packet.trace_id,
+                    node=self.node_id, layer="wcl",
+                )
+            self.cm.send_via_session(first_mix, kind, packet, packet.wire_size, "wcl")
+
+        self._sim.schedule(build_ms / 1000.0, emit)
+
+    def _send_control(self, peer: NodeId, kind: str, circuit_id: int) -> bool:
+        """One circuit control message (ack, teardown) over an open session."""
+        return self.cm.send_via_session(
+            peer, kind, {"circuit": circuit_id}, sizes.circuit_header, "wcl"
+        )

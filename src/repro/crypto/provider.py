@@ -14,8 +14,9 @@ All WHISPER layers (onion construction, passports, group keys) talk to a
   dominate wall-clock time without affecting any measured quantity (the
   cost model charges calibrated CPU time either way).
 
-Both raise :class:`CryptoError` when opening with a wrong key, so protocol
-code paths are identical.
+Both raise :class:`CryptoError` — and nothing else — when opening with a
+wrong key or an envelope of the wrong shape (``blob`` / ``auth`` / ``auths``
+are untyped on the wire), so protocol code paths are identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import pickle
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -103,6 +104,16 @@ class LayeredPayload:
     blob: Any
     auths: tuple
     size_bytes: int
+
+
+def _bytes_pair(blob: Any) -> tuple[bytes, bytes]:
+    """An envelope body as :class:`RealCryptoProvider` writes it."""
+    if (
+        isinstance(blob, tuple) and len(blob) == 2
+        and isinstance(blob[0], bytes) and isinstance(blob[1], bytes)
+    ):
+        return blob
+    raise CryptoError("malformed envelope")
 
 
 class CryptoProvider(ABC):
@@ -229,7 +240,7 @@ class RealCryptoProvider(CryptoProvider):
         )
 
     def open(self, keypair, sealed, *, node=-1, context=""):
-        wrapped, ciphertext = sealed.blob
+        wrapped, ciphertext = _bytes_pair(sealed.blob)
         try:
             opened = rsa.decrypt(keypair.secret, wrapped)
         except ValueError as exc:
@@ -258,7 +269,7 @@ class RealCryptoProvider(CryptoProvider):
         )
 
     def decrypt_payload(self, key, enc, *, node=-1, context=""):
-        nonce, ciphertext = enc.blob
+        nonce, ciphertext = _bytes_pair(enc.blob)
         if not verify_tag(key, nonce + ciphertext, enc.auth):
             raise CryptoError("payload authentication failed")
         body = self._bulk(key, nonce, ciphertext)
@@ -287,9 +298,17 @@ class RealCryptoProvider(CryptoProvider):
         return LayeredPayload(blob=(nonces, data), auths=tuple(auths), size_bytes=size)
 
     def unwrap_layer(self, key, layered, *, node=-1, context=""):
-        nonces, ciphertext = layered.blob
-        auths = layered.auths
-        if not auths or not verify_tag(key, nonces[0] + ciphertext, auths[0]):
+        blob, auths = layered.blob, layered.auths
+        # One nonce and one MAC per remaining layer, ours first.
+        if not (
+            isinstance(auths, tuple) and auths
+            and isinstance(blob, tuple) and len(blob) == 2
+            and isinstance(blob[0], tuple) and len(blob[0]) == len(auths)
+            and isinstance(blob[0][0], bytes) and isinstance(blob[1], bytes)
+        ):
+            raise CryptoError("malformed circuit layer")
+        nonces, ciphertext = blob
+        if not verify_tag(key, nonces[0] + ciphertext, auths[0]):
             raise CryptoError("circuit layer authentication failed")
         inner = self._bulk(key, nonces[0], ciphertext)
         self.accountant.aes(node, layered.size_bytes, context)
@@ -385,12 +404,12 @@ class SimCryptoProvider(CryptoProvider):
 
     def unwrap_layer(self, key, layered, *, node=-1, context=""):
         auths = layered.auths
-        if not auths:
+        if not (isinstance(auths, tuple) and auths):
             raise CryptoError("circuit layer authentication failed")
         inner_ref = (
             auths[1] if len(auths) > 1 else _value_canonical(layered.blob)
         )
-        if not verify_tag(key, inner_ref, auths[0]):
+        if not (isinstance(inner_ref, bytes) and verify_tag(key, inner_ref, auths[0])):
             raise CryptoError("circuit layer key mismatch")
         self.accountant.aes(node, layered.size_bytes, context)
         if len(auths) == 1:
@@ -415,11 +434,35 @@ class SimCryptoProvider(CryptoProvider):
         )
 
 
-_CANONICAL_CACHE: dict[int, tuple[Any, bytes]] = {}
 _CANONICAL_CACHE_LIMIT = 1024
-_VALUE_CACHE: dict[int, tuple[Any, bytes]] = {}
 
 
+def _memo_by_identity(encode: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
+    """Memoize an encoding by object identity.
+
+    The objects are immutable descriptors and envelope bodies that get encoded
+    once and re-checked many times (every hop re-checks a passport).  The
+    cache holds a strong reference to the object, which keeps its ``id`` from
+    being reused while the entry lives; the identity check guards against
+    reuse after a wholesale clear.
+    """
+    cache: dict[int, tuple[Any, bytes]] = {}
+
+    def memoized(obj: Any) -> bytes:
+        key = id(obj)
+        hit = cache.get(key)
+        if hit is not None and hit[0] is obj:
+            return hit[1]
+        data = encode(obj)
+        if len(cache) >= _CANONICAL_CACHE_LIMIT:
+            cache.clear()
+        cache[key] = (obj, data)
+        return data
+
+    return memoized
+
+
+@_memo_by_identity
 def _value_canonical(obj: Any) -> bytes:
     """Value-based canonical encoding for the sim envelope MAC and charges.
 
@@ -430,40 +473,17 @@ def _value_canonical(obj: Any) -> bytes:
     ``encrypt_payload`` must verify after a wire round-trip, so the
     canonical form is the wire codec's own deterministic value encoding;
     pickle remains the fallback for objects the wire cannot carry (which
-    by definition never cross a codec boundary).  Memoized by identity,
-    sharing the signature cache's limit/eviction policy.
+    by definition never cross a codec boundary).
     """
-    key = id(obj)
-    hit = _VALUE_CACHE.get(key)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
     from ..wire.codec import WireEncodeError, encode_value  # deferred: codec imports us
 
     try:
-        data = encode_value(obj)
+        return encode_value(obj)
     except WireEncodeError:
-        data = pickle.dumps(obj)
-    if len(_VALUE_CACHE) >= _CANONICAL_CACHE_LIMIT:
-        _VALUE_CACHE.clear()
-    _VALUE_CACHE[key] = (obj, data)
-    return data
+        return pickle.dumps(obj)
 
 
+@_memo_by_identity
 def _canonical(obj: Any) -> bytes:
-    """Stable canonical encoding (pickle) of a signed/authenticated object.
-
-    Signed objects are immutable descriptors that get signed once and
-    verified many times (every hop re-checks a passport), so the encoding is
-    memoized by object identity.  The cache holds a strong reference to the
-    object, which keeps its ``id`` from being reused while the entry lives;
-    the identity check guards against reuse after a wholesale clear.
-    """
-    key = id(obj)
-    hit = _CANONICAL_CACHE.get(key)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    data = pickle.dumps(obj)
-    if len(_CANONICAL_CACHE) >= _CANONICAL_CACHE_LIMIT:
-        _CANONICAL_CACHE.clear()
-    _CANONICAL_CACHE[key] = (obj, data)
-    return data
+    """Stable canonical encoding (pickle) of a signed/authenticated object."""
+    return pickle.dumps(obj)

@@ -33,10 +33,6 @@ class RsaPublicKey:
     e: int
 
     @property
-    def modulus_bits(self) -> int:
-        return self.n.bit_length()
-
-    @property
     def max_payload_bytes(self) -> int:
         """Largest plaintext the padding scheme accommodates."""
         return self.n.bit_length() // 8 - 11

@@ -51,4 +51,5 @@ def tag(key: bytes, data: bytes) -> bytes:
 
 
 def verify_tag(key: bytes, data: bytes, expected: bytes) -> bool:
-    return hmac.compare_digest(tag(key, data), expected)
+    # ``expected`` comes off the wire untyped: anything but bytes is no tag.
+    return isinstance(expected, bytes) and hmac.compare_digest(tag(key, data), expected)

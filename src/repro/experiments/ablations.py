@@ -27,7 +27,6 @@ from ..metrics.stats import percentile
 from ..nat.traversal import TraversalPolicy
 from ..net.address import NodeKind, Protocol
 from ..parallel import SweepSpec, derive_seed, run_sweep
-from ..pss.policies import AggressiveBiasedPolicy
 from .common import GroupPlan, scaled
 
 __all__ = [
@@ -292,9 +291,7 @@ def _truncation_point(point):
     world.populate(n_nodes)
     if aggressive:
         for node in world.nodes.values():
-            node.pss.policy = AggressiveBiasedPolicy(
-                node.pss.config.view_size, node.config.pi
-            )
+            node.pss.cap_public = True
     world.start_all()
     world.run(600.0)
     graph = world.view_graph()

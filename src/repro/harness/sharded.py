@@ -114,9 +114,6 @@ class ShardedWorld:
             home = derive_seed(self._master_seed, "shard-of", node_id) % self.partitions
         return home
 
-    def world_of(self, node_id: NodeId) -> World:
-        return self.worlds[self.partition_of(node_id)]
-
     def _global_nat_plan(self, count: int) -> list[NatType]:
         """The single-world NAT plan semantics, drawn from a derived stream.
 

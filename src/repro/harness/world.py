@@ -258,12 +258,3 @@ class World:
                 for node in self.alive_nodes()
             }
         )
-
-    def private_view_graph(self, group: str) -> ViewGraph:
-        """Snapshot of one group's PPSS overlay."""
-        views = {}
-        for node in self.alive_nodes():
-            ppss = node.groups.get(group)
-            if ppss is not None:
-                views[node.node_id] = [c.node_id for c in ppss.view_contacts()]
-        return ViewGraph(views)

@@ -218,8 +218,3 @@ class NatDevice:
         self._out_slot = None
         self._in_slot = None
         return wiped
-
-    # ------------------------------------------------------------------
-    def active_mappings(self, now: float) -> list[Mapping]:
-        """Live (non-expired) mappings — used by tests and diagnostics."""
-        return [m for m in self._by_port.values() if not self._expired(m, now)]

@@ -164,28 +164,6 @@ class NatTopology:
             assignment.local_endpoint, remote, protocol, now
         )
 
-    def outbound_for(
-        self, node_id: NodeId, remote: Endpoint, protocol: Protocol, now: float
-    ) -> Endpoint | None:
-        """``translate_outbound`` with the existence check folded in.
-
-        Returns ``None`` for unknown (departed) senders — the fabric's
-        per-send hot path, which would otherwise pay ``knows()`` plus
-        ``translate_outbound()`` as two assignment-table lookups.
-        """
-        if node_id < 0:  # pseudo-node; would wrap as a list index
-            return None
-        try:
-            local = self._local[node_id]
-        except IndexError:
-            return None
-        if local is None:
-            return None
-        device = self._device[node_id]
-        if device is None:
-            return local
-        return device.outbound(local, remote, protocol, now)
-
     def resolve_inbound(
         self, dst: Endpoint, source: Endpoint, protocol: Protocol, now: float
     ) -> NodeId | None:

@@ -242,11 +242,6 @@ class ConnectionManager:
         self._descriptor_cache = cached
         return cached
 
-    def set_deliver_upcall(
-        self, upcall: Callable[[NodeId, str, object, int], None]
-    ) -> None:
-        self._deliver_upcall = upcall
-
     # ------------------------------------------------------------------
     # session table
     # ------------------------------------------------------------------

@@ -40,14 +40,6 @@ class TrafficTotals:
     up_by_category: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     down_by_category: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
-    def record_up(self, size: int, category: str) -> None:
-        self.up_bytes += size
-        self.up_by_category[category] += size
-
-    def record_down(self, size: int, category: str) -> None:
-        self.down_bytes += size
-        self.down_by_category[category] += size
-
 
 class BandwidthAccountant:
     """Accumulates traffic per node; supports epoch snapshots.

@@ -1,23 +1,13 @@
-"""Peer sampling: views, truncation policies, NAT-resilient gossip (Nylon)."""
+"""Peer sampling: views (healer merge, Π bias), NAT-resilient gossip (Nylon)."""
 
 from .gossip import ExchangeListener, PeerSamplingService, PssConfig, PssStats
-from .policies import (
-    AggressiveBiasedPolicy,
-    BiasedHealerPolicy,
-    HealerPolicy,
-    TruncationPolicy,
-)
 from .view import View, ViewEntry
 
 __all__ = [
-    "AggressiveBiasedPolicy",
-    "BiasedHealerPolicy",
     "ExchangeListener",
-    "HealerPolicy",
     "PeerSamplingService",
     "PssConfig",
     "PssStats",
-    "TruncationPolicy",
     "View",
     "ViewEntry",
 ]

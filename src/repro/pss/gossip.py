@@ -2,8 +2,9 @@
 
 Implements the protocol of Section II-B/III-B: age-based *healer* gossip
 over NAT-traversed sessions, with two WHISPER additions switched on by
-configuration — the Π P-node view bias (via the truncation policy) and the
-public key sampling service (keys piggybacked on gossip exchanges).
+configuration — the Π P-node view bias (``pi``, applied by
+:meth:`View.merge`) and the public key sampling service (keys piggybacked
+on gossip exchanges).
 
 Protocol sketch, once per cycle (10 s in the paper):
 
@@ -13,8 +14,8 @@ Protocol sketch, once per cycle (10 s in the paper):
 3. send ``pss.request`` carrying our fresh self-descriptor, a shuffle
    buffer of view entries (routes extended with ourselves as forwarder) and
    optionally our public key.
-4. the partner merges, truncates with its policy, replies ``pss.response``
-   built the same way; we merge on reception.
+4. the partner merges (:meth:`View.merge` owns the selection), replies
+   ``pss.response`` built the same way; we merge on reception.
 
 Both sides report the *successful gossip exchange* to registered listeners;
 the WHISPER communication layer feeds its connection backlog (CB) from
@@ -34,7 +35,6 @@ from ..net.message import sizes
 from ..sim.clock import Clock
 from ..sim.process import PeriodicTask, Timer
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .policies import HealerPolicy, TruncationPolicy
 from .view import View, ViewEntry
 
 __all__ = ["PeerSamplingService", "PssConfig", "PssStats", "ExchangeListener"]
@@ -82,7 +82,8 @@ class PeerSamplingService:
         sim: Clock,
         rng: random.Random,
         config: PssConfig | None = None,
-        policy: TruncationPolicy | None = None,
+        pi: int = 0,
+        cap_public: bool = False,
         public_key: PublicKey | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -92,9 +93,14 @@ class PeerSamplingService:
         self._rng = rng
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.config = config if config is not None else PssConfig()
-        self.policy = (
-            policy if policy is not None else HealerPolicy(self.config.view_size)
-        )
+        if not 0 <= pi <= self.config.view_size:
+            raise ValueError(
+                f"pi must be within 0..view_size ({self.config.view_size}), got {pi}"
+            )
+        # View selection (see View.merge): the Π P-node floor of Section
+        # III-B-1, and the ablation's cap on P-nodes above it.
+        self.pi = pi
+        self.cap_public = cap_public
         self.public_key = public_key
         if self.config.exchange_keys and public_key is None:
             raise ValueError("key sampling requires the node's public key")
@@ -125,8 +131,7 @@ class PeerSamplingService:
         self._introducers = [
             d for d in introducers if d.node_id != self.node_id
         ]
-        entries = [ViewEntry(descriptor=d, age=0) for d in self._introducers]
-        self.view.replace_all(self.policy.truncate(entries))
+        self._bootstrap()
         if self.cm.nat_type.is_natted:
             for descriptor in introducers:
                 if descriptor.is_public:
@@ -204,9 +209,17 @@ class PeerSamplingService:
         tel = self.telemetry
         if tel.enabled:
             tel.counter("pss.rebootstraps", node=self.node_id, layer="pss").inc()
-        entries = [ViewEntry(descriptor=d, age=0) for d in self._introducers]
-        self.view.replace_all(self.policy.truncate(entries))
+        self._bootstrap()
         return self.view.oldest()
+
+    def _bootstrap(self) -> None:
+        """Install the introducers: one merge into an emptied view, so a
+        bootstrap selects by the same rule as an exchange."""
+        self.view.replace_all([])
+        self.view.merge(
+            [ViewEntry(d, 0) for d in self._introducers], [], self.node_id,
+            self.pi, self.cap_public,
+        )
 
     def _contact_failed(self, target: NodeId) -> None:
         self.stats.contact_failures += 1
@@ -307,11 +320,7 @@ class PeerSamplingService:
         """
         incoming = [self._compress_route(entry) for entry in received]
         incoming.append(ViewEntry(sender, 0))
-        policy = self.policy
-        self.view.merge(
-            incoming, sent, self.node_id,
-            getattr(policy, "pi", 0), getattr(policy, "cap_public", False),
-        )
+        self.view.merge(incoming, sent, self.node_id, self.pi, self.cap_public)
 
     def _compress_route(self, entry: ViewEntry) -> ViewEntry:
         """Drop the rendezvous chain when we can reach the node ourselves.

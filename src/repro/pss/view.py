@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 from ..nat.traversal import NodeDescriptor
@@ -56,9 +55,10 @@ class View:
     """A bounded, deduplicated set of view entries.
 
     Mutation goes through :meth:`put` / :meth:`remove` / :meth:`replace_all`
-    (with a truncation policy applied by the caller) and :meth:`merge` (one
-    gossip exchange); iteration order is insertion order, which keeps runs
-    deterministic — it is the population :meth:`sample` draws from.
+    and :meth:`merge` (one gossip exchange, or the bootstrap from the
+    introducers), which owns view selection; iteration order is insertion
+    order, which keeps runs deterministic — it is the population
+    :meth:`sample` draws from.
 
     Internally an entry is a plain ``(age, node_id, descriptor)`` tuple whose
     age is relative to ``_age_offset``, so a cycle tick is O(1) and "oldest"
@@ -147,7 +147,8 @@ class View:
         self._entries.pop(node_id, None)
 
     def replace_all(self, entries: list[ViewEntry]) -> None:
-        """Install a post-truncation entry list (must fit the capacity)."""
+        """Install ``entries`` as the whole view, in order (must fit the
+        capacity); the empty list empties the view."""
         if len(entries) > self.capacity:
             raise ValueError(
                 f"{len(entries)} entries exceed view capacity {self.capacity}"
@@ -175,7 +176,7 @@ class View:
         of the oldest entry when that one is strictly older.  Entries for
         ``self_id`` or with over-long routes are dropped.  Then the WHISPER
         bias re-instates the ``pi`` P-node floor, and ``cap_public`` (the
-        aggressive ablation policy) swaps surplus P-nodes back out.
+        ``ablation-policy`` variant) swaps surplus P-nodes back out.
         """
         entries = self._entries
         offset = self._age_offset
@@ -257,22 +258,3 @@ class View:
                     break
                 del entries[max(victims)[1]]
             entries[candidate[1]] = candidate
-
-    @staticmethod
-    def merge_candidates(
-        own: list[ViewEntry], received: list[ViewEntry], self_id: NodeId
-    ) -> list[ViewEntry]:
-        """Union of two entry lists: dedup by node, keep the freshest, drop self.
-
-        This is the raw candidate pool handed to a truncation policy.
-        """
-        best: dict[NodeId, ViewEntry] = {}
-        for entry in chain(own, received):
-            if entry.node_id == self_id:
-                continue
-            if entry.descriptor.route_too_long():
-                continue
-            current = best.get(entry.node_id)
-            if current is None or entry.age < current.age:
-                best[entry.node_id] = entry
-        return list(best.values())

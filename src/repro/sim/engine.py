@@ -303,15 +303,3 @@ class Simulator:
             queue[:] = [e for e in queue if not e[3].cancelled]
             heapq.heapify(queue)
             self._cancelled_in_queue = 0
-
-    def _peek(self) -> Event | None:
-        """Return the next live event without popping it."""
-        queue = self._queue
-        while queue:
-            event = queue[0][3]
-            if event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            return event
-        return None

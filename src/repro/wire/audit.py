@@ -60,10 +60,6 @@ class WireAudit:
     def total_measured(self) -> int:
         return sum(k.measured_bytes for k in self.kinds.values())
 
-    @property
-    def total_estimated(self) -> int:
-        return sum(k.estimated_bytes for k in self.kinds.values())
-
     def table(self) -> list[dict[str, object]]:
         """Rows sorted by kind: count, mean sizes, measured/estimated ratio."""
         rows: list[dict[str, object]] = []
@@ -81,16 +77,3 @@ class WireAudit:
                 }
             )
         return rows
-
-    def format_table(self) -> str:
-        """Markdown table of :meth:`table`, for reports and EXPERIMENTS.md."""
-        lines = [
-            "| kind | count | est. bytes (mean) | measured bytes (mean) | ratio |",
-            "|---|---|---|---|---|",
-        ]
-        for row in self.table():
-            lines.append(
-                "| {kind} | {count} | {mean_estimated:.0f} | {mean_measured:.0f} "
-                "| {ratio:.2f} |".format(**row)
-            )
-        return "\n".join(lines)

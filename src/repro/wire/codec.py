@@ -218,10 +218,6 @@ def _zigzag(value: int) -> int:
     return value * 2 if value >= 0 else -value * 2 - 1
 
 
-def _unzigzag(value: int) -> int:
-    return value // 2 if value % 2 == 0 else -(value + 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # compiled encoders: type -> closure(buf, obj, cache)
 

@@ -45,6 +45,7 @@ from .codec import (
     WireEncodeError,
     _encode_into,
     _uvarint_len,
+    _write_uvarint,
     decode_value,
     value_size,
 )
@@ -215,18 +216,9 @@ def category_for(kind: str) -> str:
     return spec_for(kind).category
 
 
-def _write_uvarint(buf: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
-
-
 def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    # Bounds-checked, unlike the codec's: a frame header is outside input
+    # read before anything has vouched for its length.
     result = 0
     shift = 0
     while True:

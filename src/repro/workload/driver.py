@@ -332,10 +332,3 @@ class WorkloadDriver:
     def lag(self) -> int:
         """Offered-but-unresolved operations across all streams."""
         return sum(a.lag for a in self.accounts.values())
-
-    def accounts_by_kind(self, kind: str) -> list[StreamAccount]:
-        return [
-            self.accounts[sid]
-            for sid in sorted(self.accounts)
-            if self.accounts[sid].kind == kind
-        ]

@@ -8,8 +8,10 @@ delivery delay including the body decrypt.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,12 +29,16 @@ from repro.crypto.aes import ctr_transform
 from repro.crypto.costmodel import CpuAccountant
 from repro.crypto.provider import (
     CryptoError,
+    EncryptedPayload,
     LayeredPayload,
     RealCryptoProvider,
+    Sealed,
     SimCryptoProvider,
 )
 from repro.crypto.stream import stream_transform
+from repro.core.wcl import _RelayCircuit
 from repro.harness import World, WorldConfig
+from repro.nat.types import NatType
 from repro.net.address import NodeKind
 
 
@@ -297,6 +303,93 @@ class TestDeliveryDelayIncludesBodyDecrypt:
         # The scheduled delay must equal *everything* handle_onion charged
         # (header peel + body decrypt), not just the header peel.
         assert delay_s == pytest.approx(charged_ms / 1000.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the receive funnel: whatever does not open is one ``misrouted`` count
+# ---------------------------------------------------------------------------
+_HOP = CircuitHop(circuit_id=7, key=b"k" * 16, next_circuit_id=None, lifetime=60.0)
+
+
+def _onion(world, node, **changes):
+    path = [HopSpec(node.node_id, node.wcl.public_key)]
+    return replace(build_onion(world.provider, path, "x", 64), **changes)
+
+
+def _setup(world, node, **changes):
+    path = [HopSpec(node.node_id, node.wcl.public_key)]
+    return replace(build_circuit_setup(world.provider, path, [_HOP]), **changes)
+
+
+def _frame(world, node, body=None):
+    """A frame on a circuit ``node`` terminates, under another key by default."""
+    key = world.provider.new_symmetric_key()
+    node.wcl._relay[7] = _RelayCircuit(
+        key=key, next_hop=None, next_circuit_id=None, prev_peer=-1, expires_at=1e9,
+    )
+    if body is None:
+        body = world.provider.wrap_layers([b"another key 16 b"], "x", 64)
+    return CircuitFrame(circuit_id=7, body=body, trace_id=1)
+
+
+def _sealed_for(node, blob):
+    return Sealed(node.wcl.public_key.fingerprint, blob, 64)
+
+
+# case -> (handler, packet builder taking (world, node, another node))
+_UNOPENABLE = {
+    "onion-other-key": ("handle_onion", lambda w, n, other: _onion(w, other)),
+    "onion-header-blob-not-a-pair": (
+        "handle_onion", lambda w, n, other: _onion(w, n, header=_sealed_for(n, 5))),
+    "onion-body-blob-missing": (
+        "handle_onion",
+        lambda w, n, other: _onion(w, n, body=EncryptedPayload(None, b"t" * 32, 64))),
+    "onion-body-auth-int": (
+        "handle_onion",
+        lambda w, n, other: _onion(w, n, body=EncryptedPayload((b"n" * 8, b"c"), 3, 64))),
+    "setup-other-key": ("handle_circuit_setup", lambda w, n, other: _setup(w, other)),
+    "setup-header-blob-not-a-pair": (
+        "handle_circuit_setup",
+        lambda w, n, other: _setup(w, n, header=_sealed_for(n, (b"w",)))),
+    "frame-other-key": ("handle_circuit_data", lambda w, n, other: _frame(w, n)),
+    "frame-no-nonce": (
+        "handle_circuit_data",
+        lambda w, n, other: _frame(w, n, LayeredPayload(((), b"x"), (b"t",), 64))),
+    "frame-auth-int": (
+        "handle_circuit_data",
+        lambda w, n, other: _frame(w, n, LayeredPayload(((b"n" * 8,), b"x"), (5,), 64))),
+    "frame-auths-not-a-tuple": (
+        "handle_circuit_data",
+        lambda w, n, other: _frame(w, n, LayeredPayload(((b"n" * 8,), b"x"), 5, 64))),
+}
+# The sim provider's sealed blob *is* the plaintext: it has no shape to get
+# wrong, so a header that names our key opens whatever it holds.
+_REAL_ONLY = {"onion-header-blob-not-a-pair", "setup-header-blob-not-a-pair"}
+
+
+@functools.lru_cache(maxsize=None)
+def _endpoints(provider):
+    world = World(WorldConfig(
+        seed=5, provider=provider, real_key_bits=512, real_use_aes=False,
+    ))
+    return world, world.add_node(NatType.OPEN), world.add_node(NatType.OPEN)
+
+
+class TestReceiveFunnel:
+    @pytest.mark.parametrize("provider,case", [
+        (provider, case) for case in _UNOPENABLE for provider in ("real", "sim")
+        if provider == "real" or case not in _REAL_ONLY
+    ])
+    def test_unopenable_packet_is_one_misrouted_count(self, provider, case):
+        handler, build = _UNOPENABLE[case]
+        world, node, other = _endpoints(provider)
+        packet = build(world, node, other)
+        before, pending = node.wcl.stats.misrouted, world.sim.pending()
+        args = (other.node_id, packet) if handler == "handle_circuit_setup" else (packet,)
+        getattr(node.wcl, handler)(*args)  # raises nothing
+        assert node.wcl.stats.misrouted == before + 1
+        assert world.sim.pending() == pending  # and schedules nothing
+        assert node.wcl.stats.delivered == node.wcl.stats.forwarded == 0
 
 
 # ---------------------------------------------------------------------------

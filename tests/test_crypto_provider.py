@@ -14,6 +14,8 @@ from repro.crypto import (
     RealCryptoProvider,
     SimCryptoProvider,
 )
+from repro.crypto.provider import EncryptedPayload, LayeredPayload, Sealed
+from repro.wire.codec import decode_value, encode_value
 
 
 @pytest.fixture(params=["real", "sim"])
@@ -91,6 +93,70 @@ class TestProviderContract:
 
     def test_symmetric_keys_are_random(self, provider):
         assert provider.new_symmetric_key() != provider.new_symmetric_key()
+
+
+# Whatever a frame that passes ``decode_message`` can put in an envelope's
+# untyped fields: any wire value, weighted towards the shapes the providers
+# write (byte pairs, a nonce tuple beside a ciphertext, MAC tuples).
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.binary(max_size=24) | st.text(max_size=6)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+_BYTES_TUPLES = st.lists(st.binary(max_size=8), max_size=3).map(tuple)
+_BLOBS = (
+    _VALUES
+    | st.tuples(st.binary(max_size=80), st.binary(max_size=40))
+    | st.tuples(_BYTES_TUPLES, st.binary(max_size=40))
+)
+_AUTHS = _VALUES | _BYTES_TUPLES | st.lists(_SCALARS, max_size=3).map(tuple)
+_SIZES = st.integers(0, 4096)
+
+
+@pytest.fixture(scope="module")
+def keyed_providers():
+    providers = (
+        RealCryptoProvider(random.Random(7), key_bits=512, use_aes=False),
+        SimCryptoProvider(random.Random(7)),
+    )
+    return [(p, p.generate_keypair(), p.new_symmetric_key()) for p in providers]
+
+
+class TestMalformedEnvelopes:
+    """The provider boundary raises only :class:`CryptoError`."""
+
+    @staticmethod
+    def attempt(operation, secret, envelope):
+        try:
+            operation(secret, decode_value(encode_value(envelope)))
+        except CryptoError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=_BLOBS, size=_SIZES)
+    def test_open(self, keyed_providers, blob, size):
+        for provider, pair, _key in keyed_providers:
+            self.attempt(
+                provider.open, pair, Sealed(pair.public.fingerprint, blob, size)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=_BLOBS, auth=_VALUES, size=_SIZES)
+    def test_decrypt_payload(self, keyed_providers, blob, auth, size):
+        for provider, _pair, key in keyed_providers:
+            self.attempt(
+                provider.decrypt_payload, key, EncryptedPayload(blob, auth, size)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=_BLOBS, auths=_AUTHS, size=_SIZES)
+    def test_unwrap_layer(self, keyed_providers, blob, auths, size):
+        for provider, _pair, key in keyed_providers:
+            self.attempt(provider.unwrap_layer, key, LayeredPayload(blob, auths, size))
 
 
 class TestRealProviderOnly:

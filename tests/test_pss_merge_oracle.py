@@ -11,6 +11,7 @@ deletes lease-expired sessions) and the same next sample.
 """
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from repro.nat.traversal import MAX_ROUTE_LENGTH, NodeDescriptor
 from repro.nat.types import NatType
 from repro.net.address import Endpoint, NodeId, NodeKind
 from repro.pss.gossip import PeerSamplingService, PssConfig
-from repro.pss.policies import AggressiveBiasedPolicy, BiasedHealerPolicy, HealerPolicy
 from repro.pss.view import View, ViewEntry
 
 SELF_ID = 0
@@ -241,11 +241,10 @@ def exchanges(draw) -> dict:
     }
 
 
-def make_policy(case: dict):
-    if case["policy"] == "healer":
-        return HealerPolicy(case["capacity"])
-    cls = BiasedHealerPolicy if case["policy"] == "biased" else AggressiveBiasedPolicy
-    return cls(case["capacity"], case["pi"])
+def make_policy(case: dict) -> SimpleNamespace:
+    """What the reference reads: ``.pi`` and ``.cap_public``."""
+    pi = 0 if case["policy"] == "healer" else case["pi"]
+    return SimpleNamespace(pi=pi, cap_public=case["policy"] == "aggressive")
 
 
 def fill(view: View, case: dict) -> None:
@@ -278,15 +277,15 @@ EVICTED_COPY_WINS_TIE = {
 @example(case=EVICTED_COPY_WINS_TIE)
 def test_one_pass_merge_matches_the_reference(case):
     log = SessionLog(case["sessions"])
+    policy = make_policy(case)
     service = PeerSamplingService(
         SELF_ID, log, sim=None, rng=random.Random(1),
-        config=PssConfig(view_size=case["capacity"]), policy=make_policy(case),
+        config=PssConfig(view_size=case["capacity"]),
+        pi=policy.pi, cap_public=policy.cap_public,
     )
     fill(service.view, case)
     reference_log = SessionLog(case["sessions"])
-    reference = ReferenceMerge(
-        View(case["capacity"]), reference_log, make_policy(case)
-    )
+    reference = ReferenceMerge(View(case["capacity"]), reference_log, policy)
     fill(reference.view, case)
     assert service.view.entries() == reference.view.entries()
 

@@ -136,7 +136,7 @@ class TestMerge:
 
     def test_public_floor_enforced(self, pss):
         _world, service = pss
-        pi = service.policy.pi
+        pi = service.pi
         assert pi >= 1
         capacity = service.view.capacity
         service.view.replace_all([

@@ -1,6 +1,8 @@
-"""Unit and property tests for PSS views and truncation policies."""
+"""Unit and property tests for PSS views and the view-selection policy
+(healer, Π floor, ``cap_public``) that :meth:`View.merge` owns."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from repro.nat.traversal import NodeDescriptor
 from repro.nat.types import NatType
 from repro.net.address import Endpoint, NodeKind
-from repro.pss.policies import AggressiveBiasedPolicy, BiasedHealerPolicy, HealerPolicy
+from repro.pss.gossip import PeerSamplingService, PssConfig
 from repro.pss.view import View, ViewEntry
+from repro.sim.engine import Simulator
 
 
 def descriptor(node_id: int, public: bool = False) -> NodeDescriptor:
@@ -141,57 +144,48 @@ class TestView:
     def test_random_entry_empty(self):
         assert View(capacity=3).random_entry(random.Random(1)) is None
 
-    def test_merge_candidates_dedupes_keeping_freshest(self):
-        own = [entry(1, age=5), entry(2, age=1)]
-        received = [entry(1, age=2), entry(3, age=0)]
-        merged = View.merge_candidates(own, received, self_id=99)
-        by_id = {e.node_id: e for e in merged}
-        assert by_id[1].age == 2
-        assert set(by_id) == {1, 2, 3}
-
-    def test_merge_candidates_drops_self(self):
-        merged = View.merge_candidates([entry(1)], [entry(7)], self_id=7)
-        assert {e.node_id for e in merged} == {1}
-
-    def test_merge_candidates_drops_overlong_routes(self):
-        import dataclasses
-        long_route = dataclasses.replace(
-            descriptor(5), route=tuple(range(100, 110))
-        )
-        bad = ViewEntry(descriptor=long_route, age=0)
-        merged = View.merge_candidates([bad], [], self_id=99)
-        assert merged == []
-
     def test_entry_via_extends_route(self):
         e = entry(4)
         assert e.via(77).descriptor.route == (77, 999)
         assert e.via(77).age == e.age
 
 
+def select(capacity: int, candidates, pi: int = 0, cap_public: bool = False):
+    """What a view keeps of ``candidates`` when it starts empty — the merge
+    a bootstrap runs on the introducer list."""
+    view = View(capacity)
+    view.merge(candidates, sent=[], self_id=-1, pi=pi, cap_public=cap_public)
+    return view.entries()
+
+
+def service(view_size: int = 5, pi: int = 0, seed: int = 1) -> PeerSamplingService:
+    cm = SimpleNamespace(nat_type=NatType.OPEN)
+    return PeerSamplingService(
+        0, cm, Simulator(), random.Random(seed),
+        config=PssConfig(view_size=view_size), pi=pi,
+    )
+
+
 class TestHealerPolicy:
     def test_keeps_freshest(self):
-        policy = HealerPolicy(capacity=2)
-        kept = policy.truncate([entry(1, 5), entry(2, 1), entry(3, 3)])
+        kept = select(2, [entry(1, 5), entry(2, 1), entry(3, 3)])
         assert {e.node_id for e in kept} == {2, 3}
 
     def test_no_truncation_needed(self):
-        policy = HealerPolicy(capacity=5)
-        kept = policy.truncate([entry(1, 5), entry(2, 1)])
+        kept = select(5, [entry(1, 5), entry(2, 1)])
         assert len(kept) == 2
 
 
 class TestBiasedPolicy:
     def test_pi_zero_equals_healer(self):
         candidates = [entry(i, age=i) for i in range(10)]
-        assert {e.node_id for e in BiasedHealerPolicy(4, 0).truncate(candidates)} == {
-            e.node_id for e in HealerPolicy(4).truncate(candidates)
-        }
+        assert select(4, candidates, pi=0) == candidates[:4]
 
     def test_guarantees_pi_public_nodes(self):
         # 8 fresh N-nodes, 2 stale P-nodes; unbiased would evict the P-nodes.
         candidates = [entry(i, age=0) for i in range(8)]
         candidates += [entry(100, age=50, public=True), entry(101, age=60, public=True)]
-        kept = BiasedHealerPolicy(5, 2).truncate(candidates)
+        kept = select(5, candidates, pi=2)
         publics = [e for e in kept if e.is_public]
         assert len(publics) == 2
         assert len(kept) == 5
@@ -203,35 +197,36 @@ class TestBiasedPolicy:
             entry(101, age=60, public=True),
             entry(102, age=10, public=True),
         ]
-        kept = BiasedHealerPolicy(5, 2).truncate(candidates)
+        kept = select(5, candidates, pi=2)
         public_ids = {e.node_id for e in kept if e.is_public}
         assert 102 in public_ids  # the freshest P-node must be guaranteed
         assert 101 not in public_ids or 100 not in public_ids
 
     def test_cannot_exceed_capacity(self):
         candidates = [entry(i, age=i, public=(i % 2 == 0)) for i in range(30)]
-        kept = BiasedHealerPolicy(10, 3).truncate(candidates)
-        assert len(kept) == 10
+        assert len(select(10, candidates, pi=3)) == 10
 
     def test_fewer_publics_than_pi_keeps_what_exists(self):
         candidates = [entry(i, age=0) for i in range(8)]
         candidates += [entry(100, age=50, public=True)]
-        kept = BiasedHealerPolicy(5, 3).truncate(candidates)
+        kept = select(5, candidates, pi=3)
         assert sum(1 for e in kept if e.is_public) == 1
 
     def test_pi_validation(self):
         with pytest.raises(ValueError):
-            BiasedHealerPolicy(5, -1)
+            service(view_size=5, pi=-1)
         with pytest.raises(ValueError):
-            BiasedHealerPolicy(5, 6)
+            service(view_size=5, pi=6)
+        assert service(view_size=5, pi=5).pi == 5
 
     def test_aggressive_variant_caps_publics(self):
         candidates = [entry(i, age=1) for i in range(8)]
         candidates += [entry(100 + i, age=0, public=True) for i in range(6)]
-        kept = AggressiveBiasedPolicy(10, 2).truncate(candidates)
-        publics = sum(1 for e in kept if e.is_public)
-        # 14 candidates, capacity 10 -> 4 drops, all from surplus P-nodes.
-        assert publics == 2
+        kept = select(10, candidates, pi=2, cap_public=True)
+        # 14 candidates, capacity 10: the 4 P-nodes above Pi give way to
+        # the 4 N-nodes that found no slot.
+        assert sum(1 for e in kept if e.is_public) == 2
+        assert len(kept) == 10
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -246,7 +241,7 @@ class TestBiasedPolicy:
         candidates = [
             entry(i, age=ages[i], public=public_mask[i]) for i in range(n)
         ]
-        kept = BiasedHealerPolicy(capacity, pi).truncate(candidates)
+        kept = select(capacity, candidates, pi=pi)
         # Never exceeds capacity and never invents entries.
         assert len(kept) <= capacity
         assert {e.node_id for e in kept} <= {e.node_id for e in candidates}
@@ -258,3 +253,35 @@ class TestBiasedPolicy:
         # If the pool exceeds capacity, the view is filled completely.
         if len(candidates) >= capacity:
             assert len(kept) == capacity
+
+
+class TestBootstrap:
+    """``init()`` installs the introducers through ``View.merge``."""
+
+    def test_view_is_in_age_then_node_id_order(self):
+        pss = service(view_size=5)
+        pss.init([descriptor(i, public=True) for i in (7, 3, 9, 0, 5)])
+        assert pss.view.node_ids() == [3, 5, 7, 9]  # 0 is the node itself
+        assert all(e.age == 0 for e in pss.view.entries())
+
+    def test_honours_the_pi_floor(self):
+        pss = service(view_size=3, pi=1)
+        pss.init([descriptor(1), descriptor(2), descriptor(3), descriptor(8, public=True)])
+        assert pss.view.node_ids() == [1, 2, 8]
+
+    def test_surplus_introducers_dropped_without_an_rng_draw(self):
+        pss, twin = service(view_size=3, seed=11), random.Random(11)
+        pss.init([descriptor(i, public=True) for i in (6, 5, 4, 3, 2, 1)])
+        assert pss.view.node_ids() == [1, 2, 3]
+        twin.uniform(0, pss.config.cycle_time)  # init()'s one draw: the phase
+        assert pss._rng.getstate() == twin.getstate()
+
+    def test_rebootstrap_reinstalls_the_introducers(self):
+        pss = service(view_size=5)
+        pss.init([descriptor(4, public=True), descriptor(2, public=True)])
+        for node_id in pss.view.node_ids():
+            pss.view.increment_ages()
+            pss.view.remove(node_id)
+        # The partner is the oldest: the highest node id on an age tie.
+        assert pss._rebootstrap() == ViewEntry(descriptor(4, public=True), 0)
+        assert pss.view.node_ids() == [2, 4]
