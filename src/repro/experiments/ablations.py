@@ -213,9 +213,14 @@ def _lease_point(point):
     object, to keep points plain picklable scalars.
     """
     udp, point_seed, n_nodes, messages = point
+    # No keepalive prober under either policy: it pings every session idle
+    # for 60 s, which re-uses each association well inside a 5-minute lease
+    # and would leave nothing for the quiet gap to expire.
     policy = (
-        TraversalPolicy(session_lifetime=300.0, protocol=Protocol.UDP)
-        if udp else TraversalPolicy()
+        TraversalPolicy(
+            session_lifetime=300.0, protocol=Protocol.UDP, keepalive_interval=0
+        )
+        if udp else TraversalPolicy(keepalive_interval=0)
     )
     world = World(
         WorldConfig(
