@@ -12,22 +12,7 @@ Run:  python examples/quickstart.py
 import pickle
 
 from repro import World, WorldConfig
-from repro.core.contact import Gateway, PrivateContact
-from repro.net.address import NodeKind
 from repro.net.observer import LinkObserver
-
-
-def contact_for(node) -> PrivateContact:
-    """Build the WCL contact record for a node (id, key, Π gateways)."""
-    gateways = ()
-    if node.cm.kind is NodeKind.NATTED:
-        gateways = tuple(
-            Gateway(descriptor=e.descriptor, key=e.key)
-            for e in node.backlog.gateways_for_self()
-        )
-    return PrivateContact(
-        descriptor=node.descriptor(), key=node.wcl.public_key, gateways=gateways
-    )
 
 
 def main() -> None:
@@ -56,7 +41,8 @@ def main() -> None:
     secret = "meet me at the fountain at nine"
     received = []
     bob.wcl.set_receive_upcall(lambda content, size: received.append(content))
-    attempt = alice.wcl.send_to(contact_for(bob), secret, 512)
+    # bob.wcl.self_contact() is bob's advertisement: id, key, Π gateways.
+    attempt = alice.wcl.send_to(bob.wcl.self_contact(), secret, 512)
     world.run(30.0)
 
     print(f"\nbob received: {received[0]!r}")

@@ -1,6 +1,6 @@
 """WHISPER core: connection backlog, onion WCL, private groups, PPSS."""
 
-from .backlog import CbEntry, ConnectionBacklog
+from .backlog import ConnectionBacklog
 from .contact import Gateway, PrivateContact
 from .election import Heartbeat, LeaderElection, Proposal, proposal_value
 from .group import (
@@ -20,14 +20,12 @@ from .ppss import (
     PrivatePeerSamplingService,
     PrivateViewEntry,
 )
-from .sampling import BoundedParetoSampler, ZipfSampler
+from .sampling import ZipfSampler
 from .wcl import AttemptInfo, WclStats, WhisperCommunicationLayer
 
 __all__ = [
     "Accreditation",
     "AttemptInfo",
-    "BoundedParetoSampler",
-    "CbEntry",
     "ConnectionBacklog",
     "Gateway",
     "GroupKeyring",

@@ -7,6 +7,12 @@ size): with one initiated and on average one received exchange per 10 s
 cycle, an entry lives at most ~100 s in the CB, well under the minimal NAT
 lease of 5 minutes.
 
+A slot is a :class:`~repro.core.contact.Gateway` — a keyed hop: descriptor
+plus public key.  It is the record a private-view entry advertises as a
+next-to-last hop and the record WCL draws mixes from, so the backlog's own
+objects are what :meth:`ConnectionBacklog.gateways_for_self` hands out and
+what travels in a :class:`~repro.core.contact.PrivateContact`.
+
 Invariant maintained: the CB always holds at least Π P-nodes.  When an
 insertion would break it, P-nodes from the PSS view are probed (the paper's
 "empty message" that opens a path and exchanges keys) and inserted until the
@@ -21,34 +27,19 @@ from dataclasses import dataclass, field
 
 from ..crypto.provider import PublicKey
 from ..nat.traversal import ConnectionManager, NodeDescriptor
-from ..net.address import NodeId, NodeKind
+from ..net.address import NodeId
 from ..net.message import sizes
 from ..pss.gossip import PeerSamplingService
 from ..sim.process import ExponentialBackoff, Timer
+from .contact import Gateway
 
-__all__ = ["CbEntry", "ConnectionBacklog"]
+__all__ = ["ConnectionBacklog"]
 
 # A probe that got no ack within this window is retried (with backoff);
 # after the attempt budget the candidate is abandoned and the invariant
 # machinery picks a different P-node instead of waiting forever.
 _PROBE_ACK_TIMEOUT = 6.0
 _PROBE_MAX_ATTEMPTS = 3
-
-
-@dataclass(frozen=True, slots=True)
-class CbEntry:
-    """One backlog slot: a recently-exchanged partner and its key."""
-
-    descriptor: NodeDescriptor
-    key: PublicKey
-
-    @property
-    def node_id(self) -> NodeId:
-        return self.descriptor.node_id
-
-    @property
-    def is_public(self) -> bool:
-        return self.descriptor.is_public
 
 
 @dataclass
@@ -83,8 +74,8 @@ class ConnectionBacklog:
                 f"CB capacity {self.capacity} cannot honour pi={pi}"
             )
         # Head = most recent.  OrderedDict keeps FIFO order with O(1) moves.
-        self._entries: OrderedDict[NodeId, CbEntry] = OrderedDict()
-        # P-node count maintained incrementally by insert/_evict_tail/remove:
+        self._entries: OrderedDict[NodeId, Gateway] = OrderedDict()
+        # P-node count maintained incrementally by insert / _pop:
         # the Π invariant consults it after every gossip exchange, and a
         # full scan there was measurable at scale.
         self._public_count = 0
@@ -107,11 +98,11 @@ class ConnectionBacklog:
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self._entries
 
-    def entries(self) -> list[CbEntry]:
+    def entries(self) -> list[Gateway]:
         """Most recent first."""
         return list(reversed(self._entries.values()))
 
-    def public_entries(self) -> list[CbEntry]:
+    def public_entries(self) -> list[Gateway]:
         """P-node entries, most recent first."""
         return [e for e in self.entries() if e.is_public]
 
@@ -119,22 +110,18 @@ class ConnectionBacklog:
         """Number of P-nodes currently in the backlog."""
         return self._public_count
 
-    def get(self, node_id: NodeId) -> CbEntry | None:
-        """The entry for ``node_id`` if present."""
-        return self._entries.get(node_id)
-
-    def gateways_for_self(self) -> list[CbEntry]:
+    def gateways_for_self(self) -> tuple[Gateway, ...]:
         """The Π P-nodes advertised as next-to-last hops towards this node.
 
         These are P-nodes from our CB: they completed a gossip exchange (or a
         probe) with us recently, so they hold an open NAT-traversed session
         towards us and can act as hop B of an inbound WCL path.
         """
-        return self.public_entries()[: self.pi]
+        return tuple(self.public_entries()[: self.pi])
 
     def first_mix_candidates(
         self, exclude: set[NodeId] | None = None
-    ) -> list[CbEntry]:
+    ) -> list[Gateway]:
         """CB entries usable as hop A, freshest first."""
         exclude = exclude or set()
         return [e for e in self.entries() if e.node_id not in exclude]
@@ -154,27 +141,22 @@ class ConnectionBacklog:
         node_id = descriptor.node_id
         if node_id == self.node_id:
             return
-        previous = self._entries.pop(node_id, None)
-        if previous is not None and previous.descriptor.kind is NodeKind.PUBLIC:
-            self._public_count -= 1
-        self._entries[node_id] = CbEntry(descriptor=descriptor, key=key)
-        if descriptor.kind is NodeKind.PUBLIC:
+        self._pop(node_id)
+        self._entries[node_id] = Gateway(descriptor=descriptor, key=key)
+        if descriptor.is_public:
             self._public_count += 1
         while len(self._entries) > self.capacity:
-            self._evict_tail()
+            self._pop(next(iter(self._entries)))  # the tail: oldest first
         self._maintain_public_invariant()
 
     def remove(self, node_id: NodeId) -> None:
         """Drop a failed node (e.g. a mix that never forwarded)."""
-        dropped = self._entries.pop(node_id, None)
-        if dropped is not None and dropped.descriptor.kind is NodeKind.PUBLIC:
-            self._public_count -= 1
+        self._pop(node_id)
         self._maintain_public_invariant()
 
-    def _evict_tail(self) -> None:
-        oldest = next(iter(self._entries))
-        entry = self._entries.pop(oldest)
-        if entry.descriptor.kind is NodeKind.PUBLIC:
+    def _pop(self, node_id: NodeId) -> None:
+        dropped = self._entries.pop(node_id, None)
+        if dropped is not None and dropped.is_public:
             self._public_count -= 1
 
     # ------------------------------------------------------------------

@@ -21,7 +21,13 @@ __all__ = ["Gateway", "PrivateContact"]
 
 @dataclass(frozen=True, slots=True)
 class Gateway:
-    """A P-node that can reach the contact directly (next-to-last hop B)."""
+    """A keyed hop: a node's descriptor and the public key to seal for it.
+
+    Advertised inside a :class:`PrivateContact` it is a P-node that can
+    reach the contact directly (next-to-last hop B); it is also the slot
+    type of the connection backlog those advertisements are drawn from, and
+    what WCL's mix selection works on.
+    """
 
     descriptor: NodeDescriptor
     key: PublicKey

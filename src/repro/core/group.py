@@ -16,8 +16,7 @@ older key remain valid.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..crypto.provider import CryptoProvider, KeyPair, PublicKey
@@ -32,8 +31,6 @@ __all__ = [
     "issue_passport",
     "issue_accreditation",
 ]
-
-_nonce_counter = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,12 +75,15 @@ class GroupKeyring:
     """A member's view of the group key material.
 
     ``history`` is ordered oldest -> newest; the last entry is the current
-    key.  Leaders additionally hold ``leader_keypair`` (the private half).
+    key.  Leaders additionally hold ``leader_keypair`` (the private half)
+    and count the accreditations they minted: a nonce tells one leader's
+    tokens apart, so it is numbered per keyring, not per process.
     """
 
     group: str
     history: list[PublicKey] = field(default_factory=list)
     leader_keypair: KeyPair | None = None
+    accreditations_issued: int = field(default=0, init=False)
 
     @property
     def current(self) -> PublicKey:
@@ -163,10 +163,7 @@ def issue_passport(
         keyring.leader_keypair, passport.signed_object(),
         node=node, context="group.passport",
     )
-    return Passport(
-        group=passport.group, member_id=passport.member_id,
-        key_fingerprint=passport.key_fingerprint, signature=signature,
-    )
+    return replace(passport, signature=signature)
 
 
 def issue_accreditation(
@@ -180,16 +177,13 @@ def issue_accreditation(
     """Leader operation: mint an invitation token."""
     if keyring.leader_keypair is None:
         raise PermissionError("only a leader can issue accreditations")
+    keyring.accreditations_issued += 1
     accreditation = Accreditation(
-        group=keyring.group, invitee=invitee, nonce=next(_nonce_counter),
+        group=keyring.group, invitee=invitee, nonce=keyring.accreditations_issued,
         expires_at=expires_at, signature=None,
     )
     signature = provider.sign(
         keyring.leader_keypair, accreditation.signed_object(),
         node=node, context="group.accreditation",
     )
-    return Accreditation(
-        group=accreditation.group, invitee=accreditation.invitee,
-        nonce=accreditation.nonce, expires_at=accreditation.expires_at,
-        signature=signature,
-    )
+    return replace(accreditation, signature=signature)

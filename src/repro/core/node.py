@@ -168,7 +168,6 @@ class WhisperNode:
             group=name,
             node_id=self.node_id,
             wcl=self.wcl,
-            backlog=self.backlog,
             provider=self.provider,
             sim=self._sim,
             rng=self._rng,

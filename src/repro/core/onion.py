@@ -26,6 +26,7 @@ packets traverse the same path with symmetric crypto only (see
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from ..crypto.provider import (
@@ -91,9 +92,6 @@ class OnionPacket:
     def wire_size(self) -> int:
         return self.header.size_bytes + self.body.size_bytes
 
-    def with_header(self, header: Sealed) -> "OnionPacket":
-        return replace(self, header=header)
-
 
 @dataclass(frozen=True, slots=True)
 class HopSpec:
@@ -102,6 +100,33 @@ class HopSpec:
     node_id: NodeId
     public_key: PublicKey
     public_endpoint: Endpoint | None = None
+
+
+def _seal_layers(
+    provider: CryptoProvider,
+    path: list[HopSpec],
+    make_layer: Callable[[int, NextHop | None, Sealed | None], object],
+    node: NodeId,
+    context: str,
+) -> Sealed:
+    """Fig. 2's layering, the one loop every onion family goes through.
+
+    Seals the destination's layer first, then wraps backwards from the
+    next-to-last hop: the layer for ``path[i]`` is
+    ``make_layer(i, next hop, everything sealed so far)`` under that hop's
+    public key (``next hop`` and the inner onion are None at the
+    destination).  The result is sized by the wire model — one layer
+    overhead per hop — not by what the provider's envelopes add up to.
+    """
+    if not path:
+        raise ValueError("an onion path needs at least the destination hop")
+    next_hop = sealed = None
+    for index in range(len(path) - 1, -1, -1):
+        hop = path[index]
+        layer = make_layer(index, next_hop, sealed)
+        sealed = provider.seal(hop.public_key, layer, node=node, context=context)
+        next_hop = NextHop(node_id=hop.node_id, public_endpoint=hop.public_endpoint)
+    return replace(sealed, size_bytes=len(path) * sizes.onion_layer_overhead)
 
 
 def build_onion(
@@ -119,33 +144,19 @@ def build_onion(
     accepts any number >= 1 of hops so the colluding-attacker extension
     (footnote 2: f mixes tolerate f-1 colluders) works unchanged.
     """
-    if not path:
-        raise ValueError("onion path needs at least the destination hop")
-    key = provider.new_symmetric_key()
-    destination = path[-1]
-    layer = OnionLayer(next_hop=None, inner=None, key=key)
-    sealed = provider.seal(destination.public_key, layer, node=node, context=context)
-    # Wrap layers from the next-to-last hop backwards (Fig. 2).
-    for hop_index in range(len(path) - 2, -1, -1):
-        hop = path[hop_index]
-        next_spec = path[hop_index + 1]
-        layer = OnionLayer(
-            next_hop=NextHop(
-                node_id=next_spec.node_id,
-                public_endpoint=next_spec.public_endpoint,
-            ),
-            inner=sealed,
-            key=None,
-        )
-        sealed = provider.seal(hop.public_key, layer, node=node, context=context)
-    # Account for the per-layer wire overhead the real system would have.
-    sealed = replace(
-        sealed, size_bytes=len(path) * sizes.onion_layer_overhead
+    key = provider.new_symmetric_key()  # drawn before the seals draw theirs
+    header = _seal_layers(
+        provider, path,
+        # Only the destination's layer (no next hop) carries the content key.
+        lambda index, next_hop, inner: OnionLayer(
+            next_hop=next_hop, inner=inner, key=key if next_hop is None else None
+        ),
+        node, context,
     )
     body = provider.encrypt_payload(
         key, content, content_size, node=node, context=context
     )
-    return OnionPacket(header=sealed, body=body, trace_id=provider.next_trace_id())
+    return OnionPacket(header=header, body=body, trace_id=provider.next_trace_id())
 
 
 def peel(
@@ -175,7 +186,7 @@ def peel(
             packet.header.size_bytes - sizes.onion_layer_overhead,
         ),
     )
-    return layer, packet.with_header(shrunk)
+    return layer, replace(packet, header=shrunk)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +228,6 @@ class CircuitSetupPacket:
     def wire_size(self) -> int:
         return self.header.size_bytes
 
-    def with_header(self, header: Sealed) -> "CircuitSetupPacket":
-        return replace(self, header=header)
-
 
 @dataclass(frozen=True, slots=True)
 class CircuitFrame:
@@ -254,24 +262,13 @@ def build_circuit_setup(
     ``rsa_encrypt`` per layer, like the per-message builder — the point of
     circuits is that this price is paid once, not per message.
     """
-    if not path:
-        raise ValueError("circuit path needs at least the destination hop")
     if len(path) != len(hops):
         raise ValueError(f"{len(path)} path hops but {len(hops)} circuit hops")
-    layer = CircuitSetupLayer(hop=hops[-1], next_hop=None, inner=None)
-    sealed = provider.seal(path[-1].public_key, layer, node=node, context=context)
-    for hop_index in range(len(path) - 2, -1, -1):
-        next_spec = path[hop_index + 1]
-        layer = CircuitSetupLayer(
-            hop=hops[hop_index],
-            next_hop=NextHop(
-                node_id=next_spec.node_id,
-                public_endpoint=next_spec.public_endpoint,
-            ),
-            inner=sealed,
-        )
-        sealed = provider.seal(
-            path[hop_index].public_key, layer, node=node, context=context
-        )
-    sealed = replace(sealed, size_bytes=len(path) * sizes.onion_layer_overhead)
-    return CircuitSetupPacket(header=sealed, trace_id=provider.next_trace_id())
+    header = _seal_layers(
+        provider, path,
+        lambda index, next_hop, inner: CircuitSetupLayer(
+            hop=hops[index], next_hop=next_hop, inner=inner
+        ),
+        node, context,
+    )
+    return CircuitSetupPacket(header=header, trace_id=provider.next_trace_id())

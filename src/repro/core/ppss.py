@@ -35,8 +35,7 @@ from ..net.message import sizes
 from ..sim.clock import Clock
 from ..sim.process import ExponentialBackoff, PeriodicTask, Timer
 from ..telemetry import NULL_TELEMETRY, Span, Telemetry
-from .backlog import ConnectionBacklog
-from .contact import Gateway, PrivateContact
+from .contact import PrivateContact
 from .election import Heartbeat, LeaderElection
 from .group import (
     GroupKeyring,
@@ -45,7 +44,7 @@ from .group import (
     issue_accreditation,
     issue_passport,
 )
-from .wcl import WhisperCommunicationLayer
+from .wcl import AttemptInfo, WhisperCommunicationLayer
 
 __all__ = [
     "MemberState",
@@ -54,8 +53,6 @@ __all__ = [
     "PrivateViewEntry",
     "PrivatePeerSamplingService",
 ]
-
-_xid_counter = itertools.count(1)
 
 
 class MemberState(Enum):
@@ -151,7 +148,6 @@ class PrivatePeerSamplingService:
         group: str,
         node_id: NodeId,
         wcl: WhisperCommunicationLayer,
-        backlog: ConnectionBacklog,
         provider: CryptoProvider,
         sim: Clock,
         rng: random.Random,
@@ -161,7 +157,6 @@ class PrivatePeerSamplingService:
         self.group = group
         self.node_id = node_id
         self.wcl = wcl
-        self.backlog = backlog
         self.provider = provider
         self._sim = sim
         self._rng = rng
@@ -180,6 +175,9 @@ class PrivatePeerSamplingService:
         # towards it.  These stashed contacts are its way back in once the
         # network heals (see _cycle).
         self._evicted_cache: dict[NodeId, PrivateContact] = {}
+        # Exchange ids are ours alone: an xid is only ever looked up in the
+        # ``_pending`` table of the instance that issued it.
+        self._xids = itertools.count(1)
         self._pending: dict[int, _PendingExchange] = {}
         self._task: PeriodicTask | None = None
         self._join_timer: Timer | None = None
@@ -319,10 +317,6 @@ class PrivatePeerSamplingService:
         private view (e.g. from a T-Man exchange)."""
         self._pcp[contact.node_id] = contact
 
-    def drop_persistent(self, node_id: NodeId) -> None:
-        """Unpin a member from the persistent connection pool."""
-        self._pcp.pop(node_id, None)
-
     def persistent_contact(self, node_id: NodeId) -> PrivateContact | None:
         """The (refreshed) contact of a pinned member, if pinned."""
         return self._pcp.get(node_id)
@@ -333,16 +327,7 @@ class PrivatePeerSamplingService:
 
     def self_contact(self) -> PrivateContact:
         """Our own advertisement: identity, WCL key, Π gateway P-nodes."""
-        gateways: tuple[Gateway, ...] = ()
-        descriptor = self.wcl.cm.descriptor()
-        if not descriptor.is_public:
-            gateways = tuple(
-                Gateway(descriptor=e.descriptor, key=e.key)
-                for e in self.backlog.gateways_for_self()
-            )
-        return PrivateContact(
-            descriptor=descriptor, key=self.wcl.public_key, gateways=gateways
-        )
+        return self.wcl.self_contact()
 
     # ==================================================================
     # app-layer transport for protocols inside the group
@@ -367,18 +352,15 @@ class PrivatePeerSamplingService:
         Section V-G)."""
         if self.passport is None:
             return False
-        body = {
-            "type": "ppss.app",
-            "group": self.group,
-            "sender_id": self.node_id,
-            "passport": self.passport,
-            "payload": payload,
-            "reply_to": self.self_contact() if include_self_contact else None,
-        }
-        wire = size + sizes.passport + (
-            self.self_contact().wire_size() if include_self_contact else 0
+        reply_to = self.self_contact() if include_self_contact else None
+        attempt = self._send(
+            contact, "ppss.app", "ppss.app",
+            size + sizes.passport + (reply_to.wire_size() if reply_to else 0),
+            {
+                "sender_id": self.node_id, "passport": self.passport,
+                "payload": payload, "reply_to": reply_to,
+            },
         )
-        attempt = self.wcl.send_to(contact, body, wire, context="ppss.app")
         if attempt is not None:
             self.stats.app_sent += 1
             return True
@@ -397,21 +379,13 @@ class PrivatePeerSamplingService:
         """
         if self.passport is None:
             return False
-        body = {
-            "type": "ppss.cover",
-            "group": self.group,
-            "sender_id": self.node_id,
-            "passport": self.passport,
-            "pad": size,
-        }
-        attempt = self.wcl.send_to(
-            contact, body, size + sizes.passport, context="ppss.cover"
+        attempt = self._send(
+            contact, "ppss.cover", "ppss.cover", size + sizes.passport,
+            {"sender_id": self.node_id, "passport": self.passport, "pad": size},
         )
         if attempt is not None:
             self.stats.cover_sent += 1
-            self.telemetry.counter(
-                "ppss.cover_sent", node=self.node_id, layer="ppss"
-            ).inc()
+            self._tick("ppss.cover_sent")
             return True
         return False
 
@@ -424,7 +398,7 @@ class PrivatePeerSamplingService:
         self.stats.cycles += 1
         tel = self.telemetry
         if tel.enabled:
-            tel.counter("ppss.cycles", node=self.node_id, layer="ppss").inc()
+            self._tick("ppss.cycles")
             tel.gauge(
                 "ppss.view_size", node=self.node_id, layer="ppss",
                 group=self.group,
@@ -441,12 +415,13 @@ class PrivatePeerSamplingService:
             if contact is None:
                 return
             self.stats.last_resort_exchanges += 1
-            self.telemetry.counter(
-                "ppss.last_resort_exchange", node=self.node_id, layer="ppss"
-            ).inc()
+            self._tick("ppss.last_resort_exchange")
             self._start_exchange(contact)
             return
         self._start_exchange(partner.contact)
+
+    def _tick(self, name: str) -> None:
+        self.telemetry.counter(name, node=self.node_id, layer="ppss").inc()
 
     def _last_resort_partner(self) -> PrivateContact | None:
         if not self._evicted_cache:
@@ -468,7 +443,7 @@ class PrivatePeerSamplingService:
     def _start_exchange(self, partner: PrivateContact) -> None:
         self.stats.exchanges_started += 1
         pending = _PendingExchange(
-            xid=next(_xid_counter), partner=partner, started_at=self._sim.now
+            xid=next(self._xids), partner=partner, started_at=self._sim.now
         )
         if self.telemetry.enabled:
             pending.span = self.telemetry.span_start(
@@ -479,10 +454,8 @@ class PrivatePeerSamplingService:
         self._attempt_exchange(pending)
 
     def _attempt_exchange(self, pending: _PendingExchange) -> None:
-        body = self._exchange_body("ppss.request", pending.xid)
-        attempt = self.wcl.send_to(
-            pending.partner, body, self._body_size(body),
-            exclude=pending.tried, context="ppss.request",
+        attempt = self._send_exchange(
+            pending.partner, "ppss.request", pending.xid, exclude=pending.tried
         )
         if attempt is None:
             outcome = "no_alt" if pending.attempts <= 1 else "alt_failed"
@@ -566,32 +539,47 @@ class PrivatePeerSamplingService:
     # ==================================================================
     # message construction
     # ==================================================================
-    def _exchange_body(self, msg_type: str, xid: int) -> dict[str, Any]:
-        body: dict[str, Any] = {
-            "type": msg_type,
-            "group": self.group,
-            "xid": xid,
-            "sender": self.self_contact(),
-            "passport": self.passport,
-            "buffer": self._build_buffer(),
+    def _send(
+        self, contact: PrivateContact, msg_type: str, context: str, size: int,
+        fields: dict[str, Any], exclude: set[tuple[NodeId, NodeId]] | None = None,
+    ) -> AttemptInfo | None:
+        """Every group message leaves here: ``fields`` stamped with the
+        ``type`` / ``group`` every body opens with, over one WCL path of
+        modelled ``size`` bytes."""
+        body = {"type": msg_type, "group": self.group, **fields}
+        return self.wcl.send_to(contact, body, size, exclude, context)
+
+    def _send_exchange(
+        self, partner: PrivateContact, msg_type: str, xid: int,
+        exclude: set[tuple[NodeId, NodeId]] | None = None,
+    ) -> AttemptInfo | None:
+        """One view-exchange message (request or response): our contact,
+        the buffer it heads and the piggybacks."""
+        own = self.self_contact()
+        buffer = self._buffer(own, self.config.shuffle_size - 1)
+        size = sizes.gossip_header + sizes.passport
+        size += sum(entry.contact.wire_size() for entry in buffer)
+        fields = {
+            "xid": xid, "sender": own, "passport": self.passport,
+            "buffer": buffer, **self._piggybacks(),
+        }
+        return self._send(partner, msg_type, msg_type, size, fields, exclude)
+
+    def _buffer(self, own: PrivateContact, count: int) -> list[PrivateViewEntry]:
+        """Our own fresh entry ahead of up to ``count`` random view entries."""
+        entries = list(self._view.values())
+        return [PrivateViewEntry(contact=own, age=0)] + self._rng.sample(
+            entries, min(count, len(entries))
+        )
+
+    def _piggybacks(self) -> dict[str, Any]:
+        """What rides on every member-to-member protocol message: the
+        leader heartbeat, election state and a pending key announcement."""
+        return {
             "hb": self._heartbeat_piggyback(),
             "election": self.election.piggyback(),
             "new_key": self._new_key_announcement,
         }
-        return body
-
-    def _build_buffer(self) -> list[PrivateViewEntry]:
-        own = PrivateViewEntry(contact=self.self_contact(), age=0)
-        entries = list(self._view.values())
-        k = min(self.config.shuffle_size - 1, len(entries))
-        sample = self._rng.sample(entries, k) if k > 0 else []
-        return [own] + sample
-
-    def _body_size(self, body: dict[str, Any]) -> int:
-        entries: list[PrivateViewEntry] = body["buffer"]
-        size = sizes.gossip_header + sizes.passport
-        size += sum(entry.contact.wire_size() for entry in entries)
-        return size
 
     def _heartbeat_piggyback(self) -> Heartbeat | None:
         if not self.config.heartbeat_enabled:
@@ -620,9 +608,7 @@ class PrivatePeerSamplingService:
         # Everything else requires a valid passport.
         if not self._passport_ok(body):
             self.stats.passport_rejections += 1
-            self.telemetry.counter(
-                "ppss.passport_rejections", node=self.node_id, layer="ppss"
-            ).inc()
+            self._tick("ppss.passport_rejections")
             return
         self._absorb_piggybacks(body)
         if msg_type == "ppss.request":
@@ -664,15 +650,12 @@ class PrivatePeerSamplingService:
     # -- view exchanges -------------------------------------------------
     def _on_request(self, body: dict[str, Any]) -> None:
         self.stats.responses_served += 1
-        self.telemetry.counter(
-            "ppss.responses_served", node=self.node_id, layer="ppss"
-        ).inc()
+        self._tick("ppss.responses_served")
         sender: PrivateContact = body["sender"]
-        response = self._exchange_body("ppss.response", body["xid"])
+        # Reply first: the response samples the view as it stood before the
+        # received buffer is merged into it.
+        self._send_exchange(sender, "ppss.response", body["xid"])
         self._merge(body["buffer"], sender)
-        self.wcl.send_to(
-            sender, response, self._body_size(response), context="ppss.response"
-        )
 
     def _on_response(self, body: dict[str, Any]) -> None:
         pending = self._pending.get(body["xid"])
@@ -687,9 +670,7 @@ class PrivatePeerSamplingService:
             # buffer (passport-verified) was merged above; the exchange
             # itself stays open until the real partner answers.
             self.stats.xid_mismatches += 1
-            self.telemetry.counter(
-                "ppss.xid_mismatch", node=self.node_id, layer="ppss"
-            ).inc()
+            self._tick("ppss.xid_mismatch")
             return
         self._finish_exchange(pending, success=True, outcome="success")
 
@@ -728,15 +709,11 @@ class PrivatePeerSamplingService:
                 self._join_backoff.delay(self._join_attempt_no - 1)
             )
         self.stats.join_attempts += 1
-        body = {
-            "type": "group.join",
-            "group": self.group,
-            "accreditation": self._invitation.accreditation,
-            "joiner": self.self_contact(),
-        }
-        size = sizes.passport + self.self_contact().wire_size()
-        self.wcl.send_to(
-            self._invitation.entry_point, body, size, context="group.join"
+        own = self.self_contact()
+        self._send(
+            self._invitation.entry_point, "group.join", "group.join",
+            sizes.passport + own.wire_size(),
+            {"accreditation": self._invitation.accreditation, "joiner": own},
         )
 
     def _on_join_request(self, body: dict[str, Any]) -> None:
@@ -756,21 +733,14 @@ class PrivatePeerSamplingService:
         passport = issue_passport(
             self.provider, self.keyring, joiner.node_id, node=self.node_id
         )
-        seed = [
-            PrivateViewEntry(contact=self.self_contact(), age=0)
-        ] + self._rng.sample(
-            list(self._view.values()), min(self.config.shuffle_size, len(self._view))
-        )
-        welcome = {
-            "type": "group.welcome",
-            "group": self.group,
-            "passport": passport,
-            "key_history": list(self.keyring.history),
-            "seed": seed,
-        }
-        size = sizes.passport + sizes.public_key * len(self.keyring.history)
+        seed = self._buffer(self.self_contact(), self.config.shuffle_size)
+        history = list(self.keyring.history)
+        size = sizes.passport + sizes.public_key * len(history)
         size += sum(entry.contact.wire_size() for entry in seed)
-        self.wcl.send_to(joiner, welcome, size, context="group.welcome")
+        self._send(
+            joiner, "group.welcome", "group.welcome", size,
+            {"passport": passport, "key_history": history, "seed": seed},
+        )
         # Welcome the joiner into our own view too.
         self._merge([PrivateViewEntry(contact=joiner, age=0)], joiner)
 
@@ -791,33 +761,22 @@ class PrivatePeerSamplingService:
         if self.state is not MemberState.MEMBER or self.passport is None:
             return
         for contact in list(self._pcp.values()):
-            body = {
-                "type": "ppss.pcp_refresh",
-                "group": self.group,
-                "sender": self.self_contact(),
-                "passport": self.passport,
-                "hb": self._heartbeat_piggyback(),
-                "election": self.election.piggyback(),
-                "new_key": self._new_key_announcement,
-            }
-            size = sizes.gossip_header + sizes.passport + body["sender"].wire_size()
-            self.wcl.send_to(contact, body, size, context="ppss.pcp")
+            self._send_pcp(contact, "ppss.pcp_refresh")
+
+    def _send_pcp(self, contact: PrivateContact, msg_type: str) -> None:
+        """A persistent-path refresh or its ack: our current contact."""
+        own = self.self_contact()
+        self._send(
+            contact, msg_type, "ppss.pcp",
+            sizes.gossip_header + sizes.passport + own.wire_size(),
+            {"sender": own, "passport": self.passport, **self._piggybacks()},
+        )
 
     def _on_pcp_refresh(self, body: dict[str, Any]) -> None:
         sender: PrivateContact = body["sender"]
         # Refresh whatever we hold about the sender.
         self._merge([PrivateViewEntry(contact=sender, age=0)], sender)
-        ack = {
-            "type": "ppss.pcp_ack",
-            "group": self.group,
-            "sender": self.self_contact(),
-            "passport": self.passport,
-            "hb": self._heartbeat_piggyback(),
-            "election": self.election.piggyback(),
-            "new_key": self._new_key_announcement,
-        }
-        size = sizes.gossip_header + sizes.passport + ack["sender"].wire_size()
-        self.wcl.send_to(sender, ack, size, context="ppss.pcp")
+        self._send_pcp(sender, "ppss.pcp_ack")
 
     def _on_pcp_ack(self, body: dict[str, Any]) -> None:
         sender: PrivateContact = body["sender"]
@@ -834,9 +793,7 @@ class PrivatePeerSamplingService:
         # Decoy padding: count it and drop it.  Cover traffic must stay
         # invisible above PPSS, so it never reaches the app handler.
         self.stats.cover_received += 1
-        self.telemetry.counter(
-            "ppss.cover_received", node=self.node_id, layer="ppss"
-        ).inc()
+        self._tick("ppss.cover_received")
 
     # -- leader election fallout -----------------------------------------
     def _become_elected_leader(self, epoch: int) -> None:

@@ -1,11 +1,11 @@
-"""Seeded heavy-tail samplers for workload generation.
+"""Seeded heavy-tail sampler for workload generation.
 
 Application traffic is not uniform: DHT lookups concentrate on popular
-keys (the classic Zipf shape measured in deployed P2P systems), and flow
-sizes follow bounded power laws.  The workload subsystem
-(:mod:`repro.workload`) draws both from the samplers here.
+keys (the classic Zipf shape measured in deployed P2P systems).  The
+workload subsystem (:mod:`repro.workload`) draws them from the sampler
+here.
 
-Determinism contract: a sampler consumes *only* the ``random.Random``
+Determinism contract: the sampler consumes *only* the ``random.Random``
 instance it was given, draws exactly one ``random()`` double per sample,
 and maps it through a precomputed table with pure float arithmetic — so
 two same-seed runs produce byte-identical sample streams on every
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-__all__ = ["ZipfSampler", "BoundedParetoSampler"]
+__all__ = ["ZipfSampler"]
 
 
 class ZipfSampler:
@@ -67,48 +67,3 @@ class ZipfSampler:
             raise ValueError(f"rank out of range: {rank}")
         lo = self._cdf[rank - 2] if rank >= 2 else 0.0
         return self._cdf[rank - 1] - lo
-
-
-class BoundedParetoSampler:
-    """Bounded Pareto over ``[low, high]`` with tail index ``alpha``.
-
-    The standard inverse-CDF transform::
-
-        x = (-(u*H**a - u*L**a - H**a) / (H**a * L**a)) ** (-1/a)
-
-    One ``random()`` double per sample; the result is clamped into
-    ``[low, high]`` to absorb float rounding at the boundaries.
-    """
-
-    __slots__ = ("low", "high", "alpha", "_rng", "_la", "_ha")
-
-    def __init__(
-        self,
-        low: float,
-        high: float,
-        alpha: float = 1.5,
-        rng: random.Random | None = None,
-    ) -> None:
-        if low <= 0 or high <= low:
-            raise ValueError(f"need 0 < low < high, got [{low}, {high}]")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        self.low = low
-        self.high = high
-        self.alpha = alpha
-        self._rng = rng if rng is not None else random.Random(0)
-        self._la = low ** alpha
-        self._ha = high ** alpha
-
-    def sample(self) -> float:
-        u = self._rng.random()
-        la, ha = self._la, self._ha
-        x = (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / self.alpha)
-        if x < self.low:
-            return self.low
-        if x > self.high:
-            return self.high
-        return x
-
-    def sample_many(self, count: int) -> list[float]:
-        return [self.sample() for _ in range(count)]

@@ -35,7 +35,7 @@ from ..net.message import sizes
 from ..nat.types import NatType
 from ..sim.clock import Clock
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .backlog import CbEntry, ConnectionBacklog
+from .backlog import ConnectionBacklog
 from .contact import Gateway, PrivateContact
 from .onion import (
     CircuitFrame,
@@ -164,6 +164,16 @@ class WhisperCommunicationLayer:
         """Register the PPSS (or application) sink for arriving contents."""
         self._receive_upcall = upcall
 
+    def self_contact(self) -> PrivateContact:
+        """How this node advertises itself: identity, WCL key and — for an
+        N-node — the Π gateway P-nodes of its backlog, as the backlog holds
+        them.  The one place a node's contact is assembled."""
+        descriptor = self.cm.descriptor()
+        gateways = () if descriptor.is_public else self.backlog.gateways_for_self()
+        return PrivateContact(
+            descriptor=descriptor, key=self.public_key, gateways=gateways
+        )
+
     # ------------------------------------------------------------------
     # sending (the WCL API's sendTo)
     # ------------------------------------------------------------------
@@ -270,22 +280,20 @@ class WhisperCommunicationLayer:
         self,
         contact: PrivateContact,
         exclude: set[tuple[NodeId, NodeId]],
-    ) -> tuple[object, object] | None:
+    ) -> tuple[Gateway, Gateway] | None:
         """Draw an (A, B) pair honouring the paper's constraints."""
         forbidden = {self.node_id, contact.node_id}
         second_candidates: list[Gateway] = [
             g for g in contact.gateways if g.node_id not in forbidden
         ]
 
-        def add_public_seconds(entries: list[CbEntry]) -> None:
+        def add_public_seconds(entries: list[Gateway]) -> None:
             # Any known P-node can reach a public destination directly.
             for entry in entries:
                 if entry.is_public and entry.node_id not in forbidden and all(
                     g.node_id != entry.node_id for g in second_candidates
                 ):
-                    second_candidates.append(
-                        Gateway(descriptor=entry.descriptor, key=entry.key)
-                    )
+                    second_candidates.append(entry)
 
         if contact.is_public:
             add_public_seconds(self.backlog.public_entries())
@@ -319,10 +327,10 @@ class WhisperCommunicationLayer:
 
     @staticmethod
     def _pick_pair(
-        firsts: list,
-        seconds: list,
+        firsts: list[Gateway],
+        seconds: list[Gateway],
         exclude: set[tuple[NodeId, NodeId]],
-    ) -> tuple[object, object] | None:
+    ) -> tuple[Gateway, Gateway] | None:
         # Vary the second mix fastest: a stale gateway is the most common
         # failure, so alternatives try a different B before a different A.
         for first in firsts:
@@ -334,7 +342,7 @@ class WhisperCommunicationLayer:
                 return first, second
         return None
 
-    def _degraded_pool(self, forbidden: set[NodeId]) -> list[CbEntry]:
+    def _degraded_pool(self, forbidden: set[NodeId]) -> list[Gateway]:
         """PSS-view peers usable as emergency mix candidates.
 
         A view entry qualifies when we learned its public key through a
@@ -343,7 +351,7 @@ class WhisperCommunicationLayer:
         reachable hop), only staler.
         """
         pss = self.backlog.pss
-        pool: list[CbEntry] = []
+        pool: list[Gateway] = []
         for entry in pss.view.entries():
             nid = entry.node_id
             if nid in forbidden or nid in self.backlog:
@@ -351,7 +359,7 @@ class WhisperCommunicationLayer:
             key = pss.known_keys.get(nid)
             if key is None or not self.cm.has_session(nid):
                 continue
-            pool.append(CbEntry(descriptor=entry.descriptor, key=key))
+            pool.append(Gateway(descriptor=entry.descriptor, key=key))
         return pool
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "CryptoProvider",
     "RealCryptoProvider",
     "SimCryptoProvider",
+    "make_provider",
 ]
 
 
@@ -432,6 +433,19 @@ class SimCryptoProvider(CryptoProvider):
             and fingerprint == public.fingerprint
             and digest == _canonical(obj)
         )
+
+
+def make_provider(
+    kind: str, rng: random.Random, accountant: CpuAccountant,
+    key_bits: int = 512, use_aes: bool = True,
+) -> CryptoProvider:
+    """The provider a deployment names: ``"sim"`` (fast envelopes) or
+    ``"real"`` (actual RSA; ``key_bits`` and ``use_aes`` configure only it)."""
+    if kind == "sim":
+        return SimCryptoProvider(rng, accountant)
+    if kind == "real":
+        return RealCryptoProvider(rng, accountant, key_bits=key_bits, use_aes=use_aes)
+    raise ValueError(f"unknown provider: {kind!r}")
 
 
 _CANONICAL_CACHE_LIMIT = 1024

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..core.contact import Gateway, PrivateContact
 from ..core.node import WhisperConfig
 from ..churn.script import ChurnDriver, parse_script
 from ..harness.report import Report, Table
@@ -25,7 +24,7 @@ from ..harness.world import World, WorldConfig
 from ..metrics.graph import in_degree_distribution
 from ..metrics.stats import percentile
 from ..nat.traversal import TraversalPolicy
-from ..net.address import NodeKind, Protocol
+from ..net.address import Protocol
 from ..parallel import SweepSpec, derive_seed, run_sweep
 from .common import GroupPlan, scaled
 
@@ -36,18 +35,6 @@ __all__ = [
     "run_session_leases",
     "run_truncation_policy",
 ]
-
-
-def _contact_for(node) -> PrivateContact:
-    gateways = ()
-    if node.cm.kind is NodeKind.NATTED:
-        gateways = tuple(
-            Gateway(descriptor=e.descriptor, key=e.key)
-            for e in node.backlog.gateways_for_self()
-        )
-    return PrivateContact(
-        descriptor=node.descriptor(), key=node.wcl.public_key, gateways=gateways
-    )
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +69,7 @@ def run_path_length(
             dst.wcl.set_receive_upcall(
                 lambda content, size, s=sent_at: latencies.append(world.sim.now - s)
             )
-            if src.wcl.send_to(_contact_for(dst), "probe", 512, mixes=mixes):
+            if src.wcl.send_to(dst.wcl.self_contact(), "probe", 512, mixes=mixes):
                 sent += 1
             world.run(3.0)
         world.run(20.0)
@@ -235,7 +222,7 @@ def _lease_point(point):
     natted = world.natted_nodes()
     rng = world.registry.stream("ablation")
     pairs = [tuple(rng.sample(natted, 2)) for _ in range(messages)]
-    contacts = {dst.node_id: _contact_for(dst) for _, dst in pairs}
+    contacts = {dst.node_id: dst.wcl.self_contact() for _, dst in pairs}
     world.run(600.0)  # the quiet gap: UDP leases expire, TCP survive
     delivered = []
     sent = 0
@@ -368,7 +355,7 @@ def _observation_point(point):
     rng = world.registry.stream("observe")
     for i in range(messages):
         src, dst = rng.sample(natted, 2)
-        src.wcl.send_to(_contact_for(dst), f"m{i}", 256, mixes=path_mixes)
+        src.wcl.send_to(dst.wcl.self_contact(), f"m{i}", 256, mixes=path_mixes)
         world.run(2.0)
     world.run(20.0)
     flows = extract_flows(tap.packets)

@@ -16,27 +16,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..core.contact import Gateway, PrivateContact
-from ..core.node import WhisperConfig, WhisperNode
+from ..core.node import WhisperConfig
 from ..harness.report import Report, Table
 from ..harness.sharded import ShardedWorld
 from ..harness.world import World, WorldConfig
-from ..net.address import NodeKind
 from .common import scaled
 
 __all__ = ["run", "run_100k"]
-
-
-def _contact_for(node: WhisperNode) -> PrivateContact:
-    gateways = ()
-    if node.cm.kind is NodeKind.NATTED:
-        gateways = tuple(
-            Gateway(descriptor=e.descriptor, key=e.key)
-            for e in node.backlog.gateways_for_self()
-        )
-    return PrivateContact(
-        descriptor=node.descriptor(), key=node.wcl.public_key, gateways=gateways
-    )
 
 
 def run(
@@ -83,7 +69,7 @@ def run(
         dst.wcl.set_receive_upcall(
             lambda content, size, d=dst: delivered.append(d.node_id)
         )
-        if src.wcl.send_to(_contact_for(dst), "scale probe", 512, mixes=mixes):
+        if src.wcl.send_to(dst.wcl.self_contact(), "scale probe", 512, mixes=mixes):
             sent += 1
         world.run(2.0)
     world.run(30.0)

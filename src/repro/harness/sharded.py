@@ -63,11 +63,11 @@ import time as _time
 from dataclasses import replace
 from functools import partial
 
-from ..nat.types import EMULATED_TYPES, NatType
+from ..nat.types import EMULATED_TYPES
 from ..net.address import NodeId, NodeKind
 from ..net.message import Message
 from ..parallel.executor import derive_seed
-from .world import World, WorldConfig
+from .world import World, WorldConfig, nat_plan
 
 __all__ = ["ShardedWorld"]
 
@@ -114,26 +114,15 @@ class ShardedWorld:
             home = derive_seed(self._master_seed, "shard-of", node_id) % self.partitions
         return home
 
-    def _global_nat_plan(self, count: int) -> list[NatType]:
-        """The single-world NAT plan semantics, drawn from a derived stream.
-
-        Shares :meth:`World._exact_nat_plan`'s shape (exact natted count,
-        even type split, shuffled interleave) but uses its own
-        ``derive_seed`` stream so the plan is a function of the master
-        seed alone — partition worlds never consume it from their RNGs.
-        """
-        natted = round(count * self.config.natted_fraction)
-        plan: list[NatType] = [NatType.OPEN] * (count - natted)
-        plan += [next(self._nat_cycle) for _ in range(natted)]
-        random.Random(derive_seed(self._master_seed, "natplan")).shuffle(plan)
-        return plan
-
     def populate(self, count: int) -> None:
         """Create ``count`` nodes with global ids, homed by hash."""
-        if self.config.exact_ratio:
-            plan = self._global_nat_plan(count)
-        else:
-            plan = [self._draw_nat_type(i + 1) for i in range(count)]
+        # A single world's plan, shuffled on a ``derive_seed`` stream of its
+        # own: a function of the master seed alone, never drawn from a
+        # partition world's RNGs.
+        plan = nat_plan(
+            count, self.config.natted_fraction, self._nat_cycle,
+            random.Random(derive_seed(self._master_seed, "natplan")),
+        )
         for nat_type in plan:
             node_id = next(self._ids)
             home = derive_seed(self._master_seed, "shard-of", node_id) % self.partitions
@@ -148,12 +137,6 @@ class ShardedWorld:
         total = len(self._node_partition)
         for world in self.worlds:
             world.network.reserve_owner_hints(total)
-
-    def _draw_nat_type(self, node_id: NodeId) -> NatType:
-        rng = random.Random(derive_seed(self._master_seed, "nattype", node_id))
-        if rng.random() < self.config.natted_fraction:
-            return rng.choice(EMULATED_TYPES)
-        return NatType.OPEN
 
     # ------------------------------------------------------------------
     # lifecycle

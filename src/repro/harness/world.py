@@ -10,11 +10,13 @@ experiments, and snapshots for the overlay metrics.
 from __future__ import annotations
 
 import itertools
+import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..core.node import WhisperConfig, WhisperNode
 from ..crypto.costmodel import CostModel, CpuAccountant
-from ..crypto.provider import CryptoProvider, RealCryptoProvider, SimCryptoProvider
+from ..crypto.provider import make_provider
 from ..nat.topology import NatTopology
 from ..nat.traversal import NodeDescriptor
 from ..nat.types import EMULATED_TYPES, NatType
@@ -31,7 +33,22 @@ from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry
 from ..telemetry import Telemetry
 
-__all__ = ["WorldConfig", "World"]
+__all__ = ["WorldConfig", "World", "nat_plan"]
+
+
+def nat_plan(
+    count: int, natted_fraction: float, nat_cycle: Iterator[NatType],
+    rng: random.Random,
+) -> list[NatType]:
+    """NAT types for ``count`` new nodes: exactly ``natted_fraction`` of
+    them natted, split evenly across the emulated types (``nat_cycle``
+    carries on where the previous plan stopped), interleaved by one
+    shuffle on ``rng`` so P-nodes are not clustered by id."""
+    natted = round(count * natted_fraction)
+    plan = [NatType.OPEN] * (count - natted)
+    plan += [next(nat_cycle) for _ in range(natted)]
+    rng.shuffle(plan)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -50,7 +67,6 @@ class WorldConfig:
     real_key_bits: int = 512
     real_use_aes: bool = True  # False swaps in the fast keyed stream cipher
     natted_fraction: float = 0.7
-    exact_ratio: bool = True  # enforce the N:P ratio exactly, not in expectation
     introducer_count: int = 5
     whisper: WhisperConfig = field(default_factory=WhisperConfig)
     telemetry_enabled: bool = False
@@ -82,7 +98,10 @@ class World:
             self.config.cost_model, rng=self.registry.stream("cpu")
         )
         self.accountant.bind_telemetry(self.telemetry)
-        self.provider = self._make_provider()
+        self.provider = make_provider(
+            self.config.provider, self.registry.stream("crypto"), self.accountant,
+            key_bits=self.config.real_key_bits, use_aes=self.config.real_use_aes,
+        )
         self.nodes: dict[NodeId, WhisperNode] = {}
         self._ids = itertools.count(1)
         self._nat_cycle = itertools.cycle(EMULATED_TYPES)
@@ -101,18 +120,6 @@ class World:
             return FixedLatencyModel(0.01)
         raise ValueError(f"unknown latency profile: {self.config.latency!r}")
 
-    def _make_provider(self) -> CryptoProvider:
-        rng = self.registry.stream("crypto")
-        if self.config.provider == "sim":
-            return SimCryptoProvider(rng, self.accountant)
-        if self.config.provider == "real":
-            return RealCryptoProvider(
-                rng, self.accountant,
-                key_bits=self.config.real_key_bits,
-                use_aes=self.config.real_use_aes,
-            )
-        raise ValueError(f"unknown provider: {self.config.provider!r}")
-
     # ------------------------------------------------------------------
     # population management
     # ------------------------------------------------------------------
@@ -120,15 +127,6 @@ class World:
         if self.registry.stream("natdraw").random() < self.config.natted_fraction:
             return next(self._nat_cycle)
         return NatType.OPEN
-
-    def _exact_nat_plan(self, count: int) -> list[NatType]:
-        """Exactly ``natted_fraction`` natted, evenly split across types,
-        randomly interleaved so P-nodes are not clustered by id."""
-        natted = round(count * self.config.natted_fraction)
-        plan = [NatType.OPEN] * (count - natted)
-        plan += [next(self._nat_cycle) for _ in range(natted)]
-        self.registry.stream("natplan").shuffle(plan)
-        return plan
 
     def add_node(
         self, nat_type: NatType | None = None, node_id: NodeId | None = None
@@ -160,11 +158,11 @@ class World:
         return node
 
     def populate(self, count: int) -> list[WhisperNode]:
-        """Create ``count`` nodes honouring the configured N:P ratio."""
-        if self.config.exact_ratio:
-            plan = self._exact_nat_plan(count)
-        else:
-            plan = [None] * count  # type: ignore[list-item]
+        """Create ``count`` nodes at exactly the configured N:P ratio."""
+        plan = nat_plan(
+            count, self.config.natted_fraction, self._nat_cycle,
+            self.registry.stream("natplan"),
+        )
         return [self.add_node(nat_type) for nat_type in plan]
 
     def introducers(self) -> list[NodeDescriptor]:

@@ -37,11 +37,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from ..crypto.costmodel import CostModel, CpuAccountant
-from ..crypto.provider import (
-    CryptoProvider,
-    RealCryptoProvider,
-    SimCryptoProvider,
-)
+from ..crypto.provider import make_provider
 from ..core.node import WhisperConfig, WhisperNode
 from ..nat.traversal import NodeDescriptor
 from ..nat.types import NatType
@@ -431,24 +427,17 @@ class LiveRuntime:
         # under the paper's model; live runs additionally pay the real CPU
         # time, so nothing sleeps on the model's behalf.
         self.cpu = CpuAccountant(CostModel(), rng=None)
-        self.provider = self._make_provider(provider, key_bits)
+        # use_aes=False: pure-Python AES costs ~0.9 s of real CPU a message.
+        self.provider = make_provider(
+            provider, self.registry.stream("crypto"), self.cpu,
+            key_bits=key_bits, use_aes=False,
+        )
         self.whisper = whisper if whisper is not None else WhisperConfig()
         self.nodes: dict[NodeId, WhisperNode] = {}
         self.supervisor: "NodeSupervisor | None" = None
         self._nat_types: dict[NodeId, NatType] = {}
         self._introducers: list[NodeDescriptor] = []
         self._restart_counts: dict[NodeId, int] = {}
-
-    def _make_provider(self, provider: str, key_bits: int) -> CryptoProvider:
-        rng = self.registry.stream("crypto")
-        if provider == "sim":
-            return SimCryptoProvider(rng, self.cpu)
-        if provider == "real":
-            # Pure-Python AES would cost ~0.9 s of real CPU per message.
-            return RealCryptoProvider(
-                rng, self.cpu, key_bits=key_bits, use_aes=False
-            )
-        raise ValueError(f"unknown provider: {provider!r}")
 
     # ------------------------------------------------------------------
     def add_node(

@@ -26,7 +26,11 @@ The registry covers three strata:
 - session kinds — traversal control and app payloads multiplexed over
   sessions (``nat.connect``, ``pss.request``, ``wcl.onion``, ...);
 - content kinds — PPSS/group bodies that travel inside onion payloads
-  (``ppss.request``, ``group.join``, ...).
+  (``ppss.request``, ``group.join``, ...), keys as
+  ``tests/test_core_records.py`` pins them.  ``ppss.cover`` is deliberately
+  not registered: a decoy is sized as the app payload it imitates and rides
+  as a plain value in its onion body.  A keyed hop inside any body is one
+  struct, ``Gateway`` (id 12), the connection backlog's own slot record.
 
 Session and content kinds are encoded recursively as values inside their
 carrier, but each also frames standalone so the property tests can

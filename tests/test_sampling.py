@@ -1,4 +1,4 @@
-"""Heavy-tail samplers: shape, determinism and byte-stable pinned streams."""
+"""Heavy-tail sampler: shape, determinism and a byte-stable pinned stream."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.sampling import BoundedParetoSampler, ZipfSampler
+from repro.core.sampling import ZipfSampler
 
 
 class TestZipfShape:
@@ -49,36 +49,11 @@ class TestZipfShape:
             ZipfSampler(10).probability(11)
 
 
-class TestBoundedParetoShape:
-    def test_samples_within_bounds(self):
-        p = BoundedParetoSampler(10.0, 500.0, 1.4, random.Random(5))
-        for _ in range(2000):
-            assert 10.0 <= p.sample() <= 500.0
-
-    def test_heavy_head_light_tail(self):
-        p = BoundedParetoSampler(10.0, 10000.0, 1.4, random.Random(5))
-        samples = p.sample_many(20000)
-        below_100 = sum(1 for x in samples if x < 100.0)
-        above_1000 = sum(1 for x in samples if x > 1000.0)
-        assert below_100 > 10 * above_1000
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            BoundedParetoSampler(0.0, 10.0)
-        with pytest.raises(ValueError):
-            BoundedParetoSampler(10.0, 10.0)
-        with pytest.raises(ValueError):
-            BoundedParetoSampler(1.0, 10.0, alpha=0.0)
-
-
 class TestDeterminism:
     def test_same_seed_same_stream(self):
         a = ZipfSampler(64, 1.3, random.Random(77))
         b = ZipfSampler(64, 1.3, random.Random(77))
         assert a.sample_many(1000) == b.sample_many(1000)
-        pa = BoundedParetoSampler(1.0, 99.0, 1.1, random.Random(77))
-        pb = BoundedParetoSampler(1.0, 99.0, 1.1, random.Random(77))
-        assert pa.sample_many(1000) == pb.sample_many(1000)
 
     def test_one_rng_double_per_sample(self):
         rng = random.Random(42)
@@ -96,12 +71,4 @@ class TestDeterminism:
         z = ZipfSampler(50, 1.2, random.Random(1234))
         assert z.sample_many(16) == [
             40, 3, 1, 28, 33, 5, 7, 1, 12, 1, 1, 13, 2, 6, 6, 1,
-        ]
-
-    def test_pareto_pinned_stream(self):
-        p = BoundedParetoSampler(40.0, 12000.0, 1.3, random.Random(1234))
-        got = [round(x, 6) for x in p.sample_many(8)]
-        assert got == [
-            537.56591, 62.523075, 40.231904, 255.905119,
-            342.610805, 78.228414, 94.104267, 42.78881,
         ]

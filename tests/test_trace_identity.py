@@ -1,11 +1,11 @@
 """Same-seed output digests, pinned by the golden file next to this one.
 
-Every line is a pure function of the source tree when printed by a fresh
-interpreter (``python tests/test_trace_identity.py``, which is also how
-the test runs it): sharded trace SHAs at three lane counts, three ``load``
-scenario SHAs, telemetry JSONL SHA plus fabric counters for a
-gossip-and-group world over latency model x wire mode, and a real-crypto
-circuit-mode world for both bulk ciphers.
+Every line is a pure function of the source tree, in any process and after
+any other world (exchange ids and accreditation nonces count per instance,
+telemetry exports renumber their ids): sharded trace SHAs at three lane
+counts, three ``load`` scenario SHAs, telemetry JSONL SHA plus fabric
+counters for a gossip-and-group world over latency model x wire mode, and
+a real-crypto circuit-mode world for both bulk ciphers.
 
 A change that moves a trace on purpose re-records the golden file in the
 same commit, so the movement shows up in review::
@@ -15,11 +15,11 @@ same commit, so the movement shows up in review::
 
 from __future__ import annotations
 
+import contextlib
 import difflib
 import hashlib
+import io
 import pathlib
-import subprocess
-import sys
 
 from repro.core.node import WhisperConfig
 from repro.experiments.load import run_scenario
@@ -88,15 +88,18 @@ def circuits() -> None:
         _report(f"circuits aes={use_aes}", _grouped_world(config, nodes=40, members=6))
 
 
+def record() -> None:
+    sharded()
+    load()
+    fabric()
+    circuits()
+
+
 def test_traces_match_the_golden_file():
-    # A fresh interpreter, as when re-recording: PPSS exchange ids and
-    # accreditation nonces count per process, and ``measured`` wire mode
-    # sizes each frame by its encoded (varint) length.
-    run = subprocess.run(
-        [sys.executable, __file__], capture_output=True, text=True, timeout=300
-    )
-    assert run.returncode == 0, run.stderr
-    got = run.stdout.splitlines()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        record()
+    got = printed.getvalue().splitlines()
     want = GOLDEN.read_text(encoding="utf-8").splitlines()
     moved = "\n".join(
         difflib.unified_diff(want, got, GOLDEN.name, "this tree", lineterm="", n=0)
@@ -109,7 +112,4 @@ def test_traces_match_the_golden_file():
 
 
 if __name__ == "__main__":
-    sharded()
-    load()
-    fabric()
-    circuits()
+    record()
