@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro import World, WorldConfig
 from repro.churn import ChurnDriver, parse_script
 from repro.core.ppss import PpssConfig
-from repro.experiments.common import GroupPlan
+from repro.experiments.common import GroupPlan, tally_exchanges
 
 SCRIPT = """
 from 0s to 30s join 220
@@ -34,29 +34,16 @@ def main() -> None:
     plan = GroupPlan(world, 8, ppss_config=PpssConfig())
     print("8 private groups created, led by P-nodes")
 
-    outcomes = {"success": 0, "alt": 0, "alt_failed": 0, "no_alt": 0}
-    window = {"open": False}
+    outcomes = {"success": 0, "alt": 0, "no_alt": 0}
+    window_open = False
 
-    def hook(outcome, attempts, partner, duration):
-        if not window["open"]:
-            return
-        if outcome != "success" and partner not in world.nodes:
-            return  # dead destination: not a route failure (footnote 3)
-        outcomes[outcome] += 1
+    def record(outcome: str) -> None:
+        if window_open:
+            outcomes[outcome] += 1
 
-    def wire(node):
-        def subscribe():
-            if not node.alive:
-                return
-            for name in plan.subscribe(node, 1):
-                node.group(name).exchange_outcome_hook = hook
-        world.sim.schedule(60.0, subscribe)
-
-    for name, leader in plan.leaders.items():
-        leader.group(name).exchange_outcome_hook = hook
-    for node in world.alive_nodes():
-        if node.node_id not in plan.leader_ids():
-            wire(node)
+    # Every member subscribes 60 s after it is wired; exchanges with a
+    # departed partner are not route failures (footnote 3).
+    wire = tally_exchanges(world, plan, record)
 
     print("running the churn script:")
     print(SCRIPT.strip())
@@ -64,18 +51,17 @@ def main() -> None:
         world, parse_script(SCRIPT), on_join=wire, protected=plan.leader_ids()
     )
     world.run(300.0)
-    window["open"] = True
+    window_open = True
     world.run(600.0)
-    window["open"] = False
+    window_open = False
 
     total = sum(outcomes.values()) or 1
-    alt = outcomes["alt"] + outcomes["alt_failed"]
     print(f"\npopulation after churn: {len(world.alive_nodes())} nodes")
     print(f"churn events: {driver.stats.churn_events}, "
           f"killed: {driver.stats.killed}, joined: {driver.stats.joined}")
     print(f"\nWCL route construction over {total} private view exchanges:")
     print(f"  success on first attempt : {outcomes['success'] / total:6.1%}")
-    print(f"  needed an alternative    : {alt / total:6.1%}")
+    print(f"  needed an alternative    : {outcomes['alt'] / total:6.1%}")
     print(f"  no alternative available : {outcomes['no_alt'] / total:6.1%}")
 
 

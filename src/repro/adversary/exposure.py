@@ -23,12 +23,12 @@ traffic-analysis attacks that work *below* full-path observation live in
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ..core.onion import OnionPacket
+from ..core.onion import CircuitFrame, CircuitSetupPacket, OnionPacket
 from ..net.address import NodeId
 from ..net.observer import ObservedPacket
-from ..parallel import derive_seed
 
 __all__ = [
     "TRAVERSAL_CAP",
@@ -47,23 +47,28 @@ Relay wrappers (``nat.data`` / ``nat.relay``) nest payloads in dicts; a
 hostile or cyclic structure must terminate the walk rather than loop, so
 deeply nested wrappers simply report "no trace found"."""
 
+# Every packet that travels a WCL path hop by hop under one trace id: the
+# per-message onion, and in circuit mode the setup onion and data frames.
+_ONION_TYPES = (OnionPacket, CircuitSetupPacket, CircuitFrame)
 
-def carries_trace(payload: object, trace_id: int) -> bool:
-    """Does this wire payload carry the onion with ``trace_id``?
 
-    Walks ``nat.data`` / ``nat.relay`` wrappers.  Measurement-only: trace
-    ids exist for instrumentation and would not appear on a real wire.
-    """
+def _trace_ids(payload: object) -> Iterator[int]:
+    """Trace ids of the onion-bearing packets in a wire payload, walking
+    ``nat.data`` / ``nat.relay`` wrappers.  Measurement-only: trace ids
+    exist for instrumentation and would not appear on a real wire."""
     stack, steps = [payload], 0
     while stack and steps < TRAVERSAL_CAP:
         steps += 1
         item = stack.pop()
-        if isinstance(item, OnionPacket):
-            if item.trace_id == trace_id:
-                return True
+        if isinstance(item, _ONION_TYPES):
+            yield item.trace_id
         elif isinstance(item, dict):
             stack.extend(item.values())
-    return False
+
+
+def carries_trace(payload: object, trace_id: int) -> bool:
+    """Does this wire payload carry the onion with ``trace_id``?"""
+    return trace_id in _trace_ids(payload)
 
 
 def carries_onion(payload: object) -> bool:
@@ -76,29 +81,7 @@ def carries_onion(payload: object) -> bool:
     is reported, never a trace id, so the attacks cannot accidentally
     correlate by instrumentation state.
     """
-    stack, steps = [payload], 0
-    while stack and steps < TRAVERSAL_CAP:
-        steps += 1
-        item = stack.pop()
-        if isinstance(item, OnionPacket):
-            return True
-        if isinstance(item, dict):
-            stack.extend(item.values())
-    return False
-
-
-def _onion_trace_ids(payload: object) -> set[int]:
-    """All onion trace ids carried in a wire payload."""
-    found: set[int] = set()
-    stack, steps = [payload], 0
-    while stack and steps < TRAVERSAL_CAP:
-        steps += 1
-        item = stack.pop()
-        if isinstance(item, OnionPacket):
-            found.add(item.trace_id)
-        elif isinstance(item, dict):
-            stack.extend(item.values())
-    return found
+    return next(_trace_ids(payload), None) is not None
 
 
 @dataclass(frozen=True)
@@ -143,7 +126,7 @@ def extract_flows(
     for packet in packets:
         if packet.receiver is None:
             continue
-        for trace_id in _onion_trace_ids(packet.payload):
+        for trace_id in set(_trace_ids(packet.payload)):
             by_trace.setdefault(trace_id, []).append(packet)
     flows = []
     for trace_id, trace_packets in sorted(by_trace.items()):
@@ -174,36 +157,23 @@ def exposure(
 
 def adversary_sweep(
     flows: list[OnionFlow],
+    rng: random.Random,
     link_fractions: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9),
     trials: int = 20,
-    rng: random.Random | None = None,
-    seed: int = 0,
 ) -> dict[float, float]:
     """Mean exposure for adversaries owning random link subsets.
 
     For each fraction p, samples ``trials`` random subsets of all links that
-    ever carried an onion and averages :func:`exposure` over them.
-
-    Callers that thread their own stream (e.g. the ablation sweep passing a
-    world RNG) get exactly the draws they always did.  With ``rng=None``
-    each fraction draws from its own blake2b stream derived from ``seed``
-    — sweep points are then independent of each other and of module
-    import order, never the process-global :mod:`random` state.
+    ever carried an onion — drawn from the caller's ``rng`` only — and
+    averages :func:`exposure` over them.
     """
     all_links = sorted({link for flow in flows for link in flow.links()})
     results: dict[float, float] = {}
     for fraction in link_fractions:
-        draw = (
-            rng
-            if rng is not None
-            else random.Random(
-                derive_seed(seed, "adversary-sweep", f"{fraction:g}")
-            )
-        )
         k = round(len(all_links) * fraction)
         total = 0.0
         for _ in range(trials):
-            observed = set(draw.sample(all_links, k)) if k else set()
+            observed = set(rng.sample(all_links, k)) if k else set()
             total += exposure(flows, observed)
         results[fraction] = total / trials
     return results

@@ -1,6 +1,5 @@
-"""Applications and protocols layered on the PPSS: aggregation, T-Man, T-Chord."""
+"""Applications and protocols layered on the PPSS: T-Man, T-Chord."""
 
-from .aggregation import AggregationProtocol, average_merge, max_merge
 from .chord import (
     ID_BITS,
     ID_SPACE,
@@ -12,27 +11,22 @@ from .chord import (
     in_interval,
     key_id,
 )
-from .sizeestim import SizeEstimator
 from .tchord import LookupResult, TChordNode, TChordStats
 from .tman import TManEntry, TManProtocol
 
 __all__ = [
-    "AggregationProtocol",
     "FingerTable",
     "ID_BITS",
     "ID_SPACE",
     "LookupResult",
     "RingNeighbours",
     "RingPeer",
-    "SizeEstimator",
     "TChordNode",
     "TChordStats",
     "TManEntry",
     "TManProtocol",
-    "average_merge",
     "chord_id",
     "distance_cw",
     "in_interval",
     "key_id",
-    "max_merge",
 ]

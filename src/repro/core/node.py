@@ -44,7 +44,6 @@ class WhisperConfig:
     # Circuit mode (amortized RSA): off by default — the paper's WCL is
     # per-message onions; circuits are the evaluated optimisation.
     circuit_mode: bool = False
-    circuit_lifetime: float = 600.0
 
 
 class WhisperNode:
@@ -96,7 +95,7 @@ class WhisperNode:
         )
         self.wcl.set_receive_upcall(self._from_wcl)
         if self.config.circuit_mode:
-            self.wcl.enable_circuits(self.config.circuit_lifetime)
+            self.wcl.enable_circuits()
         self.groups: dict[str, PrivatePeerSamplingService] = {}
         self.unknown_group_messages = 0
         self.alive = False

@@ -17,7 +17,7 @@ The instance moves through three states:
 Every message carries the sender's passport; messages with invalid
 passports are ignored silently.  View exchanges implement the retry scheme
 of Table I: end-to-end response timeouts trigger alternative onion paths
-(different mix pairs); after ``max_attempts`` the partner is declared
+(different mix pairs); after ``MAX_ATTEMPTS`` the partner is declared
 failed and evicted from the private view.
 """
 
@@ -63,32 +63,34 @@ class MemberState(Enum):
     LEFT = "left"
 
 
+# Small views keep gateway information fresh: with 5-entry views fully
+# shuffled every minute, the Π P-nodes attached to an entry are rarely more
+# than a couple of cycles old — which is what makes first-attempt route
+# construction succeed at the paper's Table I rates.
+VIEW_SIZE = 5
+SHUFFLE_SIZE = 5  # entries per exchange, including our own
+MAX_ATTEMPTS = 4  # first try + Π = 3 retries
+# Retries back off exponentially (with jitter from the node's seeded RNG)
+# instead of firing back-to-back: during a partition every member times out
+# together, and un-jittered retries would re-synchronize into waves that
+# hammer the surviving mixes the moment the network heals.
+RETRY_BACKOFF_BASE = 1.0
+RETRY_BACKOFF_CAP = 30.0
+JOIN_RETRY_CAP = 60.0
+PCP_REFRESH_EVERY = 120.0
+
+
 @dataclass(frozen=True)
 class PpssConfig:
-    """Defaults follow the paper: 1-minute cycles, 5 entries per exchange,
-    Π retries before declaring a destination failed."""
+    """What deployments vary: 1-minute cycles in the paper, shorter on a
+    live clock; the fixed protocol figures are the module constants."""
 
-    # Small views keep gateway information fresh: with 5-entry views fully
-    # shuffled every minute, the Π P-nodes attached to an entry are rarely
-    # more than a couple of cycles old — which is what makes first-attempt
-    # route construction succeed at the paper's Table I rates.
-    view_size: int = 5
     cycle_time: float = 60.0
-    shuffle_size: int = 5  # entries per exchange, including our own
     response_timeout: float = 8.0
-    max_attempts: int = 4  # first try + Π = 3 retries
-    # Retries back off exponentially (with jitter from the node's seeded
-    # RNG) instead of firing back-to-back: during a partition every member
-    # times out together, and un-jittered retries would re-synchronize into
-    # waves that hammer the surviving mixes the moment the network heals.
-    retry_backoff_base: float = 1.0
-    retry_backoff_cap: float = 30.0
     join_retry_every: float = 15.0  # base of the join backoff
-    join_retry_cap: float = 60.0
     heartbeat_enabled: bool = True
     election_timeout: float = 300.0  # 5 cycles without a heartbeat
     election_settle_cycles: int = 3
-    pcp_refresh_every: float = 120.0
 
 
 @dataclass
@@ -183,16 +185,11 @@ class PrivatePeerSamplingService:
         self._join_timer: Timer | None = None
         self._join_attempt_no = 0
         self._retry_backoff = ExponentialBackoff(
-            base=self.config.retry_backoff_base,
-            cap=self.config.retry_backoff_cap,
-            jitter=0.2,
-            rng=rng,
+            base=RETRY_BACKOFF_BASE, cap=RETRY_BACKOFF_CAP, jitter=0.2, rng=rng
         )
         self._join_backoff = ExponentialBackoff(
-            base=self.config.join_retry_every,
-            cap=self.config.join_retry_cap,
-            jitter=0.2,
-            rng=rng,
+            base=self.config.join_retry_every, cap=JOIN_RETRY_CAP,
+            jitter=0.2, rng=rng,
         )
         self._invitation: Invitation | None = None
         self._authorized: set[NodeId] = set()
@@ -281,8 +278,8 @@ class PrivatePeerSamplingService:
             self._sim, self.config.cycle_time, self._cycle, initial_delay=phase
         )
         self._pcp_task = PeriodicTask(
-            self._sim, self.config.pcp_refresh_every, self._refresh_pcp,
-            initial_delay=self._rng.uniform(0, self.config.pcp_refresh_every),
+            self._sim, PCP_REFRESH_EVERY, self._refresh_pcp,
+            initial_delay=self._rng.uniform(0, PCP_REFRESH_EVERY),
         )
 
     # ==================================================================
@@ -472,10 +469,10 @@ class PrivatePeerSamplingService:
         pending = self._pending.get(xid)
         if pending is None:
             return
-        if pending.attempts >= self.config.max_attempts:
+        if pending.attempts >= MAX_ATTEMPTS:
             self._finish_exchange(pending, success=False, outcome="alt_failed")
             return
-        # Back off before retrying over an alternative path (see PpssConfig).
+        # Back off before retrying over an alternative path (RETRY_BACKOFF_*).
         delay = self._retry_backoff.delay(pending.attempts - 1)
         self._sim.schedule(delay, lambda: self._retry_exchange(xid))
 
@@ -515,7 +512,7 @@ class PrivatePeerSamplingService:
             # empties: last-resort re-entry partners after an outage.
             self._evicted_cache.pop(partner_id, None)
             self._evicted_cache[partner_id] = pending.partner
-            while len(self._evicted_cache) > self.config.view_size:
+            while len(self._evicted_cache) > VIEW_SIZE:
                 oldest = next(iter(self._evicted_cache))
                 del self._evicted_cache[oldest]
         tel = self.telemetry
@@ -556,7 +553,7 @@ class PrivatePeerSamplingService:
         """One view-exchange message (request or response): our contact,
         the buffer it heads and the piggybacks."""
         own = self.self_contact()
-        buffer = self._buffer(own, self.config.shuffle_size - 1)
+        buffer = self._buffer(own, SHUFFLE_SIZE - 1)
         size = sizes.gossip_header + sizes.passport
         size += sum(entry.contact.wire_size() for entry in buffer)
         fields = {
@@ -688,9 +685,7 @@ class PrivatePeerSamplingService:
             consider(entry)
         consider(PrivateViewEntry(contact=sender, age=0))
         kept = sorted(candidates.values(), key=lambda e: (e.age, e.node_id))
-        self._view = {
-            entry.node_id: entry for entry in kept[: self.config.view_size]
-        }
+        self._view = {entry.node_id: entry for entry in kept[:VIEW_SIZE]}
         # Keep PCP contacts fresh with the newest gateway information.
         for node_id in list(self._pcp.keys()):
             entry = self._view.get(node_id)
@@ -733,7 +728,7 @@ class PrivatePeerSamplingService:
         passport = issue_passport(
             self.provider, self.keyring, joiner.node_id, node=self.node_id
         )
-        seed = self._buffer(self.self_contact(), self.config.shuffle_size)
+        seed = self._buffer(self.self_contact(), SHUFFLE_SIZE)
         history = list(self.keyring.history)
         size = sizes.passport + sizes.public_key * len(history)
         size += sum(entry.contact.wire_size() for entry in seed)

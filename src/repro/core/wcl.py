@@ -53,6 +53,8 @@ __all__ = ["WhisperCommunicationLayer", "AttemptInfo", "WclStats"]
 
 ReceiveUpcall = Callable[[Any, int], None]
 
+CIRCUIT_LIFETIME = 600.0  # seconds a circuit's per-hop keys are honoured
+
 
 @dataclass(frozen=True, slots=True)
 class AttemptInfo:
@@ -135,21 +137,13 @@ class WhisperCommunicationLayer:
         self._receive_upcall: ReceiveUpcall | None = None
         # Batched mixing (anonymity countermeasure): None = off, the
         # default — the forward path is then byte-identical to a build
-        # without the feature.
+        # without the feature.  A non-empty pool has its flush scheduled.
         self._mix_batch_interval: float | None = None
         self._mix_pool: list[tuple[int, NextHop, object, str]] = []
-        # Epoch for which a boundary flush is currently scheduled (None =
-        # no flush pending for the current epoch).
-        self._mix_flush_scheduled_epoch: int | None = None
-        # Every enable/disable transition bumps the epoch; a boundary
-        # flush scheduled under an older epoch is stale and must not touch
-        # the pool (it would flush a *new* pool before its boundary).
-        self._mix_epoch = 0
         # Circuit mode (amortized RSA): off by default — with it off, no
         # circuit state exists and every path below is byte-identical to a
         # build without the feature.
         self._circuit_mode = False
-        self._circuit_lifetime = 600.0
         self._circuits: dict[NodeId, _SourceCircuit] = {}  # by contact
         self._circuit_by_id: dict[int, _SourceCircuit] = {}  # by first-link label
         self._relay: dict[int, _RelayCircuit] = {}  # by our inbound label
@@ -418,46 +412,20 @@ class WhisperCommunicationLayer:
             )
         self._mix_batch_interval = interval
 
-    def disable_mix_batching(self) -> None:
-        """Turn mixing off; anything still pooled is flushed immediately.
-
-        Bumps the batching epoch so an already-scheduled boundary flush
-        (ours, now moot) cannot fire into a *later* enable's pool and
-        release it before its own boundary.
-        """
-        self._mix_batch_interval = None
-        self._mix_epoch += 1
-        self._flush_mix_pool()
-
     def _hold_for_mixing(
         self, next_hop: NextHop, packet, kind: str = "wcl.onion"
     ) -> None:
-        interval = self._mix_batch_interval
-        if interval is None:
-            # Disabled while the peel delay was in flight: forward plainly.
-            self._forward(next_hop, packet, kind)
-            return
+        if not self._mix_pool:
+            interval = self._mix_batch_interval
+            now = self._sim.now
+            boundary = (int(now / interval) + 1) * interval
+            self._sim.schedule(boundary - now, self._flush_mix_pool)
         self._mix_pool.append((packet.trace_id, next_hop, packet, kind))
         self.stats.mix_held += 1
         self._tick("wcl.mix_held")
-        if self._mix_flush_scheduled_epoch != self._mix_epoch:
-            epoch = self._mix_epoch
-            self._mix_flush_scheduled_epoch = epoch
-            now = self._sim.now
-            boundary = (int(now / interval) + 1) * interval
-            self._sim.schedule(
-                boundary - now, lambda: self._flush_mix_pool(epoch)
-            )
 
-    def _flush_mix_pool(self, epoch: int | None = None) -> None:
-        if epoch is not None and epoch != self._mix_epoch:
-            # Stale boundary callback from before a disable/re-enable
-            # transition: the pool it was scheduled for is gone.
-            return
-        self._mix_flush_scheduled_epoch = None
+    def _flush_mix_pool(self) -> None:
         pool, self._mix_pool = self._mix_pool, []
-        if not pool:
-            return
         for _trace_id, next_hop, packet, kind in sorted(pool, key=lambda h: h[0]):
             self._forward(next_hop, packet, kind)
         self._tick("wcl.mix_flushed", len(pool))
@@ -527,28 +495,19 @@ class WhisperCommunicationLayer:
     # ------------------------------------------------------------------
     # circuit mode (amortized RSA: HORNET/Sphinx-style persistent paths)
     # ------------------------------------------------------------------
-    def enable_circuits(self, lifetime: float = 600.0) -> None:
+    def enable_circuits(self) -> None:
         """Amortize path crypto: RSA once at setup, AES-only frames after.
 
         A ``CircuitSetup`` onion installs per-hop symmetric keys keyed by
         per-link circuit labels; once the destination's ack walks back,
         ``send_to`` to that contact skips :func:`build_onion` entirely and
-        emits layered symmetric frames.  ``lifetime`` bounds how long any
-        hop honours the keys — the source treats its circuit as expired
-        after the same lifetime from *setup emission*, which is strictly
-        earlier than any hop's install-time deadline, and rekeys with a
-        fresh setup on the next send (rekey-on-refresh).
+        emits layered symmetric frames.  ``CIRCUIT_LIFETIME`` bounds how
+        long any hop honours the keys — the source treats its circuit as
+        expired after the same lifetime from *setup emission*, which is
+        strictly earlier than any hop's install-time deadline, and rekeys
+        with a fresh setup on the next send (rekey-on-refresh).
         """
-        if lifetime <= 0:
-            raise ValueError(f"circuit lifetime must be positive, got {lifetime}")
         self._circuit_mode = True
-        self._circuit_lifetime = lifetime
-
-    def disable_circuits(self) -> None:
-        """Back to per-message onions; open circuits are torn down."""
-        self._circuit_mode = False
-        for circuit in list(self._circuits.values()):
-            self._close_source_circuit(circuit, notify=True)
 
     @property
     def circuit_mode(self) -> bool:
@@ -613,7 +572,7 @@ class WhisperCommunicationLayer:
         hops = [
             CircuitHop(
                 circuit_id=label, key=key, next_circuit_id=next_label,
-                lifetime=self._circuit_lifetime,
+                lifetime=CIRCUIT_LIFETIME,
             )
             for label, key, next_label in zip(labels, keys, [*labels[1:], None])
         ]
@@ -623,7 +582,7 @@ class WhisperCommunicationLayer:
         circuit = _SourceCircuit(
             contact_id=contact.node_id, circuit_id=labels[0], keys=keys,
             first_mix=first, second_mix=second, middle_mixes=middles,
-            expires_at=self._sim.now + self._circuit_lifetime,
+            expires_at=self._sim.now + CIRCUIT_LIFETIME,
         )
         self._circuits[contact.node_id] = self._circuit_by_id[labels[0]] = circuit
         self.stats.circuit_setups += 1

@@ -1,7 +1,7 @@
 """Cryptographic substrate: RSA, AES, providers, and the CPU cost model."""
 
 from .aes import AES128, ctr_transform
-from .costmodel import PAPER_COSTS, CostModel, CpuAccountant, OpRecord
+from .costmodel import CpuAccountant, OpRecord
 from .primes import generate_prime, is_probable_prime
 from .provider import (
     CryptoError,
@@ -18,14 +18,12 @@ from .stream import stream_transform, tag, verify_tag
 
 __all__ = [
     "AES128",
-    "CostModel",
     "CpuAccountant",
     "CryptoError",
     "CryptoProvider",
     "EncryptedPayload",
     "KeyPair",
     "OpRecord",
-    "PAPER_COSTS",
     "PublicKey",
     "RealCryptoProvider",
     "RsaKeyPair",

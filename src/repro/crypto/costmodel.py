@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..net.address import NodeId
@@ -25,38 +25,28 @@ from ..telemetry import NULL_TELEMETRY
 if TYPE_CHECKING:
     from ..telemetry import Telemetry
 
-__all__ = ["CostModel", "CpuAccountant", "OpRecord", "PAPER_COSTS"]
+__all__ = ["CpuAccountant", "OpRecord", "aes_ms"]
+
+# Per-operation CPU costs in milliseconds, calibrated against Table II: with
+# ~6 RSA decrypts per N-node PPSS cycle and the paper's 293 ms/cycle figure,
+# one private-key operation lands in the ~45 ms range (RSA with 1 KB
+# serialized keys through Lua/C bindings on a 2.2 GHz Core 2 Duo shared by
+# ~45 emulated nodes).  Public-key operations with e=65537 are ~20x cheaper;
+# AES streams at tens of microseconds per kilobyte.
+RSA_DECRYPT_MS = 45.0  # private-key op (onion layer peel)
+RSA_ENCRYPT_MS = 2.0  # public-key op (onion layer add)
+RSA_SIGN_MS = 45.0  # private-key op (passport issuance)
+RSA_VERIFY_MS = 2.0  # public-key op (passport check)
+AES_MS_PER_KB = 0.016  # bulk symmetric encryption
+AES_SETUP_MS = 0.005  # key schedule
+# Lognormal sigma for per-operation load jitter (OS scheduling, co-hosted
+# nodes contending for the CPU).  Applied only when the accountant is given
+# an RNG.
+JITTER_SIGMA = 0.25
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Per-operation CPU costs in milliseconds.
-
-    Calibrated against Table II: with ~6 RSA decrypts per N-node PPSS cycle
-    and the paper's 293 ms/cycle figure, one private-key operation lands in
-    the ~45 ms range (RSA with 1 KB serialized keys through Lua/C bindings
-    on a 2.2 GHz Core 2 Duo shared by ~45 emulated nodes).  Public-key
-    operations with e=65537 are ~20x cheaper; AES streams at tens of
-    microseconds per kilobyte.
-    """
-
-    rsa_decrypt_ms: float = 45.0  # private-key op (onion layer peel)
-    rsa_encrypt_ms: float = 2.0  # public-key op (onion layer add)
-    rsa_sign_ms: float = 45.0  # private-key op (passport issuance)
-    rsa_verify_ms: float = 2.0  # public-key op (passport check)
-    aes_ms_per_kb: float = 0.016  # bulk symmetric encryption
-    aes_setup_ms: float = 0.005  # key schedule
-    # Lognormal sigma for per-operation load jitter (OS scheduling, co-hosted
-    # nodes contending for the CPU).  Applied only when the accountant is
-    # given an RNG; 0 disables it.
-    jitter_sigma: float = 0.25
-
-    def aes_ms(self, size_bytes: int) -> float:
-        return self.aes_setup_ms + self.aes_ms_per_kb * (size_bytes / 1024.0)
-
-
-PAPER_COSTS = CostModel()
-"""Default calibration used by the evaluation benchmarks."""
+def aes_ms(size_bytes: int) -> float:
+    return AES_SETUP_MS + AES_MS_PER_KB * (size_bytes / 1024.0)
 
 
 @dataclass
@@ -78,12 +68,7 @@ class CpuAccountant:
     experiments can produce the request/response breakdown of Fig. 7.
     """
 
-    def __init__(
-        self,
-        model: CostModel | None = None,
-        rng: "random.Random | None" = None,
-    ) -> None:
-        self.model = model if model is not None else PAPER_COSTS
+    def __init__(self, rng: "random.Random | None" = None) -> None:
         self._rng = rng
         self._telemetry = NULL_TELEMETRY
         self._records: dict[NodeId, dict[tuple[str, str], OpRecord]] = defaultdict(
@@ -101,10 +86,9 @@ class CpuAccountant:
 
     def _jitter(self, ms: float) -> float:
         """Multiplicative load jitter; identity without an RNG (unit tests)."""
-        sigma = self.model.jitter_sigma
-        if self._rng is None or sigma <= 0:
+        if self._rng is None:
             return ms
-        return ms * self._rng.lognormvariate(0.0, sigma)
+        return ms * self._rng.lognormvariate(0.0, JITTER_SIGMA)
 
     # -- charging helpers; each returns the charged duration in seconds so
     # callers can also apply it as a processing delay.
@@ -118,29 +102,19 @@ class CpuAccountant:
         return ms / 1000.0
 
     def rsa_decrypt(self, node: NodeId, context: str = "") -> float:
-        return self.charge(
-            node, "rsa_decrypt", self._jitter(self.model.rsa_decrypt_ms), context
-        )
+        return self.charge(node, "rsa_decrypt", self._jitter(RSA_DECRYPT_MS), context)
 
     def rsa_encrypt(self, node: NodeId, context: str = "") -> float:
-        return self.charge(
-            node, "rsa_encrypt", self._jitter(self.model.rsa_encrypt_ms), context
-        )
+        return self.charge(node, "rsa_encrypt", self._jitter(RSA_ENCRYPT_MS), context)
 
     def rsa_sign(self, node: NodeId, context: str = "") -> float:
-        return self.charge(
-            node, "rsa_sign", self._jitter(self.model.rsa_sign_ms), context
-        )
+        return self.charge(node, "rsa_sign", self._jitter(RSA_SIGN_MS), context)
 
     def rsa_verify(self, node: NodeId, context: str = "") -> float:
-        return self.charge(
-            node, "rsa_verify", self._jitter(self.model.rsa_verify_ms), context
-        )
+        return self.charge(node, "rsa_verify", self._jitter(RSA_VERIFY_MS), context)
 
     def aes(self, node: NodeId, size_bytes: int, context: str = "") -> float:
-        return self.charge(
-            node, "aes", self._jitter(self.model.aes_ms(size_bytes)), context
-        )
+        return self.charge(node, "aes", self._jitter(aes_ms(size_bytes)), context)
 
     def aes_layers(
         self, node: NodeId, size_bytes: int, layers: int, context: str = ""
@@ -155,7 +129,7 @@ class CpuAccountant:
         """
         return self.charge(
             node, "aes",
-            self._jitter(self.model.aes_ms(size_bytes) * layers), context,
+            self._jitter(aes_ms(size_bytes) * layers), context,
         )
 
     # -- reporting

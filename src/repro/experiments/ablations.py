@@ -26,7 +26,7 @@ from ..metrics.stats import percentile
 from ..nat.traversal import TraversalPolicy
 from ..net.address import Protocol
 from ..parallel import SweepSpec, derive_seed, run_sweep
-from .common import GroupPlan, scaled
+from .common import GroupPlan, scaled, tally_exchanges
 
 __all__ = [
     "run_observation_sweep",
@@ -103,27 +103,10 @@ def _pi_point(point):
     plan = GroupPlan(world, group_count)
     counts = {"success": 0, "alt": 0, "no_alt": 0}
 
-    def hook(outcome, attempts, partner, duration):
-        if outcome != "success" and partner not in world.nodes:
-            return
-        if outcome in ("alt", "alt_failed"):
-            counts["alt"] += 1
-        else:
-            counts[outcome] += 1
+    def record(outcome: str) -> None:
+        counts[outcome] += 1
 
-    def wire(node):
-        def subscribe():
-            if not node.alive:
-                return
-            for name in plan.subscribe(node, 1):
-                node.group(name).exchange_outcome_hook = hook
-        world.sim.schedule(60.0, subscribe)
-
-    for name, leader in plan.leaders.items():
-        leader.group(name).exchange_outcome_hook = hook
-    for node in world.alive_nodes():
-        if node.node_id not in plan.leader_ids():
-            wire(node)
+    wire = tally_exchanges(world, plan, record)
     script = (
         f"from 0s to 30s join {n_nodes - len(world.nodes)}\n"
         "at 240s set replacement ratio to 100%\n"

@@ -9,12 +9,13 @@ sanity runs.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from ..core.node import WhisperNode
 from ..core.ppss import PpssConfig
 from ..harness.world import World
 
-__all__ = ["scaled", "subscribe_groups", "GroupPlan"]
+__all__ = ["scaled", "subscribe_groups", "tally_exchanges", "GroupPlan"]
 
 
 def scaled(count: int, scale: float, minimum: int = 10) -> int:
@@ -83,3 +84,47 @@ def subscribe_groups(
         if node.node_id in exclude:
             continue
         plan.subscribe(node, per_node)
+
+
+def tally_exchanges(
+    world: World, plan: GroupPlan, record: Callable[[str], None]
+) -> Callable[[WhisperNode], None]:
+    """Table I's tally over a churned multi-group world.
+
+    Every finished view exchange of a leader or member is classified as
+    ``"success"``, ``"alt"`` (the first path failed and an alternative was
+    tried) or ``"no_alt"`` and handed to ``record`` — except a failure
+    towards a partner that has left the world: footnote 3 excludes it (a
+    dead destination is not a route failure).  A wired node subscribes to
+    one random group 60 s later, once its PSS has warmed up.  The initial
+    non-leader nodes are wired here; the returned function wires a node
+    and is the churn driver's ``on_join``.
+
+    Wiring draws nothing and only schedules each subscription 60 s ahead,
+    so building the ``ChurnDriver`` before or after this call reorders
+    nothing unless a driver event falls on that same instant — which no
+    caller's script schedules (joins end 30 s in; churn, faults and stop
+    start 240 s in or later).
+    """
+
+    def hook(outcome: str, attempts: int, partner: int, duration: float) -> None:
+        if outcome != "success" and partner not in world.nodes:
+            return
+        record("alt" if outcome == "alt_failed" else outcome)
+
+    def wire_node(node: WhisperNode) -> None:
+        def subscribe() -> None:
+            if not node.alive:
+                return
+            for name in plan.subscribe(node, 1):
+                node.group(name).exchange_outcome_hook = hook
+
+        world.sim.schedule(60.0, subscribe)
+
+    for name, leader in plan.leaders.items():
+        leader.group(name).exchange_outcome_hook = hook
+    leaders = plan.leader_ids()
+    for node in world.alive_nodes():
+        if node.node_id not in leaders:
+            wire_node(node)
+    return wire_node

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..churn.script import ChurnDriver, parse_script
-from ..core.node import WhisperNode
 from ..core.ppss import PpssConfig
 from ..harness.invariants import (
     RecoveryViolation,
@@ -31,7 +30,7 @@ from ..harness.invariants import (
 from ..harness.report import Report, Table
 from ..harness.world import World, WorldConfig
 from ..parallel import SweepSpec, derive_seed, run_sweep
-from .common import GroupPlan, scaled
+from .common import GroupPlan, scaled, tally_exchanges
 
 __all__ = ["run", "SCENARIOS", "run_scenario", "ScenarioResult"]
 
@@ -160,34 +159,17 @@ def run_scenario(
     world.run(40.0)
     plan = GroupPlan(world, group_count, ppss_config=ppss_config)
 
-    window = {"name": None}
+    window = None
 
-    def hook(outcome: str, attempts: int, partner: int, duration: float) -> None:
-        name = window["name"]
-        if name is None:
+    def record(outcome: str) -> None:
+        if window is None:
             return
-        if outcome != "success" and partner not in world.nodes:
-            return  # dead destination, not a route failure (footnote 3)
-        counts = result.windows[name]
+        counts = result.windows[window]
         counts[1] += 1
         if outcome == "success":
             counts[0] += 1
 
-    def wire_node(node: WhisperNode) -> None:
-        def subscribe() -> None:
-            if not node.alive:
-                return
-            for name in plan.subscribe(node, 1):
-                node.group(name).exchange_outcome_hook = hook
-
-        world.sim.schedule(60.0, subscribe)
-
-    for name, leader in plan.leaders.items():
-        leader.group(name).exchange_outcome_hook = hook
-    for node in world.alive_nodes():
-        if node.node_id not in plan.leader_ids():
-            wire_node(node)
-
+    wire_node = tally_exchanges(world, plan, record)
     script_lines = [f"from 0s to 30s join {n_nodes - len(world.nodes)}"]
     script_lines += fault_lines
     script_lines.append("at 1350s stop")
@@ -202,9 +184,9 @@ def run_scenario(
     now = 0.0
     for name, start, end in _WINDOWS:
         world.run(start - now)
-        window["name"] = name
+        window = name
         world.run(end - start)
-        window["name"] = None
+        window = None
         now = end
 
     before = result.rate("before")

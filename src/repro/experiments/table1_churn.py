@@ -17,15 +17,12 @@ the paper's footnote 3 (a dead destination is not a route failure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..churn.script import ChurnDriver, parse_script
-from ..core.node import WhisperNode
-from ..core.ppss import PpssConfig, PrivatePeerSamplingService
+from ..core.ppss import PpssConfig
 from ..harness.report import Report, Table
 from ..harness.world import World, WorldConfig
 from ..parallel import SweepSpec, derive_seed, run_sweep
-from .common import GroupPlan, scaled
+from .common import GroupPlan, scaled, tally_exchanges
 
 __all__ = ["run", "CHURN_RATES"]
 
@@ -33,17 +30,7 @@ __all__ = ["run", "CHURN_RATES"]
 CHURN_RATES = (0.0, 0.2, 1.0, 5.0, 10.0)
 
 
-@dataclass
-class _Outcomes:
-    window_open: bool = False
-    success: int = 0
-    alt: int = 0
-    no_alt: int = 0
-    dead_partner: int = 0
-    retry_attempts: list[int] = field(default_factory=list)
-
-
-def _point(point) -> _Outcomes:
+def _point(point) -> dict[str, int]:
     """One churn-rate world reduced to its outcome counts."""
     rate, point_seed, n_nodes, group_count = point
     return _run_one(rate, point_seed, n_nodes, group_count)
@@ -70,16 +57,16 @@ def run(
         ),
         worker=_point,
     )
-    for rate, outcome in zip(rates, run_sweep(spec, workers=workers)):
-        total = outcome.success + outcome.alt + outcome.no_alt
+    for rate, counts in zip(rates, run_sweep(spec, workers=workers)):
+        total = sum(counts.values())
         if total == 0:
             table.add_row(f"{rate:g}", "-", "-", "-", 0)
             continue
         table.add_row(
             f"{rate:g}",
-            f"{outcome.success / total:.1%}",
-            f"{outcome.alt / total:.1%}",
-            f"{outcome.no_alt / total:.1%}",
+            f"{counts['success'] / total:.1%}",
+            f"{counts['alt'] / total:.1%}",
+            f"{counts['no_alt'] / total:.1%}",
             total,
         )
     report.add(table)
@@ -90,11 +77,16 @@ def run(
     return report
 
 
-def _run_one(rate: float, seed: int, n_nodes: int, group_count: int) -> _Outcomes:
+def _run_one(
+    rate: float, seed: int, n_nodes: int, group_count: int
+) -> dict[str, int]:
     world = World(WorldConfig(seed=seed))
-    outcomes = _Outcomes()
-    # PPSS timing as in the paper: 1-minute cycles, Pi=3 retries.
-    ppss_config = PpssConfig()
+    counts = {"success": 0, "alt": 0, "no_alt": 0}
+    window_open = False
+
+    def record(outcome: str) -> None:
+        if window_open:
+            counts[outcome] += 1
 
     # Leaders first: they are protected from churn so groups outlive it
     # (the paper measures route availability, not group bootstrap).
@@ -102,34 +94,9 @@ def _run_one(rate: float, seed: int, n_nodes: int, group_count: int) -> _Outcome
     world.populate(max(round(n_nodes * 0.1), group_count * 4))
     world.start_all()
     world.run(40.0)
-    plan = GroupPlan(world, group_count, ppss_config=ppss_config)
-
-    def hook(outcome: str, attempts: int, partner: int, duration: float) -> None:
-        if not outcomes.window_open:
-            return
-        if outcome != "success" and partner not in world.nodes:
-            outcomes.dead_partner += 1
-            return
-        if outcome == "success":
-            outcomes.success += 1
-        elif outcome in ("alt", "alt_failed"):
-            outcomes.alt += 1
-            outcomes.retry_attempts.append(attempts)
-        else:
-            outcomes.no_alt += 1
-
-    def wire_node(node: WhisperNode) -> None:
-        # Subscribe to one random group once the PSS has warmed up.
-        def subscribe() -> None:
-            if not node.alive:
-                return
-            for name in plan.subscribe(node, 1):
-                ppss = node.group(name)
-                ppss.exchange_outcome_hook = hook
-        world.sim.schedule(60.0, subscribe)
-
-    for name, leader in plan.leaders.items():
-        leader.group(name).exchange_outcome_hook = hook
+    # PPSS timing as in the paper: 1-minute cycles, Pi=3 retries.
+    plan = GroupPlan(world, group_count, ppss_config=PpssConfig())
+    wire_node = tally_exchanges(world, plan, record)
 
     script_lines = [f"from 0s to 30s join {n_nodes - len(world.nodes)}"]
     if rate > 0:
@@ -144,14 +111,9 @@ def _run_one(rate: float, seed: int, n_nodes: int, group_count: int) -> _Outcome
         on_join=wire_node,
         protected=plan.leader_ids(),
     )
-    # Initially-populated non-leader nodes also subscribe.
-    for node in world.alive_nodes():
-        if node.node_id not in plan.leader_ids():
-            wire_node(node)
-
     world.run(300.0)  # bootstrap + group formation
-    outcomes.window_open = True
+    window_open = True
     world.run(900.0)  # the churn measurement window
-    outcomes.window_open = False
+    window_open = False
     del driver
-    return outcomes
+    return counts

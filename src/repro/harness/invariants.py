@@ -25,7 +25,7 @@ success returned to its pre-fault level — rather than merely not crashing.
 
 from __future__ import annotations
 
-from ..core.ppss import MemberState
+from ..core.ppss import VIEW_SIZE, MemberState
 from ..net.address import NodeKind
 from .world import World
 
@@ -90,7 +90,7 @@ def check_invariants(world: World) -> int:
         for name, ppss in node.groups.items():
             gprefix = f"{prefix} group {name!r}:"
             _ensure(
-                ppss.view_size() <= ppss.config.view_size,
+                ppss.view_size() <= VIEW_SIZE,
                 f"{gprefix} private view over capacity",
             )
             _ensure(

@@ -67,7 +67,7 @@ from ..nat.types import EMULATED_TYPES
 from ..net.address import NodeId, NodeKind
 from ..net.message import Message
 from ..parallel.executor import derive_seed
-from .world import World, WorldConfig, nat_plan
+from .world import INTRODUCER_COUNT, World, WorldConfig, nat_plan
 
 __all__ = ["ShardedWorld"]
 
@@ -150,7 +150,7 @@ class ShardedWorld:
             node = self.worlds[home].nodes.get(node_id)
             if node is not None and node.cm.kind is NodeKind.PUBLIC:
                 introducers.append(node.descriptor())
-                if len(introducers) >= self.config.introducer_count:
+                if len(introducers) >= INTRODUCER_COUNT:
                     break
         if not introducers:
             raise RuntimeError("no public nodes available as introducers")

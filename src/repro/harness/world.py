@@ -15,18 +15,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..core.node import WhisperConfig, WhisperNode
-from ..crypto.costmodel import CostModel, CpuAccountant
+from ..crypto.costmodel import CpuAccountant
 from ..crypto.provider import make_provider
 from ..nat.topology import NatTopology
 from ..nat.traversal import NodeDescriptor
 from ..nat.types import EMULATED_TYPES, NatType
 from ..net.address import NodeId, NodeKind
-from ..net.latency import (
-    ClusterLatencyModel,
-    FixedLatencyModel,
-    LatencyModel,
-    PlanetLabLatencyModel,
-)
+from ..net.latency import ClusterLatencyModel, LatencyModel, PlanetLabLatencyModel
 from ..net.network import Network
 from ..metrics.graph import ViewGraph
 from ..sim.engine import Simulator
@@ -34,6 +29,8 @@ from ..sim.rng import RngRegistry
 from ..telemetry import Telemetry
 
 __all__ = ["WorldConfig", "World", "nat_plan"]
+
+INTRODUCER_COUNT = 5  # bootstrap entry points handed to every starting node
 
 
 def nat_plan(
@@ -55,7 +52,7 @@ def nat_plan(
 class WorldConfig:
     """Deployment profile.
 
-    ``latency`` is one of ``"cluster"``, ``"planetlab"``, ``"fixed"``;
+    ``latency`` is one of ``"cluster"``, ``"planetlab"``;
     ``provider`` one of ``"sim"`` (fast envelopes, for 1,000-node runs) or
     ``"real"`` (actual RSA/AES).  ``natted_fraction`` defaults to the
     paper's 70%, split evenly between the four emulated NAT types.
@@ -67,10 +64,8 @@ class WorldConfig:
     real_key_bits: int = 512
     real_use_aes: bool = True  # False swaps in the fast keyed stream cipher
     natted_fraction: float = 0.7
-    introducer_count: int = 5
     whisper: WhisperConfig = field(default_factory=WhisperConfig)
     telemetry_enabled: bool = False
-    cost_model: CostModel = field(default_factory=CostModel)
     wire_mode: str = "off"  # "off" | "verify" | "measured"; see Network.set_wire_mode
 
 
@@ -94,9 +89,7 @@ class World:
             telemetry=self.telemetry,
             wire_mode=self.config.wire_mode,
         )
-        self.accountant = CpuAccountant(
-            self.config.cost_model, rng=self.registry.stream("cpu")
-        )
+        self.accountant = CpuAccountant(rng=self.registry.stream("cpu"))
         self.accountant.bind_telemetry(self.telemetry)
         self.provider = make_provider(
             self.config.provider, self.registry.stream("crypto"), self.accountant,
@@ -116,8 +109,6 @@ class World:
             return ClusterLatencyModel(rng)
         if self.config.latency == "planetlab":
             return PlanetLabLatencyModel(rng)
-        if self.config.latency == "fixed":
-            return FixedLatencyModel(0.01)
         raise ValueError(f"unknown latency profile: {self.config.latency!r}")
 
     # ------------------------------------------------------------------
@@ -178,7 +169,7 @@ class World:
         self._introducers = [
             d for d in self._introducers if d.node_id in present
         ]
-        if len(self._introducers) < self.config.introducer_count:
+        if len(self._introducers) < INTRODUCER_COUNT:
             have = {d.node_id for d in self._introducers}
             for node in self.nodes.values():
                 if (
@@ -186,7 +177,7 @@ class World:
                     and node.node_id not in have
                 ):
                     self._introducers.append(node.descriptor())
-                    if len(self._introducers) >= self.config.introducer_count:
+                    if len(self._introducers) >= INTRODUCER_COUNT:
                         break
         if not self._introducers:
             raise RuntimeError("no public nodes available as introducers")
@@ -194,7 +185,7 @@ class World:
 
     def start_all(self) -> None:
         # Resolve the introducer set once: it is stable for the duration of
-        # a bulk start (the first call fills it to introducer_count and no
+        # a bulk start (the first call fills it to INTRODUCER_COUNT and no
         # node departs mid-loop), and introducers() walks the whole
         # population — calling it per node made start_all O(N^2), which at
         # 100k nodes dominated world construction.  Each node still gets

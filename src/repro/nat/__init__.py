@@ -9,7 +9,7 @@ from .traversal import (
     Session,
     TraversalPolicy,
 )
-from .types import EMULATED_TYPES, NatType, hole_punching_possible
+from .types import EMULATED_TYPES, NatType
 
 __all__ = [
     "ConnectionManager",
@@ -24,5 +24,4 @@ __all__ = [
     "NodeDescriptor",
     "Session",
     "TraversalPolicy",
-    "hole_punching_possible",
 ]

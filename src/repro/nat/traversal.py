@@ -43,7 +43,7 @@ from ..net.network import Network
 from ..sim.clock import Clock
 from ..sim.process import PeriodicTask
 from ..telemetry import NULL_TELEMETRY, Span, Telemetry
-from .types import NatType, hole_punching_possible
+from .types import NatType
 
 __all__ = [
     "NodeDescriptor",
@@ -120,10 +120,6 @@ class Session:
 class TraversalPolicy:
     """Tunables for the traversal behaviour.
 
-    ``force_relay_for_symmetric`` reflects the paper's setting: "sym NAT
-    devices require the use of relay nodes by the Nylon layer".  Disabling it
-    lets the full compatibility matrix decide (an ablation knob).
-
     Defaults model the paper's TCP-friendly NAT emulation (RFC 5382):
     associations last 24 hours (the cited Cisco lease), so a session stays
     usable for as long as both endpoints live — "the ability of A to
@@ -132,7 +128,6 @@ class TraversalPolicy:
     ``protocol=UDP`` and a 300 s lifetime for the UDP-lease ablation.
     """
 
-    force_relay_for_symmetric: bool = True
     session_lifetime: float = 86_400.0  # the TCP association lease
     protocol: Protocol = Protocol.TCP
     # Liveness probing: sessions idle past ``keepalive_interval`` are pinged;
@@ -143,11 +138,6 @@ class TraversalPolicy:
     # :meth:`ConnectionManager.start_keepalive` (WhisperNode does on start).
     keepalive_interval: float = 60.0
     keepalive_misses: int = 3
-
-    def can_punch(self, a: NatType, b: NatType) -> bool:
-        if self.force_relay_for_symmetric and (a.is_symmetric or b.is_symmetric):
-            return False
-        return hole_punching_possible(a, b)
 
 
 @dataclass
@@ -693,8 +683,11 @@ class ConnectionManager:
         requester_nat: NatType = offer["requester_nat"]
         requester_external: Endpoint | None = offer["requester_external"]
         rv: NodeId = offer["rv"]
+        # "sym NAT devices require the use of relay nodes by the Nylon
+        # layer": any other pair punches (NATCracker [20], Ford et al. [23]).
         punchable = (
-            self.policy.can_punch(self.nat_type, requester_nat)
+            not self.nat_type.is_symmetric
+            and not requester_nat.is_symmetric
             and requester_external is not None
         )
         if punchable:

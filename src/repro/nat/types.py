@@ -8,13 +8,16 @@ in two dimensions (RFC 3489 terminology):
   symmetric NATs allocate a fresh external port per (internal, remote) pair,
   which makes the port unpredictable and defeats hole punching.
 - **filtering**: which inbound sources may use a mapping.
+
+Like the paper's Nylon layer, traversal relays any pair with a symmetric
+side and punches every other pair.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["NatType", "hole_punching_possible"]
+__all__ = ["NatType"]
 
 
 class NatType(Enum):
@@ -42,27 +45,3 @@ EMULATED_TYPES = (
     NatType.PORT_RESTRICTED_CONE,
     NatType.SYMMETRIC,
 )
-
-
-def hole_punching_possible(a: NatType, b: NatType) -> bool:
-    """Whether UDP hole punching can connect nodes behind NATs ``a`` and ``b``.
-
-    Standard compatibility matrix (NATCracker [20], Ford et al. [23]):
-    cone-to-cone combinations succeed; a symmetric NAT paired with a
-    port-restricted cone or another symmetric NAT fails, because the
-    symmetric side's per-destination port cannot be predicted by the peer.
-    A symmetric NAT paired with a full cone or address-restricted cone still
-    works: the cone side's filter does not check the (unpredicted) port.
-    Note the paper treats ``sym`` as requiring relays — its traversal stack
-    is conservative — so :class:`~repro.nat.traversal.TraversalPolicy` can
-    also be configured to force relays for any symmetric endpoint.
-    """
-    if not a.is_natted or not b.is_natted:
-        return True
-    if a.is_symmetric and b.is_symmetric:
-        return False
-    if a.is_symmetric and b is NatType.PORT_RESTRICTED_CONE:
-        return False
-    if b.is_symmetric and a is NatType.PORT_RESTRICTED_CONE:
-        return False
-    return True

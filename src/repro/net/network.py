@@ -139,8 +139,9 @@ class Network:
           while measured frame sizes accumulate in :attr:`wire_audit`;
         - ``"measured"`` — bandwidth accounting and latency use the exact
           *encoded* frame size, making every byte count a measurement
-          instead of a model.  Sizes come from the codec's size-accumulator
-          path (no frame is built), so like ``"off"`` the receiver sees the
+          instead of a model.  The body is encoded for its length
+          (``wire.encoded_size``: no frame header or CRC is assembled and
+          nothing is decoded), so like ``"off"`` the receiver sees the
           sender's payload object; ``"verify"`` is the mode that exercises
           the full encode→decode loop.
         """

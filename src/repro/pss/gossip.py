@@ -48,13 +48,15 @@ class ExchangeListener(TypingProtocol):
     ) -> None: ...
 
 
+SHUFFLE_SIZE = 5  # entries shipped per exchange, besides self
+
+
 @dataclass(frozen=True)
 class PssConfig:
     """Tunables; defaults are the paper's experimental settings."""
 
     view_size: int = 10
     cycle_time: float = 10.0
-    shuffle_size: int = 5  # entries shipped per exchange, besides self
     exchange_keys: bool = False  # the public key sampling service
     response_timeout: float = 5.0
 
@@ -231,7 +233,7 @@ class PeerSamplingService:
             listener(target)
 
     def _send_request(self, target: NodeId) -> None:
-        sample = self.view.sample(self._rng, self.config.shuffle_size)
+        sample = self.view.sample(self._rng, SHUFFLE_SIZE)
         body = {
             "sender": self.cm.descriptor(),
             "buffer": self._shipped(sample, include_self=True),
@@ -269,7 +271,7 @@ class PeerSamplingService:
 
     def _on_request(self, peer: NodeId, body: dict) -> None:
         self.stats.received += 1
-        sample = self.view.sample(self._rng, self.config.shuffle_size)
+        sample = self.view.sample(self._rng, SHUFFLE_SIZE)
         response = {
             "sender": self.cm.descriptor(),
             # The passive side does not insert itself (shuffling [19]): per
@@ -304,7 +306,7 @@ class PeerSamplingService:
         shipped = [entry.via(self.node_id) for entry in sample]
         if include_self:
             own = ViewEntry(descriptor=self.cm.descriptor(), age=0)
-            shipped = [own] + shipped[: max(self.config.shuffle_size - 1, 0)]
+            shipped = [own] + shipped[: SHUFFLE_SIZE - 1]
         return shipped
 
     def _merge(

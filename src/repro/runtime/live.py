@@ -36,7 +36,7 @@ import socket as socket_module
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from ..crypto.costmodel import CostModel, CpuAccountant
+from ..crypto.costmodel import CpuAccountant
 from ..crypto.provider import make_provider
 from ..core.node import WhisperConfig, WhisperNode
 from ..nat.traversal import NodeDescriptor
@@ -426,7 +426,7 @@ class LiveRuntime:
         # Cost accounting still records what each operation *would* cost
         # under the paper's model; live runs additionally pay the real CPU
         # time, so nothing sleeps on the model's behalf.
-        self.cpu = CpuAccountant(CostModel(), rng=None)
+        self.cpu = CpuAccountant()
         # use_aes=False: pure-Python AES costs ~0.9 s of real CPU a message.
         self.provider = make_provider(
             provider, self.registry.stream("crypto"), self.cpu,

@@ -141,8 +141,7 @@ class Simulator:
         """Number of events that have fired so far."""
         return self._events_processed
 
-    @property
-    def live_events(self) -> int:
+    def pending(self) -> int:
         """Number of *live* events still queued (O(1)).
 
         Cancelled events awaiting lazy deletion are excluded: callers (and
@@ -150,10 +149,6 @@ class Simulator:
         heap occupancy.  An earlier revision returned ``len(self._queue)``,
         overstating queue depth after cancellation storms.
         """
-        return len(self._queue) - self._cancelled_in_queue
-
-    def pending(self) -> int:
-        """Alias for :attr:`live_events` (historical method form)."""
         return len(self._queue) - self._cancelled_in_queue
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Covers the regression cases called out for this change — the 64-step
 traversal cap in ``carries_trace``, flow extraction over
-duplicated/reordered observations, the seeded ``adversary_sweep``
-default — plus synthetic-tape attack semantics, countermeasure plumbing
+duplicated/reordered observations, ``adversary_sweep`` drawing from the
+caller's stream only — plus synthetic-tape attack semantics, countermeasure plumbing
 (WCL batched mixing, PPSS cover traffic) and the ``anonymity.*``
 telemetry surface.
 """
@@ -30,7 +30,7 @@ from repro.adversary.exposure import (
     carries_onion,
     carries_trace,
 )
-from repro.core.onion import OnionPacket
+from repro.core.onion import CircuitFrame, CircuitSetupPacket, OnionPacket
 from repro.crypto.provider import EncryptedPayload, Sealed
 from repro.harness.invariants import (
     RecoveryViolation,
@@ -77,6 +77,13 @@ class TestTraversalCap:
         assert carries_trace(relayed, 9)
         assert not carries_trace(relayed, 10)
         assert carries_onion(relayed)
+
+    def test_circuit_packets_carry_their_trace(self):
+        frame = CircuitFrame(circuit_id=1, body=None, trace_id=4)
+        setup = CircuitSetupPacket(header=None, trace_id=5)
+        relayed = {"kind": "nat.relay", "payload": {"payload": frame}}
+        assert carries_onion(relayed) and carries_trace(relayed, 4)
+        assert carries_onion(setup) and carries_trace(setup, 5)
 
     def test_deeply_nested_wrappers_hit_the_cap(self):
         """A payload nested past TRAVERSAL_CAP reports 'no trace found'."""
@@ -144,17 +151,18 @@ class TestAdversarySweepSeeding:
         return flows
 
     def test_default_is_deterministic_without_global_state(self):
+        """The sweep draws from the caller's stream only."""
         flows = self.flows()
         random.seed(1)
-        first = adversary_sweep(flows, trials=5, seed=3)
+        first = adversary_sweep(flows, random.Random(3), trials=5)
         random.seed(999)  # stdlib global state must not matter
-        second = adversary_sweep(flows, trials=5, seed=3)
+        second = adversary_sweep(flows, random.Random(3), trials=5)
         assert first == second
 
     def test_distinct_seeds_draw_distinct_adversaries(self):
         flows = self.flows()
-        assert adversary_sweep(flows, trials=5, seed=3) != adversary_sweep(
-            flows, trials=5, seed=4
+        assert adversary_sweep(flows, random.Random(3), trials=5) != adversary_sweep(
+            flows, random.Random(4), trials=5
         )
 
     def test_explicit_rng_is_honoured(self):
@@ -355,7 +363,6 @@ class TestMixBatchingUnit:
         with pytest.raises(ValueError):
             node.wcl.enable_mix_batching(0.0)
         node.wcl.enable_mix_batching(1.0)
-        node.wcl.disable_mix_batching()
 
 
 class TestAttackMitigationGate:

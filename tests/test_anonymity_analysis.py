@@ -6,6 +6,7 @@ import pytest
 
 from repro.adversary.exposure import adversary_sweep, exposure, extract_flows
 from repro.core.contact import Gateway, PrivateContact
+from repro.core.node import WhisperConfig
 from repro.harness import World, WorldConfig
 from repro.net.address import NodeKind
 from repro.net.observer import LinkObserver
@@ -118,6 +119,34 @@ class TestExposure:
 
     def test_empty_flows(self):
         assert exposure([], set()) == 0.0
-        assert adversary_sweep([], trials=2) == {
+        assert adversary_sweep([], random.Random(0), trials=2) == {
             0.1: 0.0, 0.25: 0.0, 0.5: 0.0, 0.75: 0.0, 0.9: 0.0,
         }
+
+
+class TestCircuitFlows:
+    def test_a_tapped_circuit_frame_yields_its_flow(self):
+        """Circuit-mode traffic is onion traffic to the tap: the data
+        frame's hops are extracted like a per-message onion's."""
+        world = World(
+            WorldConfig(seed=47, whisper=WhisperConfig(circuit_mode=True))
+        )
+        tap = LinkObserver()
+        tap.watch_all()
+        world.network.add_observer(tap)
+        world.populate(60)
+        world.start_all()
+        world.run(150.0)
+        src, dst = world.natted_nodes()[:2]
+        src.wcl.send_to(dst.wcl.self_contact(), "sets the circuit up", 256)
+        world.run(30.0)
+        circuit = src.wcl._circuits[dst.node_id]
+        assert circuit.established
+        attempt = src.wcl.send_to(dst.wcl.self_contact(), "on the circuit", 256)
+        world.run(30.0)
+        assert src.wcl.stats.circuit_sent == 1
+        flows = {f.trace_id: f for f in extract_flows(tap.packets)}
+        flow = flows[attempt.trace_id]
+        assert (flow.source, flow.destination) == (src.node_id, dst.node_id)
+        on_path = {node for hop in flow.hops for node in hop}
+        assert {circuit.first_mix, circuit.second_mix} <= on_path

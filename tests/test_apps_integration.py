@@ -1,10 +1,10 @@
-"""Integration tests: aggregation, T-Man and T-Chord over private groups."""
+"""Integration tests: T-Man and T-Chord over private groups."""
 
 import random
 
 import pytest
 
-from repro.apps import AggregationProtocol, TChordNode, average_merge, max_merge
+from repro.apps import TChordNode
 from repro.apps.chord import chord_id, in_interval, key_id
 from repro.core.ppss import MemberState
 from repro.harness import World, WorldConfig
@@ -30,49 +30,6 @@ def build_group(count=70, members=16, seed=51):
 @pytest.fixture(scope="module")
 def grouped():
     return build_group()
-
-
-class TestAggregation:
-    def test_max_converges(self):
-        world, members = build_group(count=60, members=10, seed=52)
-        protocols = []
-        for i, member in enumerate(members):
-            agg = AggregationProtocol(
-                name="maxagg",
-                ppss=member.group("app"),
-                sim=world.sim,
-                rng=world.registry.fork(f"agg-{i}").stream("a"),
-                initial=float(i * 10),
-                merge=max_merge,
-            )
-            member.group("app").set_app_handler(agg.handle_payload)
-            protocols.append(agg)
-        world.run(400.0)
-        values = [p.value for p in protocols]
-        expected = float((len(members) - 1) * 10)
-        assert values.count(expected) >= len(members) - 1
-
-    def test_average_conserves_and_converges(self):
-        world, members = build_group(count=60, members=10, seed=53)
-        protocols = []
-        for i, member in enumerate(members):
-            agg = AggregationProtocol(
-                name="avgagg",
-                ppss=member.group("app"),
-                sim=world.sim,
-                rng=world.registry.fork(f"avg-{i}").stream("a"),
-                initial=float(i),
-                merge=average_merge,
-            )
-            member.group("app").set_app_handler(agg.handle_payload)
-            protocols.append(agg)
-        world.run(600.0)
-        values = [p.value for p in protocols]
-        true_mean = sum(range(len(members))) / len(members)
-        # Push-pull averaging converges towards the mean; losses break exact
-        # mass conservation, so allow a tolerance band.
-        for value in values:
-            assert abs(value - true_mean) < 2.5
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 Covers the persistent-circuit path (amortized RSA) end to end plus the
 regression cases called out for this change: provider-scoped trace ids,
-the stale mix-batch flush after disable->re-enable, and the destination
+one mix-batch flush per pool at its boundary, and the destination
 delivery delay including the body decrypt.
 """
 
@@ -241,9 +241,9 @@ class TestProviderScopedTraceIds:
         assert t1 == t2
 
 
-class TestMixBatchReenable:
-    def test_stale_boundary_flush_does_not_drain_new_pool(self):
-        """disable->re-enable must orphan the old epoch's scheduled flush."""
+class TestMixBatchBoundary:
+    def test_pool_drains_at_its_boundary_only(self):
+        """One flush per pool, at the next multiple of the interval."""
         world = World(WorldConfig(seed=5))
         world.populate(4)
         node = world.nodes[1]
@@ -257,20 +257,16 @@ class TestMixBatchReenable:
                 self.trace_id = trace_id
                 self.wire_size = 16
 
-        wcl.enable_mix_batching(10.0)
-        wcl._hold_for_mixing(hop, FakePacket(1))  # schedules flush at t=10
-        wcl.disable_mix_batching()  # flushes, bumps epoch
-        assert wcl._mix_pool == []
         wcl.enable_mix_batching(100.0)
         world.run(0.5)
         wcl._hold_for_mixing(hop, FakePacket(2))  # boundary at t=100
-        # Run past the stale epoch's boundary (t=10): the old callback
-        # fires but must not drain the new pool early.
+        wcl._hold_for_mixing(hop, FakePacket(1))  # joins the same pool
         world.run(50.0)
-        assert len(wcl._mix_pool) == 1
-        # The new boundary does drain it.
+        assert len(wcl._mix_pool) == 2
         world.run(100.0)
         assert wcl._mix_pool == []
+        wcl._hold_for_mixing(hop, FakePacket(3))  # a new pool, boundary t=200
+        assert len(wcl._mix_pool) == 1
 
 
 class TestDeliveryDelayIncludesBodyDecrypt:
@@ -414,7 +410,7 @@ class TestCircuitLifecycle:
     def test_second_message_rides_the_circuit(self, circuit_world):
         w = circuit_world
         src, dst = w.natted_nodes()[0], w.natted_nodes()[1]
-        src.wcl.enable_circuits(600.0)
+        src.wcl.enable_circuits()
         received = []
         a1 = self.send(w, src, dst, {"m": 1}, received)
         assert a1 is not None
@@ -431,7 +427,7 @@ class TestCircuitLifecycle:
     def test_circuit_frames_charge_no_rsa(self, circuit_world):
         w = circuit_world
         src, dst = w.natted_nodes()[2], w.natted_nodes()[3]
-        src.wcl.enable_circuits(600.0)
+        src.wcl.enable_circuits()
         received = []
         self.send(w, src, dst, "warmup", received)
         circuit = src.wcl._circuits[dst.node_id]
@@ -451,7 +447,7 @@ class TestCircuitLifecycle:
         src, dst = w.natted_nodes()[4], w.natted_nodes()[5]
         received = []
         dst.wcl.set_receive_upcall(lambda c, s: received.append(c))
-        src.wcl.enable_circuits(600.0)
+        src.wcl.enable_circuits()
         # Swallow the setup packet: the handshake never completes.
         original = src.wcl.cm.send_via_session
 
@@ -474,10 +470,11 @@ class TestCircuitLifecycle:
         circuit = src.wcl._circuits[dst.node_id]
         assert not circuit.established
 
-    def test_expiry_mid_stream_rekeys(self, circuit_world):
+    def test_expiry_mid_stream_rekeys(self, circuit_world, monkeypatch):
         w = circuit_world
         src, dst = w.natted_nodes()[6], w.natted_nodes()[7]
-        src.wcl.enable_circuits(lifetime=40.0)
+        monkeypatch.setattr("repro.core.wcl.CIRCUIT_LIFETIME", 40.0)
+        src.wcl.enable_circuits()
         received = []
         self.send(w, src, dst, "establish", received)
         old = src.wcl._circuits[dst.node_id]
@@ -510,7 +507,7 @@ class TestCircuitLifecycle:
     def test_excluded_pair_tears_down_circuit(self, circuit_world):
         w = circuit_world
         src, dst = w.natted_nodes()[9], w.natted_nodes()[0]
-        src.wcl.enable_circuits(600.0)
+        src.wcl.enable_circuits()
         received = []
         self.send(w, src, dst, "establish", received)
         circuit = src.wcl._circuits[dst.node_id]
@@ -528,19 +525,6 @@ class TestCircuitLifecycle:
         assert dst.node_id not in src.wcl._circuits
         w.run(30.0)
         assert received[-1] == "retry"
-
-    def test_disable_circuits_restores_per_message(self, circuit_world):
-        w = circuit_world
-        src, dst = w.natted_nodes()[1], w.natted_nodes()[2]
-        src.wcl.enable_circuits(600.0)
-        received = []
-        self.send(w, src, dst, "a", received)
-        src.wcl.disable_circuits()
-        assert src.wcl._circuits == {}
-        sent_on_circuit = src.wcl.stats.circuit_sent
-        self.send(w, src, dst, "b", received)
-        assert received[-1] == "b"
-        assert src.wcl.stats.circuit_sent == sent_on_circuit
 
 
 class TestCircuitModeOffIsInert:
@@ -603,7 +587,7 @@ class TestCircuitModeOffIsInert:
         w = World(
             WorldConfig(
                 seed=13,
-                whisper=WhisperConfig(circuit_mode=True, circuit_lifetime=300.0),
+                whisper=WhisperConfig(circuit_mode=True),
             )
         )
         w.populate(30)
@@ -611,4 +595,3 @@ class TestCircuitModeOffIsInert:
         w.run(200.0)
         for n in w.alive_nodes():
             assert n.wcl.circuit_mode
-            assert n.wcl._circuit_lifetime == 300.0

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
-    CostModel,
     CpuAccountant,
     CryptoError,
     RealCryptoProvider,
     SimCryptoProvider,
 )
+from repro.crypto.costmodel import RSA_DECRYPT_MS, aes_ms
 from repro.crypto.provider import EncryptedPayload, LayeredPayload, Sealed
 from repro.wire.codec import decode_value, encode_value
 
@@ -202,13 +202,11 @@ class TestCostAccounting:
         assert accountant.node_context_ms(1, "unused") == 0
 
     def test_aes_cost_scales_with_size(self):
-        model = CostModel()
-        assert model.aes_ms(20_480) > model.aes_ms(1_024) > 0
+        assert aes_ms(20_480) > aes_ms(1_024) > 0
 
     def test_rsa_dwarfs_aes(self):
         """The paper's Table II: RSA cost >> AES cost for 20 KB exchanges."""
-        model = CostModel()
-        assert model.rsa_decrypt_ms > 100 * model.aes_ms(20_480 // 10)
+        assert RSA_DECRYPT_MS > 100 * aes_ms(20_480 // 10)
 
     def test_op_breakdown_merges_contexts(self):
         accountant = CpuAccountant()
@@ -228,9 +226,7 @@ class TestCostAccounting:
         assert accountant.node_total_ms(1) == 0.0
         assert accountant.nodes() == []
         accountant.aes(1, 1024)
-        assert accountant.node_total_ms(1) == pytest.approx(
-            accountant.model.aes_ms(1024)
-        )
+        assert accountant.node_total_ms(1) == pytest.approx(aes_ms(1024))
 
     @settings(max_examples=50, deadline=None)
     @given(

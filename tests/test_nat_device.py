@@ -3,7 +3,7 @@
 import pytest
 
 from repro.nat.device import NatDevice
-from repro.nat.types import NatType, hole_punching_possible
+from repro.nat.types import NatType
 from repro.net.address import Endpoint, Protocol
 
 INTERNAL = Endpoint("priv-1", 7000)
@@ -101,28 +101,3 @@ class TestFiltering:
         assert device.inbound(ext.port, REMOTE_A, Protocol.UDP, now=250.0) == INTERNAL
         # Without the inbound refresh this would be past the original lease.
         assert device.inbound(ext.port, REMOTE_A, Protocol.UDP, now=500.0) == INTERNAL
-
-
-class TestHolePunchingMatrix:
-    def test_cone_cone_succeeds(self):
-        assert hole_punching_possible(NatType.FULL_CONE, NatType.PORT_RESTRICTED_CONE)
-        assert hole_punching_possible(
-            NatType.RESTRICTED_CONE, NatType.RESTRICTED_CONE
-        )
-
-    def test_symmetric_symmetric_fails(self):
-        assert not hole_punching_possible(NatType.SYMMETRIC, NatType.SYMMETRIC)
-
-    def test_symmetric_port_restricted_fails(self):
-        assert not hole_punching_possible(
-            NatType.SYMMETRIC, NatType.PORT_RESTRICTED_CONE
-        )
-        assert not hole_punching_possible(
-            NatType.PORT_RESTRICTED_CONE, NatType.SYMMETRIC
-        )
-
-    def test_symmetric_full_cone_succeeds(self):
-        assert hole_punching_possible(NatType.SYMMETRIC, NatType.FULL_CONE)
-
-    def test_public_peer_always_reachable(self):
-        assert hole_punching_possible(NatType.OPEN, NatType.SYMMETRIC)

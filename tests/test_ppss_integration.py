@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ppss import MemberState
+from repro.core.ppss import VIEW_SIZE, MemberState
 from repro.harness import World, WorldConfig
 
 
@@ -51,7 +51,7 @@ class TestGroupMembership:
         _world, members = grouped
         for member in members:
             ppss = member.group("g")
-            expected = min(ppss.config.view_size, len(members) - 1)
+            expected = min(VIEW_SIZE, len(members) - 1)
             assert ppss.view_size() >= expected - 1
 
     def test_private_views_only_contain_members(self, grouped):

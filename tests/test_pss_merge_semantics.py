@@ -12,6 +12,7 @@ from repro.harness import World, WorldConfig
 from repro.nat.traversal import NodeDescriptor
 from repro.nat.types import NatType
 from repro.net.address import Endpoint, NodeKind
+from repro.pss.gossip import SHUFFLE_SIZE
 from repro.pss.view import ViewEntry
 
 
@@ -185,18 +186,18 @@ class TestShippedBuffer:
         service.view.replace_all(
             [ViewEntry(descriptor=natted_descriptor(100 + i), age=0) for i in range(6)]
         )
-        sample = service.view.sample(service._rng, service.config.shuffle_size)
+        sample = service.view.sample(service._rng, SHUFFLE_SIZE)
         shipped = service._shipped(sample, include_self=True)
         assert shipped[0].node_id == service.node_id
         assert shipped[0].age == 0
-        assert len(shipped) <= service.config.shuffle_size
+        assert len(shipped) <= SHUFFLE_SIZE
 
     def test_passive_buffer_excludes_self(self, pss):
         _world, service = pss
         service.view.replace_all(
             [ViewEntry(descriptor=natted_descriptor(100 + i), age=0) for i in range(6)]
         )
-        sample = service.view.sample(service._rng, service.config.shuffle_size)
+        sample = service.view.sample(service._rng, SHUFFLE_SIZE)
         shipped = service._shipped(sample, include_self=False)
         assert all(e.node_id != service.node_id for e in shipped)
 

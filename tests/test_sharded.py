@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.harness.sharded import ShardedWorld
-from repro.harness.world import WorldConfig
+from repro.harness.world import INTRODUCER_COUNT, WorldConfig
 from repro.net.address import NodeKind
 from repro.parallel.executor import derive_seed
 
@@ -80,7 +80,7 @@ class TestPartitioning:
     def test_introducers_are_the_first_public_nodes_globally(self):
         world = _build()
         descriptors = world.introducers()
-        assert len(descriptors) == world.config.introducer_count
+        assert len(descriptors) == INTRODUCER_COUNT
         ids = [d.node_id for d in descriptors]
         assert ids == sorted(ids)  # id order, not partition order
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.nat.traversal import NodeDescriptor, TraversalPolicy
-from repro.nat.types import NatType
+from repro.nat.traversal import NodeDescriptor
+from repro.nat.types import EMULATED_TYPES, NatType
 from repro.net.address import NodeKind
 
 from .helpers import MiniWorld
@@ -124,6 +124,41 @@ class TestHolePunching:
         assert (1, "app.msg", "punched") in b.inbox
 
 
+class TestTraversalDecision:
+    """Every requester type against every natted target, through an RV:
+    "sym NAT devices require the use of relay nodes by the Nylon layer",
+    and every other pair punches a direct session."""
+
+    @pytest.mark.parametrize("target_type", EMULATED_TYPES, ids=lambda t: t.value)
+    @pytest.mark.parametrize(
+        "requester_type", (NatType.OPEN, *EMULATED_TYPES), ids=lambda t: t.value
+    )
+    def test_direct_iff_neither_side_is_symmetric(self, requester_type, target_type):
+        world = MiniWorld()
+        a = world.add(1, requester_type)
+        b = world.add(2, target_type)
+        world.add(3, NatType.OPEN)
+        setup_rendezvous(world, [1, 2], 3)
+        descriptor_b = NodeDescriptor(
+            node_id=2, kind=NodeKind.NATTED, nat_type=target_type, route=(3,),
+        )
+        ready = []
+        a.cm.ensure_session(descriptor_b, lambda: ready.append(1), pytest.fail)
+        world.run(3.0)
+        assert ready == [1]
+        session = a.cm.session(2)
+        assert session is not None
+        assert session.is_relayed == (
+            requester_type.is_symmetric or target_type.is_symmetric
+        )
+        assert a.cm.send_via_session(2, "app.req", "ping", 64, "app")
+        world.run(1.0)
+        assert (1, "app.req", "ping") in b.inbox
+        assert b.cm.send_via_session(1, "app.resp", "pong", 64, "app")
+        world.run(1.0)
+        assert (2, "app.resp", "pong") in a.inbox
+
+
 class TestRelaying:
     def test_symmetric_pair_relays(self):
         world = MiniWorld()
@@ -165,8 +200,8 @@ class TestRelaying:
         assert (2, "app.resp", "pong") in a.inbox
 
     def test_paper_policy_relays_symmetric_even_vs_full_cone(self):
-        """With the paper's policy, any symmetric endpoint means relay."""
-        world = MiniWorld(policy=TraversalPolicy(force_relay_for_symmetric=True))
+        """As in the paper, any symmetric endpoint means relay."""
+        world = MiniWorld()
         a = world.add(1, NatType.FULL_CONE)
         world.add(2, NatType.SYMMETRIC)
         world.add(3, NatType.OPEN)
