@@ -156,7 +156,3 @@ class TManProtocol:
         self.view = {e.node_id: e for e in kept}
         if self._on_view_change is not None:
             self._on_view_change(self.entries())
-
-    def drop_peer(self, node_id: NodeId) -> None:
-        """Evict a failed neighbour from the application view."""
-        self.view.pop(node_id, None)

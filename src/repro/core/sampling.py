@@ -58,9 +58,6 @@ class ZipfSampler:
         u = self._rng.random()
         return bisect_left(self._cdf, u) + 1
 
-    def sample_many(self, count: int) -> list[int]:
-        return [self.sample() for _ in range(count)]
-
     def probability(self, rank: int) -> float:
         """The exact model probability of ``rank`` (for shape tests)."""
         if not 1 <= rank <= self.n:

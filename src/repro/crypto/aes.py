@@ -8,8 +8,8 @@ simulations that only need *costs* can use the SHA-256 stream cipher in
 :mod:`repro.crypto.stream` instead; the cost model charges AES time either
 way.
 
-CTR mode only needs the forward cipher, so block decryption is provided for
-completeness/testing but unused on the hot path.
+CTR mode only needs the forward cipher, so that is the only direction
+implemented.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ _SBOX = [
     0xB0, 0x54, 0xBB, 0x16,
 ]
 
-_INV_SBOX = [0] * 256
-for _i, _v in enumerate(_SBOX):
-    _INV_SBOX[_v] = _i
-
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -54,17 +50,6 @@ def _xtime(a: int) -> int:
     if a & 0x100:
         a ^= 0x11B
     return a
-
-
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication (schoolbook; key path uses _xtime chains)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
 
 
 class AES128:
@@ -101,23 +86,10 @@ class AES128:
             state[i] = _SBOX[state[i]]
 
     @staticmethod
-    def _inv_sub_bytes(state: list[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
     def _shift_rows(state: list[int]) -> list[int]:
         # state[col*4 + row]; row r rotates left by r.
         return [
             state[(4 * ((col + row) % 4)) + row]
-            for col in range(4)
-            for row in range(4)
-        ]
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> list[int]:
-        return [
-            state[(4 * ((col - row) % 4)) + row]
             for col in range(4)
             for row in range(4)
         ]
@@ -130,15 +102,6 @@ class AES128:
             state[c + 1] = a0 ^ _xtime(a1) ^ _xtime(a2) ^ a2 ^ a3
             state[c + 2] = a0 ^ a1 ^ _xtime(a2) ^ _xtime(a3) ^ a3
             state[c + 3] = _xtime(a0) ^ a0 ^ a1 ^ a2 ^ _xtime(a3)
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = state[c : c + 4]
-            state[c] = _gmul(a0, 14) ^ _gmul(a1, 11) ^ _gmul(a2, 13) ^ _gmul(a3, 9)
-            state[c + 1] = _gmul(a0, 9) ^ _gmul(a1, 14) ^ _gmul(a2, 11) ^ _gmul(a3, 13)
-            state[c + 2] = _gmul(a0, 13) ^ _gmul(a1, 9) ^ _gmul(a2, 14) ^ _gmul(a3, 11)
-            state[c + 3] = _gmul(a0, 11) ^ _gmul(a1, 13) ^ _gmul(a2, 9) ^ _gmul(a3, 14)
 
     def _add_round_key(self, state: list[int], round_index: int) -> None:
         round_key = self._round_keys[round_index]
@@ -159,21 +122,6 @@ class AES128:
         self._sub_bytes(state)
         state = self._shift_rows(state)
         self._add_round_key(state, self.ROUNDS)
-        return bytes(state)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self.ROUNDS)
-        for round_index in range(self.ROUNDS - 1, 0, -1):
-            state = self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, round_index)
-            self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, 0)
         return bytes(state)
 
 

@@ -143,13 +143,6 @@ class CpuAccountant:
             if op.startswith(op_prefix)
         )
 
-    def node_context_ms(self, node: NodeId, context: str) -> float:
-        return sum(
-            record.total_ms
-            for (_op, ctx), record in self._records.get(node, {}).items()
-            if ctx == context
-        )
-
     def op_breakdown(self, node: NodeId) -> dict[str, OpRecord]:
         """Aggregate per-operation records for a node (contexts merged)."""
         merged: dict[str, OpRecord] = defaultdict(OpRecord)

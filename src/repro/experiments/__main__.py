@@ -16,7 +16,7 @@ import argparse
 import inspect
 import sys
 
-from ..faults import FaultPlanError
+from ..churn.script import ChurnScriptError
 from ..harness.invariants import RecoveryViolation
 
 from . import (
@@ -51,7 +51,7 @@ EXPERIMENTS = {
     "table2": ("Table II — CPU per PPSS cycle", table2_cpu.run),
     "fig8": ("Fig. 8 — bandwidth vs groups", fig8_group_bandwidth.run),
     "fig9": ("Fig. 9 — T-Chord routing delays", fig9_tchord.run),
-    "wire": ("Wire format — codec throughput and measured sizes",
+    "wire": ("Wire format — measured vs estimated frame sizes",
              wire_format.run),
     "scale": ("Scale — 5,000-node PSS+WCL headroom", scale_experiment.run),
     "scale100k": ("Scale100k — 100,000-node sharded gossip window",
@@ -94,8 +94,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--fault-plan", default=None, metavar="PATH",
-        help="JSON FaultPlan file to run instead of the built-in schedule "
-             "(soak)",
+        help="file of churn-script fault lines (e.g. 'from 3s to 6s loss "
+             "25%%') to run instead of the built-in schedule (soak)",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         except RecoveryViolation as exc:
             print(f"{name}: FAILED — {exc}", file=sys.stderr)
             return 1
-        except FaultPlanError as exc:
+        except ChurnScriptError as exc:
             print(f"{name}: bad fault plan — {exc}", file=sys.stderr)
             return 1
         print(report.render())

@@ -9,17 +9,46 @@ sanity runs.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable
 
 from ..core.node import WhisperNode
 from ..core.ppss import PpssConfig
 from ..harness.world import World
+from ..net.address import NodeId
+from ..net.bandwidth import TrafficTotals
 
-__all__ = ["scaled", "subscribe_groups", "tally_exchanges", "GroupPlan"]
+__all__ = [
+    "scaled", "subscribe_groups", "tally_exchanges", "traffic_window", "GroupPlan",
+]
 
 
 def scaled(count: int, scale: float, minimum: int = 10) -> int:
     return max(minimum, round(count * scale))
+
+
+def traffic_window(world: World, seconds: float) -> dict[NodeId, TrafficTotals]:
+    """Run ``world`` for ``seconds``; the bytes each node moved meanwhile.
+
+    The difference of two lifetime readings of the fabric's bandwidth
+    accountant.  A node is in the window iff its totals changed.
+    """
+    accountant = world.network.accountant
+    before = accountant.all_totals()
+    world.run(seconds)
+    window: dict[NodeId, TrafficTotals] = {}
+    for node, after in accountant.all_totals().items():
+        start = before.get(node, TrafficTotals())
+        if (after.up_bytes, after.down_bytes) == (start.up_bytes, start.down_bytes):
+            continue
+        up, down = Counter(after.up_by_category), Counter(after.down_by_category)
+        up.subtract(start.up_by_category)
+        down.subtract(start.down_by_category)
+        window[node] = TrafficTotals(
+            after.up_bytes - start.up_bytes, after.down_bytes - start.down_bytes,
+            up, down,
+        )
+    return window
 
 
 class GroupPlan:

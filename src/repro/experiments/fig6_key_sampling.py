@@ -27,7 +27,7 @@ from ..harness.world import World, WorldConfig
 from ..net.address import NodeKind
 from ..parallel import SweepSpec, derive_seed, run_sweep
 from ..pss.gossip import PssConfig
-from .common import scaled
+from .common import scaled, traffic_window
 
 __all__ = ["run", "CONFIGS"]
 
@@ -66,9 +66,7 @@ def _point(point) -> tuple[float, float, float, float]:
     world.populate(n_nodes)
     world.start_all()
     world.run(warmup_cycles * cycle)
-    world.network.accountant.snapshot()  # reset the window
-    world.run(window_cycles * cycle)
-    window = world.network.accountant.snapshot()
+    window = traffic_window(world, window_cycles * cycle)
     return _per_cycle_kb(world, window, window_cycles)
 
 

@@ -5,9 +5,9 @@ and leads one).  The number of groups each node subscribes to sweeps 1, 2,
 4, ..., 32; the result is the distribution (stacked percentiles
 5/25/50/75/90) of upload and download bandwidth for P-nodes and N-nodes.
 
-Per-node byte totals come from the telemetry counters ``net.up_bytes`` /
-``net.down_bytes`` maintained by the network fabric; the measurement window
-is the difference between two counter snapshots.
+Per-node bytes come from the fabric's bandwidth accountant; the
+measurement window is the difference of two lifetime readings
+(:func:`~repro.experiments.common.traffic_window`).
 
 Expected shape: bandwidth grows linearly with the number of subscribed
 groups; P-nodes pay more than N-nodes (mix/gateway duty) but stay within
@@ -22,7 +22,7 @@ from ..harness.world import World, WorldConfig
 from ..metrics.stats import stacked_percentiles
 from ..net.address import NodeKind
 from ..parallel import SweepSpec, derive_seed, run_sweep
-from .common import GroupPlan, scaled, subscribe_groups
+from .common import GroupPlan, scaled, subscribe_groups, traffic_window
 
 __all__ = ["run", "GROUPS_PER_NODE"]
 
@@ -34,15 +34,10 @@ def run(
     seed: int = 1008,
     memberships: tuple[int, ...] = GROUPS_PER_NODE,
     window_cycles: int = 5,
-    wire_mode: str = "off",
     workers: int = 1,
 ) -> Report:
-    """``wire_mode="measured"`` re-runs the figure with codec-true frame
-    sizes instead of the paper's ``WireSizes`` estimates (see
-    EXPERIMENTS.md, "Wire format")."""
-    suffix = " [codec-measured sizes]" if wire_mode == "measured" else ""
     report = Report(
-        title="Fig. 8 — Bandwidth vs. groups per node (KB/s, PlanetLab)" + suffix
+        title="Fig. 8 — Bandwidth vs. groups per node (KB/s, PlanetLab)"
     )
     n_nodes = scaled(400, scale, minimum=60)
     for direction in ("up", "down"):
@@ -59,7 +54,7 @@ def run(
         name="fig8",
         points=tuple(
             (per_node, derive_seed(seed, "fig8", per_node), n_nodes,
-             window_cycles, wire_mode)
+             window_cycles)
             for per_node in memberships
         ),
         worker=_point,
@@ -82,20 +77,12 @@ def run(
 
 def _point(point):
     """One membership-count world reduced to its four percentile rows."""
-    per_node, point_seed, n_nodes, window_cycles, wire_mode = point
-    return _run_one(per_node, point_seed, n_nodes, window_cycles, wire_mode)
+    per_node, point_seed, n_nodes, window_cycles = point
+    return _run_one(per_node, point_seed, n_nodes, window_cycles)
 
 
-def _run_one(
-    per_node: int, seed: int, n_nodes: int, window_cycles: int,
-    wire_mode: str = "off",
-):
-    world = World(
-        WorldConfig(
-            seed=seed, latency="planetlab", telemetry_enabled=True,
-            wire_mode=wire_mode,
-        )
-    )
+def _run_one(per_node: int, seed: int, n_nodes: int, window_cycles: int):
+    world = World(WorldConfig(seed=seed, latency="planetlab"))
     world.populate(n_nodes)
     world.start_all()
     world.run(120.0)
@@ -106,30 +93,18 @@ def _run_one(
     subscribe_groups(world, plan, per_node=per_node)
     # Joins are retried every 15 s; give larger memberships longer to settle.
     world.run(180.0 + 10.0 * per_node)
-    metrics = world.telemetry.metrics
-    before = _per_node_bytes(metrics)
     window_seconds = window_cycles * 60.0
-    world.run(window_seconds)
-    after = _per_node_bytes(metrics)
+    window = traffic_window(world, window_seconds)
 
     rows = []
-    for direction in ("up", "down"):
+    for direction in ("up_bytes", "down_bytes"):
         for kind in (NodeKind.PUBLIC, NodeKind.NATTED):
             samples = []
             for node in world.alive_nodes():
                 if node.cm.kind is not kind:
                     continue
-                byte_count = after[direction].get(node.node_id, 0) - before[
-                    direction
-                ].get(node.node_id, 0)
+                totals = window.get(node.node_id)
+                byte_count = getattr(totals, direction) if totals else 0
                 samples.append(byte_count / window_seconds / 1024.0)
             rows.append(stacked_percentiles(samples))
     return rows
-
-
-def _per_node_bytes(metrics) -> dict[str, dict[object, float]]:
-    """Per-node cumulative byte totals from the fabric's telemetry counters."""
-    return {
-        "up": metrics.values_by_label("net.up_bytes", "node"),
-        "down": metrics.values_by_label("net.down_bytes", "node"),
-    }

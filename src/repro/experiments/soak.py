@@ -35,16 +35,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from ..churn.script import ChurnScriptError, parse_script
 from ..core.node import WhisperConfig, WhisperNode
 from ..core.ppss import MemberState, PpssConfig
 from ..faults.live import LiveFaultFabric
-from ..faults.plan import (
-    FaultPlan,
-    FaultPlanError,
-    LossBurst,
-    NatRebind,
-    Stall,
-)
+from ..faults.plan import FaultPlan, is_fault_directive
 from ..harness.invariants import RecoveryViolation, check_post_heal_success
 from ..harness.report import Report, Table
 from ..nat.traversal import TraversalPolicy
@@ -70,12 +65,24 @@ _AFTER = (9.5, 13.5)
 _KILL_AT = 5.0
 _TAIL = 1.0  # run past the last window so trailing deliveries land
 
-DEFAULT_PLAN = FaultPlan(
-    [
-        LossBurst(3.0, 6.0, 0.25),
-        Stall(4.0, 0.05, 2.0),
-        NatRebind(6.5, 0.1),
-    ]
+
+def _parse_plan(text: str) -> FaultPlan:
+    """A fault schedule from churn-script lines; churn directives are errors."""
+    directives = []
+    for line in text.splitlines():
+        for directive in parse_script(line):
+            if not is_fault_directive(directive):
+                raise ChurnScriptError(f"not a fault directive: {line!r}")
+            directives.append(directive)
+    return FaultPlan(tuple(directives))
+
+
+DEFAULT_PLAN = _parse_plan(
+    """
+    from 3s to 6s loss 25%
+    at 4s stall 5% for 2s
+    at 6.5s rebind nat 10%
+    """
 )
 
 
@@ -393,8 +400,8 @@ def run(
             with open(fault_plan, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise FaultPlanError(f"cannot read fault plan: {exc}") from exc
-        plan = FaultPlan.from_json(text)
+            raise ChurnScriptError(f"cannot read fault plan: {exc}") from exc
+        plan = _parse_plan(text)
     else:
         plan = default_plan()
     result = run_soak(n_nodes, seed=seed, plan=plan, trace_out=trace_out)

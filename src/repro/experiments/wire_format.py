@@ -3,17 +3,17 @@
 The paper's bandwidth figures (Fig. 6, Fig. 8) are computed from size
 *estimates*: 1 KB public keys, 40-byte view entries, 128-byte onion
 layer overheads.  With the binary codec those numbers become measurable.
-This experiment reports three things:
+This experiment reports two things, both a pure function of the seed:
 
-1. codec throughput — encode/decode rate over realistic payloads of
-   every registered message kind (the cost a live deployment pays per
-   message, with no simulator in the loop);
-2. measured vs estimated frame sizes — a sim run with the codec in
+1. measured vs estimated frame sizes — a sim run with the codec in
    ``"verify"`` mode records, for every fabric message, the bytes the
    codec produced next to the bytes the protocol layer claimed;
-3. figure deltas — Fig. 6's headline cell re-run with ``"measured"``
+2. figure deltas — Fig. 6's headline cell re-run with ``"measured"``
    sizes, quantifying how the codec-true bytes shift the per-cycle
    bandwidth the paper reports.
+
+Codec speed is measured end to end by the repository benchmark
+(``bench/``: ``live_udp``'s per-layer ``wire.*`` metrics), not here.
 
 Note the sim-provider caveat: in sim-crypto worlds, sealed envelopes
 charge their *modelled* sizes but encode as structural placeholders, so
@@ -24,12 +24,8 @@ provider-independent.
 
 from __future__ import annotations
 
-import time
-
-from .. import wire
 from ..harness.report import Report, Table
 from ..harness.world import World, WorldConfig
-from ..wire.samples import SampleContext, sample_kinds, sample_payload
 from .common import scaled
 from .fig6_key_sampling import run as fig6_run
 
@@ -38,7 +34,6 @@ __all__ = ["run"]
 
 def run(scale: float = 1.0, seed: int = 1010) -> Report:
     report = Report(title="Wire format — codec throughput and measured sizes")
-    report.add(_throughput_table(seed))
     report.add(_audit_table(scale, seed))
     _fig6_delta(report, scale, seed)
     report.note(
@@ -50,34 +45,6 @@ def run(scale: float = 1.0, seed: int = 1010) -> Report:
         "so onion-bearing kinds are measured floors, not RSA byte counts."
     )
     return report
-
-
-def _throughput_table(seed: int, per_kind: int = 200) -> Table:
-    table = Table(
-        title="Codec throughput (sim-crypto payloads)",
-        headers=["kind", "bytes/frame", "encode/s", "decode/s", "enc MB/s"],
-    )
-    ctx = SampleContext.fresh(seed=seed)
-    for kind in sample_kinds():
-        payloads = [sample_payload(kind, ctx) for _ in range(8)]
-        frames = [wire.encode_message(kind, p) for p in payloads]
-        t0 = time.perf_counter()
-        for i in range(per_kind):
-            wire.encode_message(kind, payloads[i % len(payloads)])
-        t_enc = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for i in range(per_kind):
-            wire.decode_message(frames[i % len(frames)])
-        t_dec = time.perf_counter() - t0
-        mean_bytes = sum(len(f) for f in frames) / len(frames)
-        table.add_row(
-            kind,
-            round(mean_bytes),
-            round(per_kind / max(t_enc, 1e-9)),
-            round(per_kind / max(t_dec, 1e-9)),
-            mean_bytes * per_kind / max(t_enc, 1e-9) / (1024 * 1024),
-        )
-    return table
 
 
 def _audit_table(scale: float, seed: int) -> Table:

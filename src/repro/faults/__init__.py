@@ -4,8 +4,7 @@ See :mod:`.plan` for the fault taxonomy, :mod:`.injector` for the one plan
 executor (:class:`~repro.faults.injector.FaultExecutor`) and its simulator
 port, and :mod:`.live` for its port onto real UDP datagrams
 (:class:`~repro.faults.LiveFaultFabric`).  Fault directives are also
-scriptable through the churn script language
-(:mod:`repro.churn.script`)::
+written in the churn script language (:mod:`repro.churn.script`)::
 
     from 300s to 600s partition groups a|b
     at 400s blackhole 5 -> 9
@@ -17,8 +16,7 @@ scriptable through the churn script language
     from 700s to 760s duplicate 10%
     from 700s to 760s reorder 10% by 80ms
 
-and serializable to/from canonical JSON (``FaultPlan.to_json`` /
-``FaultPlan.from_json``) so soak schedules travel on CLIs.
+The soak's ``--fault-plan PATH`` reads a file of such lines.
 """
 
 from .injector import FaultExecutor, FaultInjector, FaultStats
@@ -29,7 +27,6 @@ from .plan import (
     Duplicate,
     FaultDirective,
     FaultPlan,
-    FaultPlanError,
     LossBurst,
     NatRebind,
     NatReset,
@@ -47,7 +44,6 @@ __all__ = [
     "FaultExecutor",
     "FaultInjector",
     "FaultPlan",
-    "FaultPlanError",
     "FaultStats",
     "LiveFaultFabric",
     "LossBurst",

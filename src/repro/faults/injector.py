@@ -242,8 +242,6 @@ class FaultExecutor:
         for delay in self._delays:
             if delay.rate >= 1.0 or rng.random() < delay.rate:
                 extra += delay.delay
-                if delay.jitter:
-                    extra += rng.random() * delay.jitter
                 stats.delays_injected += 1
                 self._count("fault.shaped", kind="delay")
         for duplicate in self._duplicates:
@@ -364,9 +362,6 @@ class FaultExecutor:
     # ------------------------------------------------------------------
     def stalled_nodes(self) -> set[NodeId]:
         return set(self._stalled)
-
-    def partition_active(self) -> bool:
-        return self._partition is not None
 
     def decision_digest(self) -> tuple[tuple[str, tuple[NodeId, ...]], ...]:
         """Every plan-level fault decision so far, in execution order.

@@ -5,8 +5,8 @@ deployments also see *partial* failures: links that silently blackhole,
 loss-rate bursts, network partitions that later heal, nodes that stall
 (alive but dropping everything) and NAT boxes that reboot and forget their
 mappings.  This module declares those faults as data — small frozen
-dataclasses that a script parser (see :mod:`repro.churn.script`) or an
-experiment builds directly — and bundles them into a :class:`FaultPlan`
+dataclasses that the script parser (see :mod:`repro.churn.script`) or an
+experiment builds — and bundles them into a :class:`FaultPlan`
 that the :class:`~repro.faults.injector.FaultExecutor` executes on either
 clock: simulated (:class:`~repro.faults.injector.FaultInjector`) or live
 (:class:`~repro.faults.LiveFaultFabric`).
@@ -17,8 +17,7 @@ scripts), so the same plan can run after any warm-up period.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 from ..net.address import NodeId
@@ -35,7 +34,6 @@ __all__ = [
     "NatRebind",
     "FaultDirective",
     "FaultPlan",
-    "FaultPlanError",
     "is_fault_directive",
 ]
 
@@ -141,23 +139,19 @@ class Delay:
     """Extra per-message transit delay of ``delay`` seconds during [start, end].
 
     Each affected message (a ``rate`` fraction of traffic) is held back by
-    ``delay`` plus a uniform draw from [0, jitter] — the bufferbloat /
-    congested-uplink failure mode.  On the live fabric the hold-back is a
-    real scheduler timer between ``sendto`` calls; in the simulator it adds
-    to the latency model's transit time.
+    ``delay`` — the bufferbloat / congested-uplink failure mode.  On the
+    live fabric the hold-back is a real scheduler timer between ``sendto``
+    calls; in the simulator it adds to the latency model's transit time.
     """
 
     start: float
     end: float
     delay: float
-    jitter: float = 0.0
     rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.delay <= 0:
             raise ValueError("delay must be positive")
-        if self.jitter < 0:
-            raise ValueError("delay jitter cannot be negative")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"delay rate out of range: {self.rate}")
         if self.end < self.start:
@@ -235,23 +229,6 @@ _FAULT_TYPES = (
     Delay, Duplicate, Reorder, NatRebind,
 )
 
-_KIND_TO_TYPE = {
-    "blackhole": Blackhole,
-    "loss": LossBurst,
-    "partition": Partition,
-    "stall": Stall,
-    "nat_reset": NatReset,
-    "delay": Delay,
-    "duplicate": Duplicate,
-    "reorder": Reorder,
-    "nat_rebind": NatRebind,
-}
-_TYPE_TO_KIND = {cls: kind for kind, cls in _KIND_TO_TYPE.items()}
-
-
-class FaultPlanError(ValueError):
-    """A serialized fault plan could not be parsed."""
-
 
 def is_fault_directive(directive: object) -> bool:
     """Whether a parsed script directive belongs to the fault subsystem."""
@@ -280,54 +257,3 @@ class FaultPlan:
 
     def __iter__(self):
         return iter(self.directives)
-
-    # ------------------------------------------------------------------
-    # serialization: soak schedules travel on CLIs
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, no whitespace variance)."""
-        rows = []
-        for directive in self.directives:
-            row: dict[str, object] = {"kind": _TYPE_TO_KIND[type(directive)]}
-            for spec in fields(directive):
-                row[spec.name] = getattr(directive, spec.name)
-            rows.append(row)
-        return json.dumps({"directives": rows}, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse :meth:`to_json` output; raises :class:`FaultPlanError`."""
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict) or "directives" not in document:
-            raise FaultPlanError('fault plan needs a top-level "directives" list')
-        rows = document["directives"]
-        if not isinstance(rows, list):
-            raise FaultPlanError('"directives" must be a list')
-        directives: list[FaultDirective] = []
-        for index, row in enumerate(rows):
-            if not isinstance(row, dict) or "kind" not in row:
-                raise FaultPlanError(f'directive #{index} needs a "kind" field')
-            kind = row["kind"]
-            directive_type = _KIND_TO_TYPE.get(kind)
-            if directive_type is None:
-                raise FaultPlanError(
-                    f"directive #{index}: unknown kind {kind!r} "
-                    f"(expected one of {sorted(_KIND_TO_TYPE)})"
-                )
-            kwargs = {k: v for k, v in row.items() if k != "kind"}
-            known = {spec.name for spec in fields(directive_type)}
-            unknown = set(kwargs) - known
-            if unknown:
-                raise FaultPlanError(
-                    f"directive #{index} ({kind}): unknown fields {sorted(unknown)}"
-                )
-            try:
-                directives.append(directive_type(**kwargs))
-            except (TypeError, ValueError) as exc:
-                raise FaultPlanError(
-                    f"directive #{index} ({kind}): {exc}"
-                ) from exc
-        return cls(directives=tuple(directives))

@@ -38,9 +38,6 @@ class ViewGraph:
     def in_degree(self, node: NodeId) -> int:
         return self._in_degree.get(node, 0)
 
-    def out_degree(self, node: NodeId) -> int:
-        return len(self.successors.get(node, ()))
-
     def undirected_neighbours(self, node: NodeId) -> set[NodeId]:
         """Neighbours ignoring direction (standard for clustering on digraphs
         built from views, matching how PeerSim-era studies report it)."""

@@ -2,15 +2,15 @@
 
 The paper deploys "70% of the nodes behind NAT devices, evenly split between
 the four NAT types" to reflect the Casado-Freedman measurement study [4].
-:class:`NatTopology` reproduces that assignment and resolves endpoint
-ownership for the network fabric.
+:class:`NatTopology` reproduces that assignment and keeps the
+endpoint-ownership tables the network fabric reads.
 """
 
 from __future__ import annotations
 
 import random
 
-from ..net.address import Endpoint, NodeId, NodeKind, Protocol
+from ..net.address import Endpoint, NodeId, NodeKind
 from .device import NatDevice
 from .types import EMULATED_TYPES, NatType
 
@@ -51,11 +51,9 @@ class NatTopology:
     """Creates and tracks per-node NAT assignments.
 
     Each natted node gets its own emulated device (matching how SPLAY's
-    emulation attaches a NAT instance per natted process).  The topology also
-    answers the two routing questions the fabric asks:
-
-    - what source endpoint does the world observe for node X sending to D?
-    - which node owns destination endpoint E (after inbound filtering)?
+    emulation attaches a NAT instance per natted process).  The topology
+    keeps the tables the fabric's send path reads to translate a sender's
+    source endpoint and to find (and filter through) a destination's owner.
     """
 
     def __init__(
@@ -149,32 +147,3 @@ class NatTopology:
         if assignment.kind is not NodeKind.PUBLIC:
             raise ValueError(f"node {node_id} is natted and has no public endpoint")
         return assignment.local_endpoint
-
-    # ------------------------------------------------------------------
-    # fabric hooks
-    # ------------------------------------------------------------------
-    def translate_outbound(
-        self, node_id: NodeId, remote: Endpoint, protocol: Protocol, now: float
-    ) -> Endpoint:
-        """Source endpoint observed by the remote when ``node_id`` sends."""
-        assignment = self._assignments[node_id]
-        if assignment.device is None:
-            return assignment.local_endpoint
-        return assignment.device.outbound(
-            assignment.local_endpoint, remote, protocol, now
-        )
-
-    def resolve_inbound(
-        self, dst: Endpoint, source: Endpoint, protocol: Protocol, now: float
-    ) -> NodeId | None:
-        """Owner node of ``dst``, after NAT filtering; ``None`` if dropped."""
-        entry = self._owner.get(dst.host)
-        if entry is None:
-            return None  # destination departed
-        owner, device = entry
-        if device is None:
-            return owner
-        internal = device.inbound(dst.port, source, protocol, now)
-        if internal is None:
-            return None
-        return owner

@@ -111,10 +111,6 @@ class Session:
     last_seen: float = 0.0  # last inbound evidence the peer is alive
     missed_probes: int = 0  # unanswered keepalives since last evidence
 
-    @property
-    def is_relayed(self) -> bool:
-        return self.relay_chain is not None
-
 
 @dataclass(frozen=True)
 class TraversalPolicy:

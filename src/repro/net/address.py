@@ -48,8 +48,3 @@ class Endpoint:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.host}:{self.port}"
-
-    @property
-    def is_private(self) -> bool:
-        """True for addresses only valid behind a NAT device."""
-        return self.host.startswith("priv-")

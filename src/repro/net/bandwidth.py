@@ -4,9 +4,11 @@ The paper reports bandwidth in KB per PSS cycle (Fig. 6) and KB/s stacked
 percentiles (Fig. 8), split by direction and by traffic category (gossip
 entries vs public keys vs WCL payloads).  The accountant records every
 delivered message against its sender (upload) and receiver (download),
-tagged with a category so experiments can slice the totals.  Categories
-are a *closed* set (:data:`KNOWN_CATEGORIES`, extensible per accountant
-via :meth:`BandwidthAccountant.register_category`): recording against an
+tagged with a category so experiments can slice the totals.  A
+measurement window is the difference of two lifetime readings
+(``all_totals()`` before and after).  Categories are a *closed* set
+(:data:`KNOWN_CATEGORIES`, extensible per accountant via
+:meth:`BandwidthAccountant.register_category`): recording against an
 unknown category raises immediately, so a new wire message kind cannot
 silently land in an untracked bucket and vanish from the figures.
 """
@@ -42,40 +44,32 @@ class TrafficTotals:
 
 
 class BandwidthAccountant:
-    """Accumulates traffic per node; supports epoch snapshots.
+    """Accumulates lifetime traffic per node.
 
-    ``snapshot()`` returns the totals accumulated since the previous snapshot
-    — experiments call it once per measurement window (e.g. one PSS cycle)
-    to obtain per-cycle figures.
-
-    Storage is struct-of-arrays: per category, four integer columns
-    (lifetime/window x up/down) indexed directly by node id, which replaces
-    two levels of dict probing per charge with one list index.  At 100k
-    nodes this also drops the per-node ``TrafficTotals`` object zoo —
-    :class:`TrafficTotals` views are materialized on demand by the query
-    methods, so mutating a returned view does not write back.  The column
-    lists and the touched-dicts are bound by the fabric's send closure
-    and must keep their identity (grown/cleared in place only).
+    Storage is struct-of-arrays: per category, two integer columns (up,
+    down) indexed directly by node id, which replaces two levels of dict
+    probing per charge with one list index.  At 100k nodes this also drops
+    the per-node ``TrafficTotals`` object zoo — :class:`TrafficTotals`
+    views are materialized on demand by the query methods, so mutating a
+    returned view does not write back.  The column lists and the touched
+    dict are bound by the fabric's send closure and must keep their
+    identity (grown in place only).
     """
 
     def __init__(self) -> None:
         self._known_categories = set(KNOWN_CATEGORIES)
-        # category -> (life_up, life_down, win_up, win_down) columns.
-        self._cols: dict[str, tuple[list[int], list[int], list[int], list[int]]] = {}
+        # category -> (up, down) columns.
+        self._cols: dict[str, tuple[list[int], list[int]]] = {}
         self._size = 0  # every column has exactly this length
-        # Insertion-ordered sets of node ids that ever recorded traffic /
-        # recorded in the current window (dict keys preserve first-touch
-        # order, matching the defaultdict insertion order this replaces).
+        # Insertion-ordered set of node ids that ever recorded traffic
+        # (dict keys preserve first-touch order).
         self._touched: dict[NodeId, None] = {}
-        self._win_touched: dict[NodeId, None] = {}
 
     def register_category(self, category: str) -> None:
         """Allow an extra category (experiment-local traffic classes)."""
         self._known_categories.add(category)
 
-    def category_columns(
-        self, category: str
-    ) -> tuple[list[int], list[int], list[int], list[int]]:
+    def category_columns(self, category: str) -> tuple[list[int], list[int]]:
         """Columns for ``category``, creating them on first use.
 
         Raises ``ValueError`` for categories no experiment slices on — an
@@ -90,7 +84,7 @@ class BandwidthAccountant:
                     "KNOWN_CATEGORIES or register_category() before recording"
                 )
             n = self._size
-            cols = ([0] * n, [0] * n, [0] * n, [0] * n)
+            cols = ([0] * n, [0] * n)
             self._cols[category] = cols
         return cols
 
@@ -123,30 +117,25 @@ class BandwidthAccountant:
             except IndexError:
                 self.grow(src)
                 cols[0][src] += size
-            cols[2][src] += size
             self._touched[src] = None
-            self._win_touched[src] = None
         if dst >= 0:
             try:
                 cols[1][dst] += size
             except IndexError:
                 self.grow(dst)
                 cols[1][dst] += size
-            cols[3][dst] += size
             self._touched[dst] = None
-            self._win_touched[dst] = None
 
-    def _view(self, node: NodeId, life: bool) -> TrafficTotals:
+    def _view(self, node: NodeId) -> TrafficTotals:
         totals = TrafficTotals()
-        up_col, down_col = (0, 1) if life else (2, 3)
-        for category, cols in self._cols.items():
-            if node >= len(cols[0]):
+        for category, (up_col, down_col) in self._cols.items():
+            if node >= len(up_col):
                 continue
-            up = cols[up_col][node]
+            up = up_col[node]
             if up:
                 totals.up_bytes += up
                 totals.up_by_category[category] += up
-            down = cols[down_col][node]
+            down = down_col[node]
             if down:
                 totals.down_bytes += down
                 totals.down_by_category[category] += down
@@ -156,19 +145,7 @@ class BandwidthAccountant:
         """Lifetime totals for ``node`` (zeros if it never sent/received)."""
         if node < 0:
             return TrafficTotals()
-        return self._view(node, life=True)
+        return self._view(node)
 
     def all_totals(self) -> dict[NodeId, TrafficTotals]:
-        return {node: self._view(node, life=True) for node in self._touched}
-
-    def snapshot(self) -> dict[NodeId, TrafficTotals]:
-        """Return and reset the current measurement window."""
-        window: dict[NodeId, TrafficTotals] = {}
-        for node in self._win_touched:
-            window[node] = self._view(node, life=False)
-            for cols in self._cols.values():
-                if node < len(cols[2]):
-                    cols[2][node] = 0
-                    cols[3][node] = 0
-        self._win_touched.clear()
-        return window
+        return {node: self._view(node) for node in self._touched}

@@ -278,7 +278,6 @@ class Network:
         cat_cols = acct.category_columns
         acct_grow = acct.grow
         acct_touched = acct._touched
-        acct_win_touched = acct._win_touched
         tel = self.telemetry
         tel_on = bool(tel.enabled)
         counter = tel.counter
@@ -355,9 +354,7 @@ class Network:
             except IndexError:
                 acct_grow(owner)
                 cols[1][owner] += size
-            cols[3][owner] += size
             acct_touched[owner] = None
-            acct_win_touched[owner] = None
             if tel_on:
                 counter("net.msgs_delivered", node=owner, layer="net").inc()
                 counter("net.down_bytes", node=owner, layer="net").inc(size)
@@ -414,9 +411,7 @@ class Network:
             except IndexError:
                 acct_grow(src_node)
                 cols[0][src_node] += size_bytes
-            cols[2][src_node] += size_bytes
             acct_touched[src_node] = None
-            acct_win_touched[src_node] = None
             if tel_on:
                 counter("net.msgs_sent", node=src_node, layer="net").inc()
                 counter("net.up_bytes", node=src_node, layer="net").inc(size_bytes)

@@ -63,8 +63,3 @@ class LinkObserver:
 
     def record(self, packet: ObservedPacket) -> None:
         self.packets.append(packet)
-
-    def packets_between(self, sender: NodeId, receiver: NodeId) -> list[ObservedPacket]:
-        return [
-            p for p in self.packets if p.sender == sender and p.receiver == receiver
-        ]

@@ -549,9 +549,6 @@ class LiveRuntime:
             ).inc()
         return node
 
-    def restart_count(self, node_id: NodeId) -> int:
-        return self._restart_counts.get(node_id, 0)
-
     # ------------------------------------------------------------------
     def run_for(self, seconds: float) -> None:
         self.scheduler.run_for(seconds)

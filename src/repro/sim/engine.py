@@ -13,10 +13,9 @@ scheduling order.
 Performance notes: the heap holds ``(time, priority, seq, event)`` tuples so
 that ``heapq`` orders entries by comparing plain numbers — the ``seq``
 component is unique, so two ``Event`` objects are never compared and the
-event type needs no ordering protocol on the hot path.  ``run()`` drives the
-loop inline (no per-event ``step()`` call) and batches its telemetry counter
-updates, flushing once per ``run()`` rather than once per event; the flushed
-totals are identical, so exported traces are unaffected.
+event type needs no ordering protocol on the hot path.  ``run()`` is the one
+event loop; it batches its telemetry counter updates, flushing once per
+``run()`` rather than once per event.
 """
 
 from __future__ import annotations
@@ -124,7 +123,9 @@ class Simulator:
         self._telemetry = telemetry
         self._tel_fired = telemetry.counter("sim.events", layer="sim")
         self._tel_scheduled = telemetry.counter("sim.scheduled", layer="sim")
-        self._tel_skipped = telemetry.counter("sim.cancelled_skipped", layer="sim")
+        # Registered so every export lists it; nothing increments it
+        # (run() drops popped tombstones silently).
+        telemetry.counter("sim.cancelled_skipped", layer="sim")
         self._tel_pending = telemetry.gauge("sim.pending", layer="sim")
         self._tel_now = telemetry.gauge("sim.now", layer="sim")
 
@@ -188,26 +189,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _priority, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                self._tel_skipped.inc()
-                continue
-            event._done = True
-            self.now = time
-            self._events_processed += 1
-            self._flush_scheduled()
-            self._tel_fired.inc()
-            event.callback()
-            return True
-        return False
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: float | None = None) -> None:
+        """Run until the queue drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced to exactly ``until`` at
         the end of the run even if the last event fired earlier — matching the
@@ -231,15 +214,11 @@ class Simulator:
                 entry = queue[0]
                 event = entry[3]
                 if event.cancelled:
-                    # Lazily-deleted entry reached the top: drop it silently
-                    # (run() has never counted these as "skipped" — only
-                    # explicit step() calls do).
+                    # Lazily-deleted entry reached the top: drop it silently.
                     heappop(queue)
                     self._cancelled_in_queue -= 1
                     continue
                 if until is not None and entry[0] > until:
-                    break
-                if max_events is not None and fired >= max_events:
                     break
                 heappop(queue)
                 event._done = True
@@ -274,9 +253,9 @@ class Simulator:
         When cancelled entries dominate the heap, compact it: drop them all
         and re-heapify the survivors.  This bounds both memory and the
         per-pop cost of skipping tombstones after cancellation storms.
-        Compaction never touches the ``sim.cancelled_skipped`` counter —
-        that counts only cancelled events *popped* by explicit ``step()``
-        calls, and compacted entries are never popped.
+        Compaction never touches the ``sim.cancelled_skipped`` counter,
+        which stays registered (every telemetry export lists it) but is
+        never incremented: ``run()`` drops popped tombstones silently.
 
         The trigger floor scales with queue size: a fixed floor would make
         a deep queue (100k-node runs hold hundreds of thousands of pending
@@ -292,7 +271,7 @@ class Simulator:
             self._cancelled_in_queue > 64 + (queue_len >> 3)
             and self._cancelled_in_queue * 2 > queue_len
         ):
-            # In-place rebuild: run()/step() hold direct references to the
+            # In-place rebuild: run() holds a direct reference to the
             # queue list, so its identity must survive compaction.
             queue = self._queue
             queue[:] = [e for e in queue if not e[3].cancelled]

@@ -39,14 +39,8 @@ class PeriodicTask:
         self._callback = callback
         self._event: Cancellable | None = None
         self._stopped = False
-        self._ticks = 0
         delay = period if initial_delay is None else initial_delay
         self._event = sim.schedule(delay, self._fire)
-
-    @property
-    def ticks(self) -> int:
-        """Number of completed invocations."""
-        return self._ticks
 
     @property
     def running(self) -> bool:
@@ -62,7 +56,6 @@ class PeriodicTask:
     def _fire(self) -> None:
         if self._stopped:
             return
-        self._ticks += 1
         # Schedule the next tick before running the callback so a callback
         # that raises does not silently kill the task's cadence in tests
         # that catch the exception.

@@ -99,9 +99,9 @@ class MetricsRegistry:
     def values_by_label(self, name: str, label: str) -> dict[object, float]:
         """Sum counter/gauge values under ``name``, grouped by one label.
 
-        The workhorse of the experiment rewires: e.g.
-        ``values_by_label("net.up_bytes", "node")`` yields per-node upload
-        totals regardless of any other labels on the instruments.
+        E.g. ``values_by_label("fault.injected", "kind")`` counts
+        injections per fault kind regardless of any other labels on the
+        instruments.
         """
         out: dict[object, float] = {}
         for labels, metric in self.collect(name).items():
@@ -155,19 +155,6 @@ class MetricsRegistry:
             "count": len(metrics),
             "sum": sum(m.value for m in metrics.values()),  # type: ignore[union-attr]
         }
-
-    def snapshot(self, prefix: str = "") -> dict[MetricKey, float]:
-        """Copy of all counter/gauge values (histograms report their count).
-
-        Experiments diff two snapshots to measure a window, the telemetry
-        equivalent of the bandwidth accountant's epoch mechanism.
-        """
-        out: dict[MetricKey, float] = {}
-        for key, metric in self._metrics.items():
-            if not key[0].startswith(prefix):
-                continue
-            out[key] = metric.count if isinstance(metric, Histogram) else metric.value
-        return out
 
 
 def _sort_key(key: MetricKey) -> tuple[str, str]:

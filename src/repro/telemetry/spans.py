@@ -175,6 +175,3 @@ class Tracer:
 
     def spans_named(self, name: str) -> list[Span]:
         return [s for s in self._spans if s.name == name]
-
-    def children(self, span: Span) -> list[Span]:
-        return [s for s in self._spans if s.parent_id == span.span_id]

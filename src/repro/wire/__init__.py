@@ -10,8 +10,6 @@ here and encodes to a tag-length-value byte string:
 - :mod:`repro.wire.registry` — versioned, CRC-protected message frames,
   one :class:`MessageSpec` per protocol message kind (shape check, wire
   id, traffic category);
-- :mod:`repro.wire.samples` — seeded random payload generators per kind,
-  shared by the property tests and the codec benchmark;
 - :mod:`repro.wire.audit` — measured-vs-estimated size bookkeeping used
   when the sim network runs with the codec enabled.
 

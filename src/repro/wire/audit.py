@@ -56,10 +56,6 @@ class WireAudit:
             entry = self.kinds[kind] = KindSizes()
         entry.record(estimated, measured)
 
-    @property
-    def total_measured(self) -> int:
-        return sum(k.measured_bytes for k in self.kinds.values())
-
     def table(self) -> list[dict[str, object]]:
         """Rows sorted by kind: count, mean sizes, measured/estimated ratio."""
         rows: list[dict[str, object]] = []

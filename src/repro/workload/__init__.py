@@ -15,7 +15,7 @@ Layering:
 - :mod:`.attach` — binding a spec to a :class:`~repro.harness.world.World`
   (groups, rings, sinks, joiners);
 - :mod:`.scenarios` — the named catalogue used by ``repro.experiments
-  load`` and ``bench_load``.
+  load``.
 """
 
 from .driver import OpenLoopStream, StreamAccount, WorkloadDriver

@@ -1,4 +1,4 @@
-"""Named workload scenarios for the ``load`` experiment and ``bench_load``.
+"""Named workload scenarios for the ``load`` experiment.
 
 Each builder returns a :class:`~repro.workload.spec.WorkloadSpec` scaled by
 the usual population multiplier (1.0 = the reference shape, smaller values
@@ -10,8 +10,7 @@ give quick sanity runs).  The catalogue:
   long tail), the private-index query shape of Fig. 9 under open load;
 - ``flash`` — a quiet deployment hit by a compressed burst of group joins;
 - ``multigroup`` — hundreds of small concurrent groups each carrying one
-  stream, the Fig. 8 many-groups shape under traffic;
-- ``mixed`` — CBR + Zipf + a flash crowd at once, the bench_load shape.
+  stream, the Fig. 8 many-groups shape under traffic.
 
 ``world_size`` gives the node population each scenario expects; the
 experiment populates the world accordingly.
@@ -94,41 +93,11 @@ def _multigroup(scale: float) -> WorkloadSpec:
     )
 
 
-def _mixed(scale: float) -> WorkloadSpec:
-    return WorkloadSpec(
-        name="mixed",
-        groups=scaled(4, scale, minimum=2),
-        members_per_group=scaled(8, scale, minimum=6),
-        models=(
-            CbrStreams(
-                streams=scaled(6, scale, minimum=3),
-                interval=0.5,
-                payload=160,
-                duration=scaled(120, scale, minimum=60),
-            ),
-            ZipfLookups(
-                rate=1.0,
-                keys=scaled(200, scale, minimum=50),
-                exponent=1.1,
-                start=60.0,
-                duration=scaled(90, scale, minimum=45),
-            ),
-            FlashCrowd(
-                joiners=scaled(10, scale, minimum=4),
-                at=30.0,
-                spread=10.0,
-                deadline=240.0,
-            ),
-        ),
-    )
-
-
 SCENARIOS = {
     "cbr": _cbr,
     "zipf": _zipf,
     "flash": _flash,
     "multigroup": _multigroup,
-    "mixed": _mixed,
 }
 
 

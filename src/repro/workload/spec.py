@@ -68,10 +68,6 @@ class CbrStreams:
             raise ValueError("CBR duration must be positive")
 
     @property
-    def packets_per_stream(self) -> int:
-        return int(self.duration / self.interval)
-
-    @property
     def end(self) -> float:
         return self.start + self.duration
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import soak
 from repro.experiments.__main__ import EXPERIMENTS, main
 
 
@@ -42,6 +43,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "soak: bad fault plan" in err
         assert "no-such-plan.json" in err
+
+    def test_fault_plan_file_reads_script_lines(self, tmp_path, monkeypatch):
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text(
+            "from 3s to 6s loss 25%\n"
+            "at 4s stall 5% for 2s\n"
+            "at 6.5s rebind nat 10%\n"
+        )
+        seen = []
+
+        def record_plan(n_nodes, seed, plan, trace_out):
+            seen.append(plan)
+            return soak.SoakResult(nodes=n_nodes)
+
+        monkeypatch.setattr(soak, "run_soak", record_plan)
+        assert main(["soak", "--nodes", "24", "--fault-plan", str(plan_file)]) == 0
+        assert [list(plan) for plan in seen] == [list(soak.default_plan())]
+
+    def test_churn_directive_in_fault_plan_exits_1(self, tmp_path, capsys):
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text("from 3s to 6s loss 25%\nfrom 0s to 30s join 10\n")
+        assert main(["soak", "--fault-plan", str(plan_file)]) == 1
+        err = capsys.readouterr().err
+        assert "soak: bad fault plan" in err
+        assert "from 0s to 30s join 10" in err
 
     def test_other_os_errors_are_not_relabelled(self, monkeypatch):
         def bind_fails(scale=1.0):

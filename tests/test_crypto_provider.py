@@ -191,16 +191,6 @@ class TestCostAccounting:
         assert accountant.node_total_ms(9, "rsa_decrypt") > 0
         assert accountant.node_total_ms(5, "rsa_decrypt") == 0
 
-    def test_context_breakdown(self):
-        accountant = CpuAccountant()
-        provider = SimCryptoProvider(random.Random(7), accountant)
-        pair = provider.generate_keypair()
-        provider.seal(pair.public, "x", node=1, context="wcl.request")
-        provider.seal(pair.public, "y", node=1, context="wcl.response")
-        assert accountant.node_context_ms(1, "wcl.request") > 0
-        assert accountant.node_context_ms(1, "wcl.response") > 0
-        assert accountant.node_context_ms(1, "unused") == 0
-
     def test_aes_cost_scales_with_size(self):
         assert aes_ms(20_480) > aes_ms(1_024) > 0
 

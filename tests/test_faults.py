@@ -131,7 +131,7 @@ class TestInjector:
         injector = FaultInjector(world)
         injector.schedule(Partition(0.0, 60.0))
         world.run(10.0)
-        assert injector.partition_active()
+        assert injector._partition is not None
         groups = dict(injector._partition)
         assert set(groups.values()) == {0, 1}
         # Cross-group traffic is dropped; same-group traffic passes.
@@ -211,7 +211,7 @@ class TestInjector:
         world.run(10.0)
         injector.cancel_pending()
         assert injector.on_send(1, 2) is None
-        assert not injector.partition_active()
+        assert injector._partition is None
         world.run(400.0)  # the pending stall must never fire
         assert injector.stats.nodes_stalled == 0
 
@@ -251,7 +251,7 @@ class BareExecutor(FaultExecutor):
     def idle(self):
         return not (
             self._blackholes or self._losses or self.shaping_active
-            or self.stalled_nodes() or self.partition_active()
+            or self.stalled_nodes() or self._partition is not None
         )
 
 
@@ -339,7 +339,7 @@ class TestDriverIntegration:
         )
         world.run(20.0)
         assert driver.injector is not None
-        assert driver.injector.partition_active()
+        assert driver.injector._partition is not None
         world.run(20.0)  # stop fires at 30s
         assert driver.stopped
-        assert not driver.injector.partition_active()
+        assert driver.injector._partition is None

@@ -2,7 +2,7 @@
 
 Four strata:
 
-- plan: FaultPlan JSON round-trips canonically and rejects malformed input;
+- plan: every fault kind is one churn-script line;
 - parity: the same plan schedules and activates identically on the sim
   injector and the live fabric, and sim-side transit shaping is
   deterministic under a fixed seed;
@@ -26,7 +26,6 @@ from repro.faults import (
     Duplicate,
     FaultInjector,
     FaultPlan,
-    FaultPlanError,
     LiveFaultFabric,
     LossBurst,
     NatRebind,
@@ -85,38 +84,24 @@ def ping(rt: LiveRuntime, src: int, dst: int) -> None:
 
 
 # ======================================================================
-# FaultPlan JSON
+# fault plans as script lines
 # ======================================================================
-class TestPlanJson:
-    def test_round_trip_all_kinds(self):
-        plan = all_kinds_plan()
-        again = FaultPlan.from_json(plan.to_json())
-        assert list(again) == list(plan)
-
-    def test_canonical_and_stable(self):
-        plan = FaultPlan.of(Blackhole(1.0, 3, 4, duration=2.0))
-        text = plan.to_json()
-        assert text == FaultPlan.from_json(text).to_json()
-        assert " " not in text  # compact separators, sorted keys
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "not json at all",
-            '{"nope": []}',
-            '{"directives": 7}',
-            '{"directives": [42]}',
-            '{"directives": [{"kind": "meteor", "at": 1.0}]}',
-            '{"directives": [{"kind": "loss", "start": 0, "end": 1,'
-            ' "rate": 0.1, "extra": true}]}',
-            '{"directives": [{"kind": "loss", "start": 0, "end": 1,'
-            ' "rate": 1.5}]}',
-            '{"directives": [{"kind": "stall", "at": 1.0}]}',
-        ],
-    )
-    def test_malformed_json_raises(self, text):
-        with pytest.raises(FaultPlanError):
-            FaultPlan.from_json(text)
+class TestPlanScript:
+    def test_every_kind_has_a_script_line(self):
+        directives = parse_script(
+            """
+            at 0.05s blackhole 0 -> 1
+            from 0.05s to 0.4s loss 50%
+            from 0.05s to 0.4s partition groups a|b
+            at 0.05s stall 30% for 0.2s
+            at 0.1s reset nat 50%
+            at 0.1s rebind nat 50%
+            from 0.05s to 0.4s delay 20ms
+            from 0.05s to 0.4s duplicate 50%
+            from 0.05s to 0.4s reorder 50% by 20ms
+            """
+        )
+        assert directives == list(all_kinds_plan())
 
     def test_script_lines_for_new_directives(self):
         directives = parse_script(
@@ -516,7 +501,6 @@ class TestSupervisor:
             rt.crash_node(2)
             assert not rt.nodes[2].alive
             assert rt.run_until(lambda: rt.nodes[2].alive, timeout=3.0)
-            assert rt.restart_count(2) == 1
             assert rt.network.is_attached(2)
             assert 2 in rt.network.endpoints
             assert rt.supervisor.stats.restarts == 1
@@ -538,7 +522,7 @@ class TestSupervisor:
             assert rt.run_until(lambda: rt.nodes[2].alive, timeout=5.0)
             elapsed = rt.scheduler.now - t0
             assert elapsed >= 0.45  # backoff_base minus timing slack
-            assert rt.restart_count(2) == 2
+            assert rt.supervisor.stats.restarts == 2
             # The *next* failure would wait twice as long (capped).
             assert rt.supervisor._backoff[2] == 1.0
         finally:
@@ -551,7 +535,7 @@ class TestSupervisor:
             rt.network.detach(2)
             assert rt.nodes[2].alive
             assert rt.run_until(
-                lambda: rt.restart_count(2) == 1 and rt.nodes[2].alive,
+                lambda: rt.supervisor.stats.restarts == 1 and rt.nodes[2].alive,
                 timeout=3.0,
             )
             assert rt.network.is_attached(2)

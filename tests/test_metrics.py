@@ -18,13 +18,13 @@ from repro.metrics import (
 class TestViewGraph:
     def test_degrees(self):
         graph = ViewGraph({1: [2, 3], 2: [3], 3: []})
-        assert graph.out_degree(1) == 2
+        assert graph.successors[1] == {2, 3}
         assert graph.in_degree(3) == 2
         assert graph.in_degree(1) == 0
 
     def test_self_loops_dropped(self):
         graph = ViewGraph({1: [1, 2], 2: []})
-        assert graph.out_degree(1) == 1
+        assert graph.successors[1] == {2}
         assert graph.in_degree(1) == 0
 
     def test_undirected_neighbours(self):

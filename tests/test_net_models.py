@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.experiments.common import traffic_window
+from repro.harness import World, WorldConfig
 from repro.metrics.stats import percentile
-from repro.net.bandwidth import BandwidthAccountant
+from repro.net.bandwidth import BandwidthAccountant, TrafficTotals
 from repro.net.latency import (
     ClusterLatencyModel,
     FixedLatencyModel,
@@ -86,15 +88,26 @@ class TestBandwidthAccountant:
         assert acct.totals(1).up_by_category["pss"] == 100
         assert acct.totals(1).up_by_category["wcl"] == 50
 
-    def test_snapshot_resets_window_not_totals(self):
-        acct = BandwidthAccountant()
-        acct.record(1, 2, 100, "pss")
-        window = acct.snapshot()
-        assert window[1].up_bytes == 100
-        acct.record(1, 2, 25, "pss")
-        window2 = acct.snapshot()
-        assert window2[1].up_bytes == 25
-        assert acct.totals(1).up_bytes == 125
+    def test_window_is_the_difference_of_lifetime_readings(self):
+        world = World(WorldConfig(seed=3))
+        world.populate(12)
+        world.start_all()
+        world.run(30.0)
+        acct = world.network.accountant
+        before = acct.all_totals()
+        window = traffic_window(world, 20.0)
+        after = acct.all_totals()
+        assert window  # gossip moved bytes in the window
+        for node, totals in after.items():
+            start = before.get(node, TrafficTotals())
+            up = totals.up_bytes - start.up_bytes
+            down = totals.down_bytes - start.down_bytes
+            if (up, down) == (0, 0):
+                assert node not in window
+                continue
+            assert (window[node].up_bytes, window[node].down_bytes) == (up, down)
+            assert sum(window[node].up_by_category.values()) == up
+            assert sum(window[node].down_by_category.values()) == down
 
     def test_unknown_node_is_zero(self):
         assert BandwidthAccountant().totals(99).up_bytes == 0
@@ -150,11 +163,6 @@ class TestWireSizes:
     def test_custom_size_model(self):
         custom = WireSizes(public_key=2048)
         assert custom.private_view_entry(1) > sizes.private_view_entry(1)
-
-    def test_endpoint_privacy_flag(self):
-        assert Endpoint("priv-3", 7000).is_private
-        assert not Endpoint("pub-3", 7000).is_private
-        assert not Endpoint("nat-3", 40000).is_private
 
     def test_protocols(self):
         assert Protocol.UDP is not Protocol.TCP

@@ -57,24 +57,6 @@ class TestLostPackets:
 
 
 class TestRecording:
-    def test_packets_between_filters_pairs(self):
-        obs = LinkObserver()
-        obs.watch_all()
-        obs.record(_packet(1, 2))
-        obs.record(_packet(2, 1))
-        obs.record(_packet(1, 3))
-        obs.record(_packet(1, 2, kind="wcl.onion"))
-        between = obs.packets_between(1, 2)
-        assert len(between) == 2
-        assert [p.kind for p in between] == ["pss.request", "wcl.onion"]
-        assert obs.packets_between(3, 1) == []
-
-    def test_packets_between_excludes_lost(self):
-        obs = LinkObserver()
-        obs.watch_all()
-        obs.record(_packet(1, None))
-        assert obs.packets_between(1, 2) == []
-
     def test_record_preserves_wire_view(self):
         obs = LinkObserver()
         obs.watch(4, 5)

@@ -18,13 +18,13 @@ class TestZipfShape:
 
     def test_frequency_decreases_with_rank(self):
         z = ZipfSampler(100, 1.2, random.Random(9))
-        counts = Counter(z.sample_many(40000))
+        counts = Counter([z.sample() for _ in range(40000)])
         assert counts[1] > counts[10] > counts[50]
 
     def test_head_matches_model_probability(self):
         z = ZipfSampler(100, 1.2, random.Random(9))
         draws = 40000
-        counts = Counter(z.sample_many(draws))
+        counts = Counter([z.sample() for _ in range(draws)])
         expected = z.probability(1)
         observed = counts[1] / draws
         # 40k draws put the rank-1 frequency within ~2 points of the model.
@@ -53,12 +53,13 @@ class TestDeterminism:
     def test_same_seed_same_stream(self):
         a = ZipfSampler(64, 1.3, random.Random(77))
         b = ZipfSampler(64, 1.3, random.Random(77))
-        assert a.sample_many(1000) == b.sample_many(1000)
+        assert [a.sample() for _ in range(1000)] == [b.sample() for _ in range(1000)]
 
     def test_one_rng_double_per_sample(self):
         rng = random.Random(42)
         z = ZipfSampler(30, 1.2, rng)
-        z.sample_many(10)
+        for _ in range(10):
+            z.sample()
         shadow = random.Random(42)
         for _ in range(10):
             shadow.random()
@@ -69,6 +70,6 @@ class TestDeterminism:
         # and the CDF float arithmetic are both IEEE-754-exact.  If this
         # fails, the sampler's RNG consumption contract changed.
         z = ZipfSampler(50, 1.2, random.Random(1234))
-        assert z.sample_many(16) == [
+        assert [z.sample() for _ in range(16)] == [
             40, 3, 1, 28, 33, 5, 7, 1, 12, 1, 1, 13, 2, 6, 6, 1,
         ]

@@ -90,16 +90,11 @@ class TestSimulator:
         assert fired == ["first", "second"]
         assert sim.now == 2.0
 
-    def test_max_events_limits_run(self):
+    def test_run_on_empty_queue_returns(self):
         sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+        sim.run()
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -185,12 +180,12 @@ class TestPendingAccounting:
         assert fired == ["cancel", "after"]
         assert sim.pending() == 0
 
-    def test_step_counts_skipped_cancelled_events(self):
+    def test_run_skips_cancelled_events(self):
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         event.cancel()
-        assert sim.step() is True  # skips the tombstone, fires the live one
+        sim.run(until=2.0)  # skips the tombstone, fires the live one
         assert sim.events_processed == 1
         assert sim.pending() == 0
 
@@ -208,7 +203,8 @@ class TestPendingAccounting:
             events[i].cancel()
             live.discard(i)
         assert sim.pending() == len(live) == 10
-        while sim.step():
+        for until in range(1, 8):
+            sim.run(until=float(until))
             assert sim.pending() == len(live)
         assert sim.pending() == len(live) == 0
 
@@ -278,13 +274,15 @@ class TestPeriodicTask:
     def test_stop_from_within_callback(self):
         sim = Simulator()
         task_box = []
+        ticks = []
 
         def tick():
+            ticks.append(sim.now)
             task_box[0].stop()
 
         task_box.append(PeriodicTask(sim, period=5.0, callback=tick))
         sim.run(until=30.0)
-        assert task_box[0].ticks == 1
+        assert ticks == [5.0]
 
     def test_zero_period_rejected(self):
         with pytest.raises(ValueError):

@@ -105,17 +105,3 @@ class TestTManProtocol:
         )
         tman._merge([entry])
         assert snapshots and snapshots[-1][0].node_id == 4242
-
-    def test_drop_peer(self, tman_world):
-        world, a, _b = tman_world
-        tman = TManProtocol(
-            "toy6", a.group("tman"), world.sim,
-            world.registry.fork("tg").stream("x"),
-            profile=0, selector=keep_smallest,
-        )
-        entry = TManEntry(
-            node_id=4242, profile=5, contact=a.group("tman").self_contact(),
-        )
-        tman._merge([entry])
-        tman.drop_peer(4242)
-        assert 4242 not in tman.view

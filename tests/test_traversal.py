@@ -98,7 +98,7 @@ class TestHolePunching:
         world.run(3.0)
         assert ready == [1]
         session = a.cm.session(2)
-        assert session is not None and not session.is_relayed
+        assert session is not None and session.relay_chain is None
         a.cm.send_via_session(2, "app.msg", "direct!", 64, "app")
         world.run(1.0)
         assert (1, "app.msg", "direct!") in b.inbox
@@ -148,7 +148,7 @@ class TestTraversalDecision:
         assert ready == [1]
         session = a.cm.session(2)
         assert session is not None
-        assert session.is_relayed == (
+        assert (session.relay_chain is not None) == (
             requester_type.is_symmetric or target_type.is_symmetric
         )
         assert a.cm.send_via_session(2, "app.req", "ping", 64, "app")
@@ -174,7 +174,7 @@ class TestRelaying:
         world.run(3.0)
         assert ready == [1]
         session = a.cm.session(2)
-        assert session is not None and session.is_relayed
+        assert session is not None and session.relay_chain is not None
         a.cm.send_via_session(2, "app.msg", "via relay", 64, "app")
         world.run(1.0)
         assert (1, "app.msg", "via relay") in b.inbox
@@ -212,7 +212,7 @@ class TestRelaying:
         a.cm.ensure_session(descriptor_b, lambda: None, pytest.fail)
         world.run(3.0)
         session = a.cm.session(2)
-        assert session is not None and session.is_relayed
+        assert session is not None and session.relay_chain is not None
 
 
 class TestFailures:

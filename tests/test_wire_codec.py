@@ -21,7 +21,7 @@ from repro import wire
 from repro.crypto.provider import RealCryptoProvider
 from repro.harness.world import World, WorldConfig
 from repro.net.bandwidth import KNOWN_CATEGORIES, BandwidthAccountant
-from repro.wire.samples import SampleContext, sample_kinds, sample_payload
+from .wire_samples import SampleContext, sample_kinds, sample_payload
 
 
 def _trace(config: WorldConfig) -> str:
@@ -186,7 +186,6 @@ class TestSimCodecPassThrough:
         world.sim.run(until=60.0)
         audit = world.network.wire_audit
         assert "nat.data" in audit.kinds
-        assert audit.total_measured > 0
         for row in audit.table():
             assert row["min_measured"] > 0
 

