@@ -79,6 +79,9 @@ class ConnectionBacklog:
         # the Π invariant consults it after every gossip exchange, and a
         # full scan there was measurable at scale.
         self._public_count = 0
+        # gateways_for_self(), derived once per change of the entries:
+        # every contact this node advertises reads it.
+        self._gateways: tuple[Gateway, ...] | None = None
         self._probing: dict[NodeId, _ProbeState] = {}
         self._probe_backoff = ExponentialBackoff(
             base=_PROBE_ACK_TIMEOUT, factor=2.0, cap=30.0, jitter=0.2, rng=rng
@@ -117,7 +120,10 @@ class ConnectionBacklog:
         probe) with us recently, so they hold an open NAT-traversed session
         towards us and can act as hop B of an inbound WCL path.
         """
-        return tuple(self.public_entries()[: self.pi])
+        gateways = self._gateways
+        if gateways is None:
+            gateways = self._gateways = tuple(self.public_entries()[: self.pi])
+        return gateways
 
     def first_mix_candidates(
         self, exclude: set[NodeId] | None = None
@@ -143,6 +149,7 @@ class ConnectionBacklog:
             return
         self._pop(node_id)
         self._entries[node_id] = Gateway(descriptor=descriptor, key=key)
+        self._gateways = None
         if descriptor.is_public:
             self._public_count += 1
         while len(self._entries) > self.capacity:
@@ -156,8 +163,10 @@ class ConnectionBacklog:
 
     def _pop(self, node_id: NodeId) -> None:
         dropped = self._entries.pop(node_id, None)
-        if dropped is not None and dropped.is_public:
-            self._public_count -= 1
+        if dropped is not None:
+            self._gateways = None
+            if dropped.is_public:
+                self._public_count -= 1
 
     # ------------------------------------------------------------------
     # the Π P-node invariant

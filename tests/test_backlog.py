@@ -5,6 +5,8 @@ the FIFO/eviction/invariant logic in isolation.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness import World, WorldConfig
 from repro.nat.traversal import NodeDescriptor
@@ -132,3 +134,37 @@ class TestInvariantMaintenance:
         cb.insert(descriptor(11, public=True), key)
         candidates = cb.first_mix_candidates(exclude={10})
         assert [e.node_id for e in candidates] == [11]
+
+
+_ID_SPAN = 60  # more ids than the default capacity: inserts evict the tail
+_BACKLOG_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "remove", "session_evicted"]),
+        st.integers(10, 10 + _ID_SPAN),
+        st.booleans(),
+    ),
+    max_size=120,
+)
+
+
+class TestGatewayMemo:
+    """``gateways_for_self`` is derived once per change of the entries."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_BACKLOG_OPS)
+    def test_memo_matches_a_fresh_derivation_after_every_step(self, ops):
+        world = World(WorldConfig(seed=401))
+        node = world.add_node(NatType.OPEN)
+        cb = node.backlog
+        key = key_for(world)
+        for op, node_id, public in ops:
+            if op == "insert":
+                cb.insert(descriptor(node_id, public), key)
+            elif op == "remove":
+                cb.remove(node_id)
+            else:
+                cb.on_session_evicted(node_id)
+            fresh = tuple(cb.public_entries()[: cb.pi])
+            memo = cb.gateways_for_self()
+            assert len(memo) == len(fresh)
+            assert all(a is b for a, b in zip(memo, fresh))
