@@ -416,7 +416,6 @@ class Network:
                 counter("net.msgs_sent", node=src_node, layer="net").inc()
                 counter("net.up_bytes", node=src_node, layer="net").inc(size_bytes)
                 counter("net.kind_msgs", kind=kind, layer="net").inc()
-                publish_caches(tel)
             # Owner hint: inlined LruCache.lookup (counted, no recency churn).
             hint = hints_data.get(dst.host)
             if hint is None:  # cold path: first message towards this host
@@ -429,6 +428,7 @@ class Network:
             ) or is_lost(src_node, hint):
                 stats.lost += 1
                 if tel_on:
+                    publish_caches(tel)
                     counter("net.lost", layer="net").inc()
                 if observers:
                     observe(src_node, None, visible_src, dst, kind, payload,
@@ -441,9 +441,17 @@ class Network:
             # Transit shaping (delay/duplicate/reorder windows): only
             # consulted while such a directive is live, so plans without
             # shaping keep traces byte-identical with pre-shaping runs.
-            if hook is not None and getattr(hook, "shaping_active", False):
+            shaping = hook is not None and getattr(hook, "shaping_active", False)
+            if shaping:
                 extra_delay, copies = hook.on_transit(src_node, hint)
                 transit = delay(src_node, hint, size_bytes) + extra_delay
+            else:
+                transit = delay(src_node, hint, size_bytes)
+            if tel_on:
+                # After this send's owner-hint and latency lookups, so the
+                # exported hit/miss counts include them.
+                publish_caches(tel)
+            if shaping:
                 for _ in range(copies):
                     if route is not None and dst.host not in owner_map:
                         route(src_node, message, category, transit)
@@ -451,7 +459,6 @@ class Network:
                         schedule(transit, partial(
                             net._deliver, src_node, message, category))
                 return
-            transit = delay(src_node, hint, size_bytes)
             if transit < 0.0:
                 raise SimulationError(
                     f"cannot schedule in the past (delay={transit})"

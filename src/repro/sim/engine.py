@@ -123,9 +123,7 @@ class Simulator:
         self._telemetry = telemetry
         self._tel_fired = telemetry.counter("sim.events", layer="sim")
         self._tel_scheduled = telemetry.counter("sim.scheduled", layer="sim")
-        # Registered so every export lists it; nothing increments it
-        # (run() drops popped tombstones silently).
-        telemetry.counter("sim.cancelled_skipped", layer="sim")
+        self._tel_skipped = telemetry.counter("sim.cancelled_skipped", layer="sim")
         self._tel_pending = telemetry.gauge("sim.pending", layer="sim")
         self._tel_now = telemetry.gauge("sim.now", layer="sim")
 
@@ -202,6 +200,7 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         fired = 0
+        skipped = 0  # cancelled entries popped off the top
         # Event churn produces no reference cycles (pinned by
         # tests/test_gc_contract.py), so generational GC scans during the
         # run are pure overhead.  Suppress collection for the duration and
@@ -214,9 +213,10 @@ class Simulator:
                 entry = queue[0]
                 event = entry[3]
                 if event.cancelled:
-                    # Lazily-deleted entry reached the top: drop it silently.
+                    # Lazily-deleted entry reached the top: drop it.
                     heappop(queue)
                     self._cancelled_in_queue -= 1
+                    skipped += 1
                     continue
                 if until is not None and entry[0] > until:
                     break
@@ -234,6 +234,8 @@ class Simulator:
                 gc.enable()
             if fired:
                 self._tel_fired.inc(fired)
+            if skipped:
+                self._tel_skipped.inc(skipped)
             self._flush_scheduled()
             self._tel_pending.set(self.pending())
             self._tel_now.set(self.now)
@@ -253,9 +255,8 @@ class Simulator:
         When cancelled entries dominate the heap, compact it: drop them all
         and re-heapify the survivors.  This bounds both memory and the
         per-pop cost of skipping tombstones after cancellation storms.
-        Compaction never touches the ``sim.cancelled_skipped`` counter,
-        which stays registered (every telemetry export lists it) but is
-        never incremented: ``run()`` drops popped tombstones silently.
+        Compaction drops tombstones without counting them:
+        ``sim.cancelled_skipped`` counts only those ``run()`` pops.
 
         The trigger floor scales with queue size: a fixed floor would make
         a deep queue (100k-node runs hold hundreds of thousands of pending

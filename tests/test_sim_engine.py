@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import PeriodicTask, RngRegistry, SimulationError, Simulator, Timer
+from repro.telemetry import Telemetry
 
 
 class TestSimulator:
@@ -188,6 +189,19 @@ class TestPendingAccounting:
         sim.run(until=2.0)  # skips the tombstone, fires the live one
         assert sim.events_processed == 1
         assert sim.pending() == 0
+
+    def test_run_counts_the_cancelled_entries_it_pops(self):
+        telemetry = Telemetry()
+        sim = Simulator(telemetry=telemetry)
+        events = [sim.schedule(1.0 + i, lambda: None) for i in range(4)]
+        events[0].cancel()
+        events[2].cancel()
+        sim.run(until=1.5)  # pops the first tombstone, stops at a live event
+        skipped = telemetry.counter("sim.cancelled_skipped", layer="sim")
+        assert skipped.value == 1
+        sim.run()
+        assert skipped.value == 2
+        assert sim.events_processed == 2
 
     def test_live_events_property_matches_pending(self):
         """pending() is the one live-event count through schedule, cancel and fire."""
