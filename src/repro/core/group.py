@@ -119,8 +119,7 @@ class GroupKeyring:
             if key.fingerprint != passport.key_fingerprint:
                 continue
             return provider.verify(
-                key, passport.signed_object(), passport.signature,
-                node=node, context="group.passport",
+                key, passport.signed_object(), passport.signature, node=node
             )
         return False
 
@@ -136,8 +135,7 @@ class GroupKeyring:
             return False
         for key in reversed(self.history):
             if provider.verify(
-                key, accreditation.signed_object(), accreditation.signature,
-                node=node, context="group.accreditation",
+                key, accreditation.signed_object(), accreditation.signature, node=node
             ):
                 return True
         return False
@@ -160,8 +158,7 @@ def issue_passport(
         signature=None,
     )
     signature = provider.sign(
-        keyring.leader_keypair, passport.signed_object(),
-        node=node, context="group.passport",
+        keyring.leader_keypair, passport.signed_object(), node=node
     )
     return replace(passport, signature=signature)
 
@@ -183,7 +180,6 @@ def issue_accreditation(
         expires_at=expires_at, signature=None,
     )
     signature = provider.sign(
-        keyring.leader_keypair, accreditation.signed_object(),
-        node=node, context="group.accreditation",
+        keyring.leader_keypair, accreditation.signed_object(), node=node
     )
     return replace(accreditation, signature=signature)

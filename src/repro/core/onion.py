@@ -107,7 +107,6 @@ def _seal_layers(
     path: list[HopSpec],
     make_layer: Callable[[int, NextHop | None, Sealed | None], object],
     node: NodeId,
-    context: str,
 ) -> Sealed:
     """Fig. 2's layering, the one loop every onion family goes through.
 
@@ -124,7 +123,7 @@ def _seal_layers(
     for index in range(len(path) - 1, -1, -1):
         hop = path[index]
         layer = make_layer(index, next_hop, sealed)
-        sealed = provider.seal(hop.public_key, layer, node=node, context=context)
+        sealed = provider.seal(hop.public_key, layer, node=node)
         next_hop = NextHop(node_id=hop.node_id, public_endpoint=hop.public_endpoint)
     return replace(sealed, size_bytes=len(path) * sizes.onion_layer_overhead)
 
@@ -136,7 +135,6 @@ def build_onion(
     content_size: int,
     *,
     node: NodeId = -1,
-    context: str = "",
 ) -> OnionPacket:
     """Construct the onion packet for ``path`` = [A, B, D] (mixes first).
 
@@ -151,11 +149,9 @@ def build_onion(
         lambda index, next_hop, inner: OnionLayer(
             next_hop=next_hop, inner=inner, key=key if next_hop is None else None
         ),
-        node, context,
+        node,
     )
-    body = provider.encrypt_payload(
-        key, content, content_size, node=node, context=context
-    )
+    body = provider.encrypt_payload(key, content, content_size, node=node)
     return OnionPacket(header=header, body=body, trace_id=provider.next_trace_id())
 
 
@@ -165,7 +161,6 @@ def peel(
     packet: OnionPacket | CircuitSetupPacket,
     *,
     node: NodeId = -1,
-    context: str = "",
 ) -> tuple[
     OnionLayer | CircuitSetupLayer, OnionPacket | CircuitSetupPacket | None
 ]:
@@ -175,7 +170,7 @@ def peel(
     are the destination.  Raises CryptoError when the header was not
     prepared for our key (mis-routed packet).
     """
-    layer = provider.open(keypair, packet.header, node=node, context=context)
+    layer = provider.open(keypair, packet.header, node=node)
     if layer.next_hop is None:
         return layer, None
     assert layer.inner is not None
@@ -252,7 +247,6 @@ def build_circuit_setup(
     hops: list[CircuitHop],
     *,
     node: NodeId = -1,
-    context: str = "",
 ) -> CircuitSetupPacket:
     """Construct the setup onion installing ``hops`` along ``path``.
 
@@ -269,6 +263,6 @@ def build_circuit_setup(
         lambda index, next_hop, inner: CircuitSetupLayer(
             hop=hops[index], next_hop=next_hop, inner=inner
         ),
-        node, context,
+        node,
     )
     return CircuitSetupPacket(header=header, trace_id=provider.next_trace_id())

@@ -809,8 +809,7 @@ class PrivatePeerSamplingService:
             "new_key", self.group, keypair.public.fingerprint, self.node_id
         )
         signature = self.provider.sign(
-            self.wcl.keypair, announcement_body, node=self.node_id,
-            context="group.newkey",
+            self.wcl.keypair, announcement_body, node=self.node_id
         )
         self._new_key_announcement = {
             "group": self.group,
@@ -832,7 +831,7 @@ class PrivatePeerSamplingService:
             return
         if not self.provider.verify(
             announcement["leader_key"], body, announcement["signature"],
-            node=self.node_id, context="group.newkey",
+            node=self.node_id,
         ):
             return
         self.keyring.adopt_key(key)

@@ -212,7 +212,7 @@ class WhisperCommunicationLayer:
             return None
         first, second, middles, path = plan
         packet, build_ms = self._charged(
-            build_onion, context, self.provider, path, content, content_size
+            build_onion, self.provider, path, content, content_size
         )
         tel = self.telemetry
         if tel.enabled:
@@ -371,9 +371,7 @@ class WhisperCommunicationLayer:
         if forward is None:
             # We are the destination: recover the content with k.
             assert layer.key is not None
-            opened = self._open(
-                self.provider.decrypt_payload, "wcl.body", layer.key, packet.body
-            )
+            opened = self._open(self.provider.decrypt_payload, layer.key, packet.body)
             if opened is None:
                 return
             # The body decrypt is charged CPU like the peel; the receive
@@ -576,9 +574,7 @@ class WhisperCommunicationLayer:
             )
             for label, key, next_label in zip(labels, keys, [*labels[1:], None])
         ]
-        packet, build_ms = self._charged(
-            build_circuit_setup, f"{context}.csetup", self.provider, path, hops
-        )
+        packet, build_ms = self._charged(build_circuit_setup, self.provider, path, hops)
         circuit = _SourceCircuit(
             contact_id=contact.node_id, circuit_id=labels[0], keys=keys,
             first_mix=first, second_mix=second, middle_mixes=middles,
@@ -609,7 +605,7 @@ class WhisperCommunicationLayer:
     ) -> AttemptInfo:
         """The amortized data path: symmetric layer wrap, no RSA at all."""
         body, wrap_ms = self._charged(
-            self.provider.wrap_layers, context, circuit.keys, content, content_size
+            self.provider.wrap_layers, circuit.keys, content, content_size
         )
         frame = CircuitFrame(
             circuit_id=circuit.circuit_id, body=body,
@@ -707,9 +703,7 @@ class WhisperCommunicationLayer:
             self.stats.circuit_expired += 1
             self._tick("wcl.circuit_expired")
             return
-        opened = self._open(
-            self.provider.unwrap_layer, "wcl.cunwrap", entry.key, frame.body
-        )
+        opened = self._open(self.provider.unwrap_layer, entry.key, frame.body)
         if opened is None:
             return
         result, unwrap_ms = opened
@@ -773,17 +767,15 @@ class WhisperCommunicationLayer:
     # the pipeline steps every packet family shares (Fig. 2: run a crypto
     # operation, charge its CPU time, record it, act once it has elapsed)
     # ------------------------------------------------------------------
-    def _charged(
-        self, op: Callable[..., Any], context: str, *args
-    ) -> tuple[Any, float]:
-        """Run one crypto operation, charged to this node under ``context``:
+    def _charged(self, op: Callable[..., Any], *args) -> tuple[Any, float]:
+        """Run one crypto operation, charged to this node:
         ``(its result, the CPU ms it charged)``."""
         start_ms = self._charged_ms()
-        result = op(*args, node=self.node_id, context=context)
+        result = op(*args, node=self.node_id)
         return result, self._charged_ms() - start_ms
 
     def _open(
-        self, op: Callable[..., Any], context: str, secret: Any, envelope: Any
+        self, op: Callable[..., Any], secret: Any, envelope: Any
     ) -> tuple[Any, float] | None:
         """The charged decrypt step of a receive path, ``op(secret, envelope)``.
         None — counted as ``misrouted``, never reported (a mix does not
@@ -792,7 +784,7 @@ class WhisperCommunicationLayer:
         passes here three times and ``op(*args)`` costs ~0.5 us more a call."""
         start_ms = self._charged_ms()
         try:
-            result = op(secret, envelope, node=self.node_id, context=context)
+            result = op(secret, envelope, node=self.node_id)
         except CryptoError:
             self._misrouted()
             return None
@@ -805,9 +797,7 @@ class WhisperCommunicationLayer:
     def _peel(self, packet: OnionPacket | CircuitSetupPacket, span: str):
         """Open our layer of a data or setup onion: ``(layer, packet to
         forward or None at the destination, CPU ms)``, or None (misrouted)."""
-        opened = self._open(
-            partial(peel, self.provider), "wcl.peel", self.keypair, packet
-        )
+        opened = self._open(partial(peel, self.provider), self.keypair, packet)
         if opened is None:
             return None
         (layer, forward), decrypt_ms = opened

@@ -62,16 +62,12 @@ class OpRecord:
 
 
 class CpuAccountant:
-    """Records (node, operation, context) -> cost; supports epoch snapshots.
-
-    ``context`` is a free-form tag ("wcl.request", "wcl.response", ...) so
-    experiments can produce the request/response breakdown of Fig. 7.
-    """
+    """Records (node, operation) -> cost, plus a running total per node."""
 
     def __init__(self, rng: "random.Random | None" = None) -> None:
         self._rng = rng
         self._telemetry = NULL_TELEMETRY
-        self._records: dict[NodeId, dict[tuple[str, str], OpRecord]] = defaultdict(
+        self._records: dict[NodeId, dict[str, OpRecord]] = defaultdict(
             lambda: defaultdict(OpRecord)
         )
         # Running per-node sum: the WCL reads it around every crypto step.
@@ -92,8 +88,8 @@ class CpuAccountant:
 
     # -- charging helpers; each returns the charged duration in seconds so
     # callers can also apply it as a processing delay.
-    def charge(self, node: NodeId, op: str, ms: float, context: str = "") -> float:
-        self._records[node][(op, context)].add(ms)
+    def charge(self, node: NodeId, op: str, ms: float) -> float:
+        self._records[node][op].add(ms)
         self._totals[node] += ms
         tel = self._telemetry
         if tel.enabled:
@@ -101,24 +97,22 @@ class CpuAccountant:
             tel.counter("crypto.ops", node=node, op=op, layer="crypto").inc()
         return ms / 1000.0
 
-    def rsa_decrypt(self, node: NodeId, context: str = "") -> float:
-        return self.charge(node, "rsa_decrypt", self._jitter(RSA_DECRYPT_MS), context)
+    def rsa_decrypt(self, node: NodeId) -> float:
+        return self.charge(node, "rsa_decrypt", self._jitter(RSA_DECRYPT_MS))
 
-    def rsa_encrypt(self, node: NodeId, context: str = "") -> float:
-        return self.charge(node, "rsa_encrypt", self._jitter(RSA_ENCRYPT_MS), context)
+    def rsa_encrypt(self, node: NodeId) -> float:
+        return self.charge(node, "rsa_encrypt", self._jitter(RSA_ENCRYPT_MS))
 
-    def rsa_sign(self, node: NodeId, context: str = "") -> float:
-        return self.charge(node, "rsa_sign", self._jitter(RSA_SIGN_MS), context)
+    def rsa_sign(self, node: NodeId) -> float:
+        return self.charge(node, "rsa_sign", self._jitter(RSA_SIGN_MS))
 
-    def rsa_verify(self, node: NodeId, context: str = "") -> float:
-        return self.charge(node, "rsa_verify", self._jitter(RSA_VERIFY_MS), context)
+    def rsa_verify(self, node: NodeId) -> float:
+        return self.charge(node, "rsa_verify", self._jitter(RSA_VERIFY_MS))
 
-    def aes(self, node: NodeId, size_bytes: int, context: str = "") -> float:
-        return self.charge(node, "aes", self._jitter(aes_ms(size_bytes)), context)
+    def aes(self, node: NodeId, size_bytes: int) -> float:
+        return self.charge(node, "aes", self._jitter(aes_ms(size_bytes)))
 
-    def aes_layers(
-        self, node: NodeId, size_bytes: int, layers: int, context: str = ""
-    ) -> float:
+    def aes_layers(self, node: NodeId, size_bytes: int, layers: int) -> float:
         """``layers`` symmetric passes over one body, charged as one op.
 
         The circuit-mode wrap runs all layers back to back in one call,
@@ -127,10 +121,7 @@ class CpuAccountant:
         same load conditions).  The op name stays ``aes`` so Table II's
         AES-vs-RSA breakdown aggregates circuit traffic naturally.
         """
-        return self.charge(
-            node, "aes",
-            self._jitter(aes_ms(size_bytes) * layers), context,
-        )
+        return self.charge(node, "aes", self._jitter(aes_ms(size_bytes) * layers))
 
     # -- reporting
     def node_total_ms(self, node: NodeId, op_prefix: str = "") -> float:
@@ -139,17 +130,16 @@ class CpuAccountant:
             return self._totals.get(node, 0.0)
         return sum(
             record.total_ms
-            for (op, _ctx), record in self._records.get(node, {}).items()
+            for op, record in self._records.get(node, {}).items()
             if op.startswith(op_prefix)
         )
 
     def op_breakdown(self, node: NodeId) -> dict[str, OpRecord]:
-        """Aggregate per-operation records for a node (contexts merged)."""
-        merged: dict[str, OpRecord] = defaultdict(OpRecord)
-        for (op, _ctx), record in self._records.get(node, {}).items():
-            merged[op].count += record.count
-            merged[op].total_ms += record.total_ms
-        return dict(merged)
+        """Per-operation records for a node (copies)."""
+        return {
+            op: OpRecord(record.count, record.total_ms)
+            for op, record in self._records.get(node, {}).items()
+        }
 
     def nodes(self) -> list[NodeId]:
         return list(self._records.keys())

@@ -360,9 +360,6 @@ class FaultExecutor:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def stalled_nodes(self) -> set[NodeId]:
-        return set(self._stalled)
-
     def decision_digest(self) -> tuple[tuple[str, tuple[NodeId, ...]], ...]:
         """Every plan-level fault decision so far, in execution order.
 

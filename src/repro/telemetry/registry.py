@@ -79,15 +79,6 @@ class MetricsRegistry:
         """All instruments in deterministic (name, labels) order."""
         return iter(sorted(self._metrics.items(), key=lambda kv: _sort_key(kv[0])))
 
-    def value(self, name: str, **labels: object) -> float:
-        """Current value of one counter/gauge (0 when never touched)."""
-        metric = self._metrics.get((name, _label_key(labels)))
-        if metric is None:
-            return 0
-        if isinstance(metric, Histogram):
-            raise TypeError(f"{name!r} is a histogram; use aggregate()")
-        return metric.value
-
     def collect(self, name: str) -> dict[LabelKey, Counter | Gauge | Histogram]:
         """Every instrument registered under ``name``, keyed by its labels."""
         return {
@@ -95,22 +86,6 @@ class MetricsRegistry:
             for (metric_name, labels), metric in self._metrics.items()
             if metric_name == name
         }
-
-    def values_by_label(self, name: str, label: str) -> dict[object, float]:
-        """Sum counter/gauge values under ``name``, grouped by one label.
-
-        E.g. ``values_by_label("fault.injected", "kind")`` counts
-        injections per fault kind regardless of any other labels on the
-        instruments.
-        """
-        out: dict[object, float] = {}
-        for labels, metric in self.collect(name).items():
-            label_map = dict(labels)
-            if label not in label_map:
-                continue
-            key = label_map[label]
-            out[key] = out.get(key, 0) + metric.value
-        return out
 
     def aggregate(
         self,

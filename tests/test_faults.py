@@ -251,7 +251,7 @@ class BareExecutor(FaultExecutor):
     def idle(self):
         return not (
             self._blackholes or self._losses or self.shaping_active
-            or self.stalled_nodes() or self._partition is not None
+            or self._stalled or self._partition is not None
         )
 
 

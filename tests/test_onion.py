@@ -136,7 +136,7 @@ class TestOnionCostAccounting:
     def test_build_charges_encrypts_per_layer(self):
         provider = SimCryptoProvider(random.Random(3))
         specs, _ = make_path(provider)
-        build_onion(provider, specs, "x", 1024, node=7, context="test")
+        build_onion(provider, specs, "x", 1024, node=7)
         breakdown = provider.accountant.op_breakdown(7)
         assert breakdown["rsa_encrypt"].count == 3  # one per layer
         assert breakdown["aes"].count >= 1  # body encryption
