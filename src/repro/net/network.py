@@ -48,13 +48,12 @@ __all__ = ["Network", "NetworkStats", "FaultHook"]
 
 Handler = Callable[[Message], None]
 
-# Floors for the fabric's memoization caches.  The effective bound is
-# derived from world size as nodes attach (see Network.attach): hard caps
-# sized for the 5,000-node `scale` run thrashed every cycle at 100k nodes.
-# Below the floor the bounds match the historical constants exactly, so
-# small-world traces are unaffected.
+# Floor for the owner-hint cache.  The effective bound is derived from
+# world size as nodes attach (see Network.attach): a hard cap sized for the
+# 5,000-node `scale` run thrashed every cycle at 100k nodes.  Below the
+# floor the bound matches the historical constant exactly, so small-world
+# traces are unaffected.
 OWNER_HINT_CACHE_FLOOR = 16_384
-ENCODE_CACHE_FLOOR = 8_192
 
 
 class FaultHook(TypingProtocol):
@@ -124,7 +123,6 @@ class Network:
         # RTTs), exposed so their hit/miss counters reach telemetry.
         self._latency_caches = latency.caches()
         self.wire_audit = None
-        self.encode_cache: LruCache | None = None
         self._wire = None  # lazily-imported repro.wire module
         self.set_wire_mode(wire_mode)
 
@@ -139,9 +137,8 @@ class Network:
           while measured frame sizes accumulate in :attr:`wire_audit`;
         - ``"measured"`` — bandwidth accounting and latency use the exact
           *encoded* frame size, making every byte count a measurement
-          instead of a model.  The body is encoded for its length
-          (``wire.encoded_size``: no frame header or CRC is assembled and
-          nothing is decoded), so like ``"off"`` the receiver sees the
+          instead of a model.  The frame is encoded for its length and
+          nothing is decoded, so like ``"off"`` the receiver sees the
           sender's payload object; ``"verify"`` is the mode that exercises
           the full encode→decode loop.
         """
@@ -155,12 +152,6 @@ class Network:
 
             self._wire = _wire
             self.wire_audit = WireAudit()
-            # Hot immutable structs (descriptors, piggybacked public keys)
-            # are re-encoded on every gossip cycle; the LRU turns those into
-            # one dict hit each.
-            self.encode_cache = LruCache(
-                max(ENCODE_CACHE_FLOOR, 2 * len(self._handlers))
-            )
         self._wire_mode = mode
         self._rebind()
 
@@ -180,18 +171,13 @@ class Network:
         if node_id >= len(arr):
             arr.extend([None] * (node_id + 1 - len(arr)))
         arr[node_id] = handler
-        # Derive cache bounds from world size so eviction stays a
+        # Derive the hint bound from world size so eviction stays a
         # churny-run safeguard rather than a steady-state thrash at scale.
-        # Monotonic: bounds only grow, so behaviour below the floor — and
-        # hence every historical trace — is unchanged.
+        # Monotonic: the bound only grows, so behaviour below the floor —
+        # and hence every historical trace — is unchanged.
         hint_bound = 4 * len(self._handlers)
         if hint_bound > self._owner_hints.capacity:
             self._owner_hints.capacity = hint_bound
-        cache = self.encode_cache
-        if cache is not None:
-            encode_bound = max(ENCODE_CACHE_FLOOR, 2 * len(self._handlers))
-            if encode_bound > cache.capacity:
-                cache.capacity = encode_bound
 
     def reserve_owner_hints(self, expected_hosts: int) -> None:
         """Monotonically raise the owner-hint bound for a known host space.
@@ -298,9 +284,7 @@ class Network:
         if wire_on:
             wire_encode = self._wire.encode_message
             wire_decode = self._wire.decode_message
-            wire_size = self._wire.encoded_size
             audit_record = self.wire_audit.record
-            encode_cache = self.encode_cache
 
         def _deliver(src_node, message, category):
             dst = message.dst
@@ -393,13 +377,13 @@ class Network:
                     # sees has been through encode->decode, so any value the
                     # codec cannot carry fails here, in the sim, not on a
                     # live socket.
-                    frame = wire_encode(kind, payload, encode_cache)
+                    frame = wire_encode(kind, payload)
                     audit_record(kind, size_bytes, len(frame))
                     payload = wire_decode(frame).payload
                 else:
-                    # measured: exact frame size, the body encoded for its
-                    # length; no frame, no CRC, payload delivered as in "off".
-                    measured = wire_size(kind, payload, encode_cache)
+                    # measured: charge the frame's length; the payload is
+                    # delivered as in "off".
+                    measured = len(wire_encode(kind, payload))
                     audit_record(kind, size_bytes, measured)
                     size_bytes = measured
             stats.sent += 1
@@ -518,8 +502,6 @@ class Network:
             "net.owner_hint": self._owner_hints,
             **self._latency_caches,
         }
-        if self.encode_cache is not None and self._wire_mode != "off":
-            stats["wire.encode"] = self.encode_cache
         return {
             name: {
                 "hits": cache.hits,
@@ -536,14 +518,11 @@ class Network:
 
         Owner-hint and latency-model caches behave identically in every
         wire mode, so their counters never perturb off-vs-verify trace
-        comparisons; ``wire.encode.*`` exists only when the codec runs and
-        is codec-layer bookkeeping by definition.
+        comparisons.
         """
         self._owner_hints.publish(tel, "net.owner_hint", layer="net")
         for name, cache in self._latency_caches.items():
             cache.publish(tel, name, layer="net")
-        if self.encode_cache is not None and self._wire_mode != "off":
-            self.encode_cache.publish(tel, "wire.encode", layer="wire")
 
     def _observe(
         self,

@@ -47,7 +47,6 @@ from ..net.message import Message
 from ..sim.rng import RngRegistry
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .. import wire
-from ..wire.audit import WireAudit
 from .clock import AsyncioScheduler
 
 if TYPE_CHECKING:
@@ -128,7 +127,6 @@ class LiveNetwork:
         self._handlers: dict[NodeId, Handler] = {}
         self._topology = _LiveTopology(self)
         self.stats = LiveNetworkStats()
-        self.wire_audit = WireAudit()
         self.queue_limit = queue_limit
         self._fault_fabric: "LiveFaultFabric | None" = None
         self._queue_gauge = self.telemetry.metrics.gauge(
@@ -245,7 +243,8 @@ class LiveNetwork:
         """Encode one protocol message and put it on the wire.
 
         Fire-and-forget, like the sim fabric: a send from a node whose
-        socket is gone is dropped silently.
+        socket is gone is dropped silently.  ``size_bytes`` (the protocol
+        layer's estimate) is unused: the accountant charges the frame.
         """
         if src_node not in self._ports:
             self.stats.filtered += 1
@@ -253,7 +252,6 @@ class LiveNetwork:
                 self.telemetry.counter("net.filtered", layer="net").inc()
             return
         frame = wire.encode_message(kind, payload)
-        self.wire_audit.record(kind, size_bytes, len(frame))
         self.stats.sent += 1
         self.accountant.record(src_node, -1, len(frame), category)
         tel = self.telemetry

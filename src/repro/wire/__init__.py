@@ -19,7 +19,6 @@ simulator are the sizes a deployment pays.
 """
 
 from .codec import (
-    LruCache,
     WireDecodeError,
     WireEncodeError,
     WireError,
@@ -28,7 +27,6 @@ from .codec import (
     encode_blob,
     encode_value,
     reference_encode_value,
-    value_size,
 )
 from .registry import (
     WIRE_VERSION,
@@ -37,7 +35,6 @@ from .registry import (
     category_for,
     decode_message,
     encode_message,
-    encoded_size,
     registered_kinds,
     spec_for,
 )
@@ -46,7 +43,6 @@ from .audit import WireAudit
 __all__ = [
     "WIRE_VERSION",
     "DecodedMessage",
-    "LruCache",
     "MessageSpec",
     "WireAudit",
     "WireDecodeError",
@@ -59,9 +55,7 @@ __all__ = [
     "encode_blob",
     "encode_message",
     "encode_value",
-    "encoded_size",
     "reference_encode_value",
     "registered_kinds",
     "spec_for",
-    "value_size",
 ]

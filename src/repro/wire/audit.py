@@ -23,15 +23,8 @@ class KindSizes:
     count: int = 0
     estimated_bytes: int = 0
     measured_bytes: int = 0
-    min_measured: int = 0
-    max_measured: int = 0
 
     def record(self, estimated: int, measured: int) -> None:
-        if self.count == 0:
-            self.min_measured = self.max_measured = measured
-        else:
-            self.min_measured = min(self.min_measured, measured)
-            self.max_measured = max(self.max_measured, measured)
         self.count += 1
         self.estimated_bytes += estimated
         self.measured_bytes += measured
@@ -67,8 +60,6 @@ class WireAudit:
                     "count": entry.count,
                     "mean_estimated": entry.estimated_bytes / entry.count,
                     "mean_measured": entry.measured_bytes / entry.count,
-                    "min_measured": entry.min_measured,
-                    "max_measured": entry.max_measured,
                     "ratio": entry.ratio,
                 }
             )

@@ -17,7 +17,8 @@ silently pickling, which is what keeps the format stable and
 language-independent in principle.  Field counts are written per struct so
 a decoder can reject frames produced by a schema it does not know.
 
-Hot path layout (the ``wire_mode="verify"/"measured"`` cost):
+Hot path layout (the per-datagram cost of the live transport and of
+``wire_mode="verify"/"measured"``):
 
 - encoding dispatches on ``type(obj)`` through :data:`_ENCODERS`, a table
   of **precompiled closures** built once at import time — per-struct
@@ -28,14 +29,7 @@ Hot path layout (the ``wire_mode="verify"/"measured"`` cost):
   :func:`reference_encode_value` and the test suite pins byte-identity);
 - decoding runs over a :class:`memoryview` (no body copy per frame) via
   the tag-indexed :data:`_DECODERS` table, with per-struct decoders that
-  construct dataclasses positionally;
-- :func:`value_size` is ``len(encode_value(...))``: size-only callers
-  (``encoded_size``, ``wire_mode="measured"`` accounting) take the same
-  traversal and the same encode-cache hits as a real encode;
-- hot immutable structs (descriptors, circulating public keys, view
-  entries) can be served from an optional per-network LRU **encode
-  cache** (:class:`~repro.core.lru.LruCache`): pass it as ``cache=`` and
-  repeated encodes of the same frozen value become one dict hit.
+  construct dataclasses positionally.
 
 Framing (magic, version, message kind, CRC) lives one level up in
 :mod:`repro.wire.registry`; this module also provides :func:`encode_blob`
@@ -56,7 +50,6 @@ from typing import Any, Callable
 from ..core.contact import Gateway, PrivateContact
 from ..core.election import Heartbeat, Proposal
 from ..core.group import Accreditation, Invitation, Passport
-from ..core.lru import LruCache
 from ..core.onion import (
     CircuitFrame,
     CircuitHop,
@@ -81,11 +74,9 @@ __all__ = [
     "WireDecodeError",
     "encode_value",
     "decode_value",
-    "value_size",
     "reference_encode_value",
     "encode_blob",
     "decode_blob",
-    "LruCache",
 ]
 
 
@@ -152,15 +143,6 @@ _ENUM_TABLE: list[tuple[int, type]] = [
     (3, Protocol),
 ]
 
-# Hot *immutable* structs worth serving from the encode cache.  The bar is
-# high: a cache hit still hashes the dataclass (all fields), so caching only
-# pays when re-encoding costs far more than hashing.  That is true for the
-# public-key structs gossip re-ships every cycle (varint-encoding a large
-# modulus dwarfs hashing it) and false for small churny records like
-# ViewEntry, whose age field changes every cycle and which encodes in less
-# time than a lookup — measured, caching those was a net loss.
-_CACHED_STRUCTS = {PublicKey, RsaPublicKey}
-
 _STRUCT_BY_TYPE: dict[type, tuple[int, tuple[str, ...]]] = {}
 _STRUCT_BY_ID: dict[int, tuple[type, tuple[str, ...]]] = {}
 for _sid, _cls in _STRUCT_TABLE:
@@ -196,10 +178,6 @@ def _uvarint_bytes(value: int) -> bytes:
     return bytes(buf)
 
 
-def _uvarint_len(value: int) -> int:
-    return ((value.bit_length() + 6) // 7) or 1
-
-
 def _read_uvarint(data, pos: int) -> tuple[int, int]:
     # No explicit bounds check: running off the end raises IndexError,
     # which the decode entry points translate to "truncated value".
@@ -219,9 +197,9 @@ def _zigzag(value: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# compiled encoders: type -> closure(buf, obj, cache)
+# compiled encoders: type -> closure(buf, obj)
 
-_ENCODERS: dict[type, Callable[[bytearray, Any, LruCache | None], None]] = {}
+_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {}
 
 _pack_float = _struct.Struct(">d").pack
 _unpack_float = _struct.Struct(">d").unpack_from
@@ -236,19 +214,19 @@ def _encode_fallback(obj: Any) -> None:
     raise WireEncodeError(f"unregistered type on the wire: {type(obj).__name__}")
 
 
-def _encode_into(buf: bytearray, obj: Any, cache: LruCache | None) -> None:
+def _encode_into(buf: bytearray, obj: Any) -> None:
     try:
         enc = _ENCODERS[obj.__class__]
     except KeyError:
         _encode_fallback(obj)
-    enc(buf, obj, cache)
+    enc(buf, obj)
 
 
-def _enc_none(buf, obj, cache):
+def _enc_none(buf, obj):
     buf.append(_T_NONE)
 
 
-def _enc_bool(buf, obj, cache):
+def _enc_bool(buf, obj):
     buf.append(_T_TRUE if obj else _T_FALSE)
 
 
@@ -258,7 +236,7 @@ def _enc_bool(buf, obj, cache):
 _INT1 = tuple(bytes((_T_INT, v)) for v in range(0x80))
 
 
-def _enc_int(buf, obj, cache):
+def _enc_int(buf, obj):
     v = obj + obj if obj >= 0 else -obj - obj - 1
     if v < 0x80:
         buf += _INT1[v]
@@ -271,12 +249,12 @@ def _enc_int(buf, obj, cache):
     append(v)
 
 
-def _enc_float(buf, obj, cache):
+def _enc_float(buf, obj):
     buf.append(_T_FLOAT)
     buf += _pack_float(obj)
 
 
-def _enc_bytes(buf, obj, cache):
+def _enc_bytes(buf, obj):
     append = buf.append
     append(_T_BYTES)
     n = len(obj)
@@ -296,7 +274,7 @@ _STR_ENC_MEMO: dict[str, bytes] = {}
 _STR_MEMO_LIMIT = 8192
 
 
-def _enc_str(buf, obj, cache):
+def _enc_str(buf, obj):
     try:
         buf += _STR_ENC_MEMO[obj]
         return
@@ -320,7 +298,7 @@ def _enc_str(buf, obj, cache):
 
 
 def _make_seq_encoder(tag: int):
-    def enc(buf, obj, cache, _tag=tag, _E=_ENCODERS, _fb=_encode_fallback):
+    def enc(buf, obj, _tag=tag, _E=_ENCODERS, _fb=_encode_fallback):
         append = buf.append
         append(_tag)
         n = len(obj)
@@ -333,12 +311,12 @@ def _make_seq_encoder(tag: int):
                 e = _E[item.__class__]
             except KeyError:
                 _fb(item)
-            e(buf, item, cache)
+            e(buf, item)
 
     return enc
 
 
-def _enc_dict(buf, obj, cache, _E=_ENCODERS, _fb=_encode_fallback):
+def _enc_dict(buf, obj, _E=_ENCODERS, _fb=_encode_fallback):
     append = buf.append
     append(_T_DICT)
     n = len(obj)
@@ -351,12 +329,12 @@ def _enc_dict(buf, obj, cache, _E=_ENCODERS, _fb=_encode_fallback):
             e = _E[key.__class__]
         except KeyError:
             _fb(key)
-        e(buf, key, cache)
+        e(buf, key)
         try:
             e = _E[value.__class__]
         except KeyError:
             _fb(value)
-        e(buf, value, cache)
+        e(buf, value)
 
 
 def _compile_function(name: str, lines: list[str], bindings: dict[str, Any]):
@@ -391,7 +369,7 @@ def _make_struct_encoder(sid: int, cls: type, names: tuple[str, ...]):
     )
     function_name = f"_encode_{cls.__name__}"
     lines = [
-        f"def {function_name}(buf, obj, cache, _prefix=_prefix, _E=_E, _fb=_fb):",
+        f"def {function_name}(buf, obj, _prefix=_prefix, _E=_E, _fb=_fb):",
         "    buf += _prefix",
     ]
     for name in names:
@@ -401,33 +379,12 @@ def _make_struct_encoder(sid: int, cls: type, names: tuple[str, ...]):
             "        e = _E[v.__class__]",
             "    except KeyError:",
             "        _fb(v)",
-            "    e(buf, v, cache)",
+            "    e(buf, v)",
         ]
-    encode_fields = _compile_function(
+    return _compile_function(
         function_name, lines,
         {"_prefix": prefix, "_E": _ENCODERS, "_fb": _encode_fallback},
     )
-
-    if cls not in _CACHED_STRUCTS:
-        return encode_fields
-
-    def encode_cached(buf, obj, cache, _encode=encode_fields):
-        if cache is not None:
-            try:
-                data = cache.get(obj)
-            except TypeError:  # unhashable field snuck in: encode directly
-                data = None
-            else:
-                if data is not None:
-                    buf += data
-                    return
-                start = len(buf)
-                _encode(buf, obj, cache)
-                cache.put(obj, bytes(buf[start:]))
-                return
-        _encode(buf, obj, cache)
-
-    return encode_cached
 
 
 def _make_enum_encoder(eid: int, members: tuple[Any, ...]):
@@ -436,7 +393,7 @@ def _make_enum_encoder(eid: int, members: tuple[Any, ...]):
         for index, member in enumerate(members)
     }
 
-    def enc(buf, obj, cache, _table=table):
+    def enc(buf, obj, _table=table):
         buf += _table[obj]
 
     return enc
@@ -463,19 +420,14 @@ def _build_tables() -> None:
 _build_tables()
 
 
-def encode_value(obj: Any, cache: LruCache | None = None) -> bytes:
+def encode_value(obj: Any) -> bytes:
     """Encode one payload value to TLV bytes (no frame header)."""
     buf = bytearray()
     enc = _ENCODERS.get(obj.__class__)
     if enc is None:
         _encode_fallback(obj)
-    enc(buf, obj, cache)
+    enc(buf, obj)
     return bytes(buf)
-
-
-def value_size(obj: Any, cache: LruCache | None = None) -> int:
-    """Exact ``len(encode_value(obj, cache))``."""
-    return len(encode_value(obj, cache))
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from .codec import (
-    LruCache,
     WireDecodeError,
     WireEncodeError,
     _encode_into,
-    _uvarint_len,
     _write_uvarint,
     decode_value,
-    value_size,
 )
 from ..core.onion import CircuitFrame, CircuitSetupPacket, OnionPacket
 
@@ -64,7 +61,6 @@ __all__ = [
     "registered_kinds",
     "encode_message",
     "decode_message",
-    "encoded_size",
 ]
 
 WIRE_MAGIC = b"WF"
@@ -79,7 +75,6 @@ class MessageSpec:
     wire_id: int
     category: str
     required: frozenset[str] = frozenset()
-    optional: frozenset[str] = frozenset()
     payload_type: type | None = None  # non-dict payloads (e.g. OnionPacket)
 
     def check(self, payload: Any, *, exc: type[Exception]) -> None:
@@ -99,7 +94,7 @@ class MessageSpec:
         missing = self.required - keys
         if missing:
             raise exc(f"{self.kind}: missing fields {sorted(missing)}")
-        unknown = keys - self.required - self.optional
+        unknown = keys - self.required
         if unknown:
             raise exc(f"{self.kind}: unknown fields {sorted(unknown)}")
 
@@ -110,8 +105,6 @@ class DecodedMessage:
 
     kind: str
     payload: Any
-    version: int = WIRE_VERSION
-    encoded_size: int = 0
 
 
 def _spec(
@@ -119,7 +112,6 @@ def _spec(
     wire_id: int,
     category: str,
     required: tuple[str, ...] = (),
-    optional: tuple[str, ...] = (),
     payload_type: type | None = None,
 ) -> MessageSpec:
     return MessageSpec(
@@ -127,7 +119,6 @@ def _spec(
         wire_id=wire_id,
         category=category,
         required=frozenset(required),
-        optional=frozenset(optional),
         payload_type=payload_type,
     )
 
@@ -246,16 +237,12 @@ for _s in _SPECS:
     _HEAD_BY_KIND[_s.kind] = bytes(_head)
 
 
-def encode_message(kind: str, payload: Any, cache: LruCache | None = None) -> bytes:
-    """Encode one protocol message to a complete wire frame.
-
-    ``cache`` is an optional encode cache (see :mod:`repro.wire.codec`)
-    serving repeated hot immutable structs from memory.
-    """
+def encode_message(kind: str, payload: Any) -> bytes:
+    """Encode one protocol message to a complete wire frame."""
     spec = spec_for(kind)
     spec.check(payload, exc=WireEncodeError)
     body = bytearray()
-    _encode_into(body, payload, cache)
+    _encode_into(body, payload)
     frame = bytearray(_HEAD_BY_KIND[kind])
     _write_uvarint(frame, len(body))
     frame += body
@@ -292,19 +279,5 @@ def decode_message(data: bytes) -> DecodedMessage:
         raise WireDecodeError("frame checksum mismatch")
     payload = decode_value(view[pos : pos + length])
     spec.check(payload, exc=WireDecodeError)
-    return DecodedMessage(
-        kind=spec.kind, payload=payload, version=version, encoded_size=len(data)
-    )
+    return DecodedMessage(kind=spec.kind, payload=payload)
 
-
-def encoded_size(kind: str, payload: Any, cache: LruCache | None = None) -> int:
-    """Exact on-the-wire frame size for a message.
-
-    Matches ``len(encode_message(kind, payload))`` byte for byte (pinned by
-    test): the body is encoded for its length, but there is no frame
-    assembly and no CRC.
-    """
-    spec = spec_for(kind)
-    spec.check(payload, exc=WireEncodeError)
-    body_len = value_size(payload, cache)
-    return len(_HEAD_BY_KIND[kind]) + _uvarint_len(body_len) + body_len + 4

@@ -155,11 +155,11 @@ class TestLiveStack:
             assert rt.run_until(lambda: bool(got), timeout=20)
             assert got[0]["text"] == "live"
 
-            # Real frames moved: the audit saw actual fabric kinds and the
-            # accountant charged measured datagram bytes.
-            assert "nat.data" in rt.network.wire_audit.kinds
+            # Real frames moved: the fabric's accountant charged measured
+            # datagram bytes, onion-routed WCL traffic among them.
             assert rt.network.stats.delivered > 0
             assert rt.accountant.totals(1).up_bytes > 0
+            assert rt.network.accountant.totals(3).up_by_category["wcl"] > 0
         finally:
             rt.close()
 
