@@ -33,7 +33,7 @@ __all__ = ["run"]
 
 
 def run(scale: float = 1.0, seed: int = 1010) -> Report:
-    report = Report(title="Wire format — codec throughput and measured sizes")
+    report = Report(title="Wire format — measured vs estimated frame sizes")
     report.add(_audit_table(scale, seed))
     _fig6_delta(report, scale, seed)
     report.note(
