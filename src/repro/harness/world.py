@@ -74,6 +74,10 @@ class World:
 
     def __init__(self, config: WorldConfig | None = None) -> None:
         self.config = config if config is not None else WorldConfig()
+        if not 0.0 <= self.config.natted_fraction <= 1.0:
+            raise ValueError(
+                f"natted_fraction out of range: {self.config.natted_fraction}"
+            )
         self.sim = Simulator()
         self.telemetry = Telemetry(
             clock=lambda: self.sim.now,
@@ -81,9 +85,7 @@ class World:
         )
         self.sim.bind_telemetry(self.telemetry)
         self.registry = RngRegistry(self.config.seed)
-        self.topology = NatTopology(
-            self.registry.stream("nat"), natted_fraction=self.config.natted_fraction
-        )
+        self.topology = NatTopology()
         self.network = Network(
             self.sim, self.topology, self._make_latency(),
             telemetry=self.telemetry,

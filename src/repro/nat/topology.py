@@ -2,17 +2,16 @@
 
 The paper deploys "70% of the nodes behind NAT devices, evenly split between
 the four NAT types" to reflect the Casado-Freedman measurement study [4].
-:class:`NatTopology` reproduces that assignment and keeps the
-endpoint-ownership tables the network fabric reads.
+The harness draws that assignment (:func:`repro.harness.world.nat_plan`);
+:class:`NatTopology` places each node behind the type it is given and keeps
+the endpoint-ownership tables the network fabric reads.
 """
 
 from __future__ import annotations
 
-import random
-
 from ..net.address import Endpoint, NodeId, NodeKind
 from .device import NatDevice
-from .types import EMULATED_TYPES, NatType
+from .types import NatType
 
 __all__ = ["NatTopology", "NatAssignment"]
 
@@ -56,17 +55,7 @@ class NatTopology:
     source endpoint and to find (and filter through) a destination's owner.
     """
 
-    def __init__(
-        self,
-        rng: random.Random,
-        natted_fraction: float = 0.7,
-        nat_types: tuple[NatType, ...] = EMULATED_TYPES,
-    ) -> None:
-        if not 0.0 <= natted_fraction <= 1.0:
-            raise ValueError(f"natted_fraction out of range: {natted_fraction}")
-        self._rng = rng
-        self._natted_fraction = natted_fraction
-        self._nat_types = nat_types
+    def __init__(self) -> None:
         self._assignments: dict[NodeId, NatAssignment] = {}
         # Struct-of-arrays mirror of the assignment table, indexed directly
         # by node id (ids are dense: the World allocates them 1, 2, 3, ...).
@@ -85,8 +74,8 @@ class NatTopology:
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
-    def add_node(self, node_id: NodeId, nat_type: NatType | None = None) -> NatAssignment:
-        """Register a node; draws a NAT type if none is forced.
+    def add_node(self, node_id: NodeId, nat_type: NatType) -> NatAssignment:
+        """Register a node behind ``nat_type``.
 
         Natted nodes receive a private endpoint and a dedicated device; public
         nodes receive a globally reachable endpoint.
@@ -95,8 +84,6 @@ class NatTopology:
             raise ValueError(f"node {node_id} already registered")
         if node_id < 0:
             raise ValueError(f"node ids must be non-negative, got {node_id}")
-        if nat_type is None:
-            nat_type = self._draw_type()
         if nat_type.is_natted:
             device = NatDevice(nat_id=node_id, nat_type=nat_type)
             local = Endpoint(f"priv-{node_id}", _NODE_PORT)
@@ -123,11 +110,6 @@ class NatTopology:
         self._owner.pop(assignment.reachable_host, None)
         self._local[node_id] = None
         self._device[node_id] = None
-
-    def _draw_type(self) -> NatType:
-        if self._rng.random() < self._natted_fraction:
-            return self._rng.choice(self._nat_types)
-        return NatType.OPEN
 
     # ------------------------------------------------------------------
     # lookups

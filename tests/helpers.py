@@ -14,7 +14,6 @@ from repro.net.latency import FixedLatencyModel, LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 
 __all__ = ["MiniNode", "MiniWorld"]
 
@@ -53,12 +52,10 @@ class MiniWorld:
     def __init__(
         self,
         latency: LatencyModel | None = None,
-        seed: int = 7,
         policy: TraversalPolicy | None = None,
     ) -> None:
         self.sim = Simulator()
-        self.rng = RngRegistry(seed)
-        self.topology = NatTopology(self.rng.stream("nat"))
+        self.topology = NatTopology()
         self.network = Network(
             self.sim,
             self.topology,

@@ -5,10 +5,9 @@ is what translates a sender's source endpoint and filters a destination
 through its owner's NAT device.
 """
 
-import random
-
 import pytest
 
+from repro.harness.world import World, WorldConfig
 from repro.nat.topology import NatTopology
 from repro.nat.types import NatType
 from repro.net.address import Endpoint, NodeKind
@@ -19,7 +18,7 @@ from repro.sim.engine import Simulator
 
 @pytest.fixture()
 def topology():
-    return NatTopology(random.Random(5))
+    return NatTopology()
 
 
 class Fabric:
@@ -72,18 +71,20 @@ class TestAssignment:
             topology.add_node(1, NatType.OPEN)
 
     def test_random_draw_respects_fraction(self):
-        topology = NatTopology(random.Random(5), natted_fraction=0.7)
-        for i in range(400):
-            topology.add_node(i)
+        world = World(WorldConfig(seed=5, natted_fraction=0.7))
+        for _ in range(400):
+            world.add_node()  # no type given: the world draws one
         natted = sum(
-            1 for i in range(400)
-            if topology.kind(i) is NodeKind.NATTED
+            1 for i in world.nodes
+            if world.topology.kind(i) is NodeKind.NATTED
         )
         assert 230 < natted < 330  # ~70% in expectation
 
     def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            NatTopology(random.Random(1), natted_fraction=1.5)
+        with pytest.raises(ValueError, match="natted_fraction"):
+            World(WorldConfig(natted_fraction=1.5))
+        with pytest.raises(ValueError, match="natted_fraction"):
+            World(WorldConfig(natted_fraction=-0.1))
 
     def test_public_endpoint_accessor(self, topology):
         topology.add_node(1, NatType.OPEN)
