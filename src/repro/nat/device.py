@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 from ..net.address import Endpoint, Protocol
 from .types import NatType
 
-__all__ = ["NatDevice", "Mapping", "DEFAULT_LEASES"]
+__all__ = ["NatDevice", "Mapping", "DEFAULT_LEASES", "FIRST_PORT"]
 
 DEFAULT_LEASES: dict[Protocol, float] = {
     Protocol.UDP: 300.0,  # 5 minutes
     Protocol.TCP: 86_400.0,  # 24 hours
 }
+FIRST_PORT = 40_000  # the first external port a device allocates
 
 
 @dataclass
@@ -48,20 +49,13 @@ class Mapping:
 class NatDevice:
     """A single emulated NAT box fronting one or more internal endpoints."""
 
-    def __init__(
-        self,
-        nat_id: int,
-        nat_type: NatType,
-        leases: dict[Protocol, float] | None = None,
-        first_port: int = 40_000,
-    ) -> None:
+    def __init__(self, nat_id: int, nat_type: NatType) -> None:
         if nat_type is NatType.OPEN:
             raise ValueError("OPEN is not a NAT device type")
         self.nat_id = nat_id
         self.nat_type = nat_type
         self.public_host = f"nat-{nat_id}"
-        self._leases = dict(DEFAULT_LEASES if leases is None else leases)
-        self._ports = itertools.count(first_port)
+        self._ports = itertools.count(FIRST_PORT)
         # Mapping tables, keyed differently for cone vs symmetric devices.
         self._cone: dict[tuple[Endpoint, Protocol], Mapping] = {}
         self._sym: dict[tuple[Endpoint, Endpoint, Protocol], Mapping] = {}
@@ -78,7 +72,7 @@ class NatDevice:
 
     # ------------------------------------------------------------------
     def lease(self, protocol: Protocol) -> float:
-        return self._leases[protocol]
+        return DEFAULT_LEASES[protocol]
 
     def _expired(self, mapping: Mapping, now: float) -> bool:
         return now > mapping.expires_at
@@ -132,7 +126,7 @@ class NatDevice:
             and now <= m.expires_at
             and (m.bound_remote is None or m.bound_remote == remote)
         ):
-            m.expires_at = now + self._leases[protocol]
+            m.expires_at = now + DEFAULT_LEASES[protocol]
             m.contacted_hosts.add(remote.host)
             m.contacted_endpoints.add(remote)
             return m.external
@@ -173,7 +167,7 @@ class NatDevice:
             if not self._admits(m, source):
                 self.dropped_inbound += 1
                 return None
-            m.expires_at = now + self._leases[protocol]
+            m.expires_at = now + DEFAULT_LEASES[protocol]
             return m.internal
         mapping = self._by_port.get((external_port, protocol))
         if mapping is None:

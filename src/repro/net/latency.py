@@ -30,6 +30,19 @@ __all__ = [
     "FixedLatencyModel",
 ]
 
+# Cluster testbed: propagation, 1 Gbps links, lognormal OS jitter.
+CLUSTER_BASE_DELAY_S = 2e-4
+CLUSTER_BANDWIDTH_BPS = 1e9
+CLUSTER_JITTER_MU = math.log(4e-4)
+CLUSTER_JITTER_SIGMA = 0.6
+
+# PlanetLab testbed: loss, overloaded machines, synthetic geography.
+PLANETLAB_LOSS_RATE = 0.03
+PLANETLAB_SLOW_NODE_FRACTION = 0.15
+PLANETLAB_MIN_ONE_WAY_S = 0.01
+PLANETLAB_MEAN_ONE_WAY_S = 0.08
+PLANETLAB_BANDWIDTH_BPS = 10e6
+
 
 class LatencyModel(ABC):
     """Samples one-way delays and loss for node pairs."""
@@ -72,19 +85,8 @@ class ClusterLatencyModel(LatencyModel):
     OS/scheduling jitter.  No loss.
     """
 
-    def __init__(
-        self,
-        rng: random.Random,
-        base_delay_s: float = 2e-4,
-        bandwidth_bps: float = 1e9,
-        jitter_mu: float = math.log(4e-4),
-        jitter_sigma: float = 0.6,
-    ) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self._base = base_delay_s
-        self._bw = bandwidth_bps
-        self._mu = jitter_mu
-        self._sigma = jitter_sigma
         # Bound once: delay() runs once per message, and the attribute +
         # method-bind lookups are measurable at that volume.
         self._lognorm = rng.lognormvariate
@@ -94,9 +96,9 @@ class ClusterLatencyModel(LatencyModel):
         # `size * (8 / bw)` changes the result in the last ulp, and delays
         # feed the event clock that traces are byte-compared on.
         return (
-            self._base
-            + size_bytes * 8 / self._bw
-            + self._lognorm(self._mu, self._sigma)
+            CLUSTER_BASE_DELAY_S
+            + size_bytes * 8 / CLUSTER_BANDWIDTH_BPS
+            + self._lognorm(CLUSTER_JITTER_MU, CLUSTER_JITTER_SIGMA)
         )
 
     def is_lost(self, src: NodeId, dst: NodeId) -> bool:
@@ -106,27 +108,14 @@ class ClusterLatencyModel(LatencyModel):
 class PlanetLabLatencyModel(LatencyModel):
     """Wide-area testbed with overloaded machines.
 
-    Each node gets a *load factor*: most nodes are fine, a configurable
-    fraction is persistently slow (5-20x).  Pairwise base RTTs come from
+    Each node gets a *load factor*: most nodes are fine, a fixed fraction
+    is persistently slow (5-20x).  Pairwise base RTTs come from
     synthetic geography (stable per pair).  On top: lognormal queueing jitter
     and uniform random loss.
     """
 
-    def __init__(
-        self,
-        rng: random.Random,
-        loss_rate: float = 0.03,
-        slow_node_fraction: float = 0.15,
-        min_one_way_s: float = 0.01,
-        mean_one_way_s: float = 0.08,
-        bandwidth_bps: float = 10e6,
-    ) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self._loss = loss_rate
-        self._slow_fraction = slow_node_fraction
-        self._min = min_one_way_s
-        self._mean = mean_one_way_s
-        self._bw = bandwidth_bps
         # Bounded LRU (they grew per node / per pair forever before PR 5).
         # Capacities hold the largest experiment's working set outright; an
         # evicted entry is simply resampled on next touch, which keeps
@@ -145,7 +134,7 @@ class PlanetLabLatencyModel(LatencyModel):
         # the LRU move-to-front would be dead weight four times per message.
         factor = self._load.lookup(node)
         if factor is None:
-            if self._rng.random() < self._slow_fraction:
+            if self._rng.random() < PLANETLAB_SLOW_NODE_FRACTION:
                 factor = self._rng.uniform(5.0, 20.0)
             else:
                 factor = self._rng.uniform(1.0, 2.0)
@@ -158,19 +147,21 @@ class PlanetLabLatencyModel(LatencyModel):
         if base is None:
             # Exponential spread around the mean, floored at the minimum:
             # mimics a mix of continental and intercontinental paths.
-            base = self._min + self._rng.expovariate(1.0 / self._mean)
+            base = PLANETLAB_MIN_ONE_WAY_S + self._rng.expovariate(
+                1.0 / PLANETLAB_MEAN_ONE_WAY_S
+            )
             self._pair_base.put(key, base)
         return base
 
     def delay(self, src: NodeId, dst: NodeId, size_bytes: int) -> float:
         base = self._base_delay(src, dst)
         load = max(self._load_factor(src), self._load_factor(dst))
-        transmission = size_bytes * 8 / self._bw
+        transmission = size_bytes * 8 / PLANETLAB_BANDWIDTH_BPS
         jitter = self._rng.lognormvariate(math.log(0.01), 1.0)
         return base + (transmission + jitter) * load
 
     def is_lost(self, src: NodeId, dst: NodeId) -> bool:
         load = max(self._load_factor(src), self._load_factor(dst))
         # Slow (overloaded) machines also lose more messages.
-        effective = self._loss * (2.0 if load > 4.0 else 1.0)
+        effective = PLANETLAB_LOSS_RATE * (2.0 if load > 4.0 else 1.0)
         return self._rng.random() < effective

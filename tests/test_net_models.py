@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.common import traffic_window
 from repro.harness import World, WorldConfig
 from repro.metrics.stats import percentile
+from repro.net import latency
 from repro.net.bandwidth import BandwidthAccountant, TrafficTotals
 from repro.net.latency import (
     ClusterLatencyModel,
@@ -57,15 +58,15 @@ class TestPlanetLabLatency:
         # Different pairs live around different bases.
         assert abs(min(a) - min(b)) > 1e-4
 
-    def test_loses_some_messages(self):
-        model = PlanetLabLatencyModel(random.Random(2), loss_rate=0.05)
+    def test_loses_some_messages(self, monkeypatch):
+        monkeypatch.setattr(latency, "PLANETLAB_LOSS_RATE", 0.05)
+        model = PlanetLabLatencyModel(random.Random(2))
         lost = sum(model.is_lost(i % 20, (i + 1) % 20) for i in range(2000))
         assert 20 < lost < 400
 
-    def test_slow_nodes_exist(self):
-        model = PlanetLabLatencyModel(
-            random.Random(3), slow_node_fraction=0.5
-        )
+    def test_slow_nodes_exist(self, monkeypatch):
+        monkeypatch.setattr(latency, "PLANETLAB_SLOW_NODE_FRACTION", 0.5)
+        model = PlanetLabLatencyModel(random.Random(3))
         for i in range(50):
             model.delay(i, 1000, 100)
         factors = list(model._load.values())
