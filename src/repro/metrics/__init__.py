@@ -1,23 +1,13 @@
 """Measurement utilities for overlay quality and distribution summaries."""
 
 from .graph import ViewGraph, in_degree_distribution, local_clustering_coefficient
-from .stats import (
-    PAPER_PERCENTILES,
-    Summary,
-    cdf_points,
-    percentile,
-    stacked_percentiles,
-    summarize,
-)
+from .stats import PAPER_PERCENTILES, percentile, stacked_percentiles
 
 __all__ = [
     "PAPER_PERCENTILES",
-    "Summary",
     "ViewGraph",
-    "cdf_points",
     "in_degree_distribution",
     "local_clustering_coefficient",
     "percentile",
     "stacked_percentiles",
-    "summarize",
 ]

@@ -1,16 +1,15 @@
-"""Distribution utilities: CDFs, percentiles, stacked-percentile series.
+"""Distribution utilities: percentiles and stacked-percentile series.
 
 The paper's figures report distributions as CDFs (Fig. 5, 7, 9) or stacked
 percentiles in shades of grey (Fig. 8: 5th/25th/50th/75th/90th).  These
-helpers compute the same summaries from raw samples.
+helpers compute the percentiles behind both from raw samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["cdf_points", "percentile", "stacked_percentiles", "Summary", "summarize"]
+__all__ = ["percentile", "stacked_percentiles"]
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -33,15 +32,6 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
 
-def cdf_points(samples: list[float]) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) pairs, suitable for CDF plotting."""
-    if not samples:
-        return []
-    ordered = sorted(samples)
-    n = len(ordered)
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
-
-
 # The grey-shade stack used throughout Fig. 8.
 PAPER_PERCENTILES = (5.0, 25.0, 50.0, 75.0, 90.0)
 
@@ -52,25 +42,3 @@ def stacked_percentiles(
     """The paper's stacked-percentile representation of a distribution."""
     return {level: percentile(samples, level) for level in levels}
 
-
-@dataclass(frozen=True)
-class Summary:
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    median: float
-    p90: float
-
-
-def summarize(samples: list[float]) -> Summary:
-    if not samples:
-        raise ValueError("cannot summarize an empty sample set")
-    return Summary(
-        count=len(samples),
-        mean=sum(samples) / len(samples),
-        minimum=min(samples),
-        maximum=max(samples),
-        median=percentile(samples, 50.0),
-        p90=percentile(samples, 90.0),
-    )

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     ViewGraph,
-    cdf_points,
     in_degree_distribution,
     local_clustering_coefficient,
     percentile,
     stacked_percentiles,
-    summarize,
 )
 
 
@@ -113,23 +111,3 @@ class TestStackedPercentilesEdgeCases:
         stacked = stacked_percentiles([7.0] * 10)
         assert set(stacked.values()) == {7.0}
 
-
-class TestCdf:
-    def test_cdf_shape(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert points == [(1.0, pytest.approx(1 / 3)),
-                          (2.0, pytest.approx(2 / 3)),
-                          (3.0, pytest.approx(1.0))]
-
-    def test_cdf_empty(self):
-        assert cdf_points([]) == []
-
-    def test_summary(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0 and s.maximum == 4.0
-
-    def test_summary_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
