@@ -4,8 +4,9 @@ Every line is a pure function of the source tree, in any process and after
 any other world (exchange ids and accreditation nonces count per instance,
 telemetry exports renumber their ids): sharded trace SHAs at three lane
 counts, three ``load`` scenario SHAs, telemetry JSONL SHA plus fabric
-counters for a gossip-and-group world over latency model x wire mode, and
-a real-crypto circuit-mode world for both bulk ciphers.
+counters for a gossip-and-group world over latency model x wire mode, a
+real-crypto circuit-mode world for both bulk ciphers, and a sim-crypto
+circuit-mode world with the wire codec off and in the loop.
 
 A change that moves a trace on purpose re-records the golden file in the
 same commit, so the movement shows up in review::
@@ -86,6 +87,12 @@ def circuits() -> None:
             real_use_aes=use_aes, whisper=WhisperConfig(circuit_mode=True),
         )
         _report(f"circuits aes={use_aes}", _grouped_world(config, nodes=40, members=6))
+    for mode in ("off", "verify"):
+        config = WorldConfig(
+            seed=9, telemetry_enabled=True, wire_mode=mode,
+            whisper=WhisperConfig(circuit_mode=True),
+        )
+        _report(f"circuits sim/{mode}", _grouped_world(config, nodes=40, members=6))
 
 
 def record() -> None:
