@@ -808,11 +808,21 @@ for _sid, _cls in _STRUCT_TABLE:
 
 
 def decode_value(data) -> Any:
-    """Decode TLV bytes back to a payload value; rejects trailing bytes."""
+    """Decode TLV bytes back to a payload value; rejects trailing bytes.
+
+    Hostile input raises :class:`WireDecodeError` and nothing else: the hot
+    loops carry no depth or hashability checks, so the errors those would
+    catch (nesting past the recursion limit, a list or dict as a dict key)
+    are translated here, once, on the way out.
+    """
     try:
         obj, pos = _decode_at(data, 0)
     except IndexError:
         raise WireDecodeError("truncated value") from None
+    except RecursionError:
+        raise WireDecodeError("value nested too deeply") from None
+    except TypeError as exc:
+        raise WireDecodeError(f"malformed value: {exc}") from None
     if pos != len(data):
         raise WireDecodeError(f"{len(data) - pos} trailing bytes after value")
     return obj

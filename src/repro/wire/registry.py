@@ -96,7 +96,8 @@ class MessageSpec:
             raise exc(f"{self.kind}: missing fields {sorted(missing)}")
         unknown = keys - self.required
         if unknown:
-            raise exc(f"{self.kind}: unknown fields {sorted(unknown)}")
+            # Keys off the wire may mix types; repr orders any of them.
+            raise exc(f"{self.kind}: unknown fields {sorted(unknown, key=repr)}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,12 +12,15 @@ Three strata:
 """
 
 import dataclasses
+import socket
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
+from repro import wire
 from repro.core.node import WhisperConfig
 from repro.core.ppss import MemberState, PpssConfig
 from repro.pss.gossip import PssConfig
@@ -224,6 +227,40 @@ class TestLiveStack:
             assert rt.network.stats.rejected == 1
             assert rt.network.stats.delivered == 0
         finally:
+            rt.close()
+
+    def test_hostile_datagram_is_rejected_and_the_node_keeps_serving(self):
+        """A ~40 KB ``nat.data`` frame with a valid CRC whose body nests
+        lists 20,000 deep reaches a node's socket: it is counted as one
+        rejected datagram, and the next good frame is still delivered."""
+        body = b"\x07\x01" * 20000 + b"\x00"
+        head = bytearray(b"WF" + bytes([wire.WIRE_VERSION]))
+        head.append(wire.spec_for("nat.data").wire_id)
+        length = len(body)
+        while length >= 0x80:
+            head.append(length & 0x7F | 0x80)
+            length >>= 7
+        head.append(length)
+        frame = bytes(head) + body
+        frame += (zlib.crc32(frame) & 0xFFFFFFFF).to_bytes(4, "big")
+        rt = LiveRuntime(seed=8, provider="sim", whisper=fast_config())
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            rt.add_node(1)
+            rt.start([])
+            target = rt.network.endpoints[1]
+            sender.sendto(frame, (target.host, target.port))
+            assert rt.run_until(lambda: rt.network.stats.rejected == 1, timeout=5)
+            delivered = rt.network.stats.delivered
+            sender.sendto(
+                wire.encode_message("nat.ping", {"from": 2}), (target.host, target.port)
+            )
+            assert rt.run_until(
+                lambda: rt.network.stats.delivered > delivered, timeout=5
+            )
+            assert rt.network.stats.rejected == 1
+        finally:
+            sender.close()
             rt.close()
 
 

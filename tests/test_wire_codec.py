@@ -5,7 +5,8 @@ Acceptance criteria pinned here:
 - every registered message kind round-trips encode -> decode -> encode
   byte-identically, for both crypto providers, over many random payloads;
 - truncated or corrupted frames and foreign wire versions are rejected
-  with a clean ``WireDecodeError``;
+  with a clean ``WireDecodeError``, and arbitrary bytes (deep nesting,
+  unhashable dict keys) raise nothing else;
 - same-seed sim runs with the codec-backed transport enabled export
   byte-identical telemetry traces, and ``"verify"`` mode produces the
   *same* trace as ``"off"`` (the codec is semantically invisible);
@@ -14,8 +15,11 @@ Acceptance criteria pinned here:
 """
 
 import random
+import zlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import wire
 from repro.crypto.provider import RealCryptoProvider
@@ -127,6 +131,62 @@ class TestRejection:
         blob[-1] ^= 0xFF
         with pytest.raises(wire.WireDecodeError):
             wire.decode_blob(bytes(blob))
+
+
+# Bytes drawn mostly from the type-tag range, so nested containers, dict
+# keys of every type and short varints come up often.
+_TLV_BYTES = st.lists(
+    st.one_of(st.integers(0, 0x0B), st.integers(0, 3), st.integers(0, 255)),
+    max_size=64,
+).map(bytes)
+_NESTED = b"\x07\x01" * 20000 + b"\x00"  # a list in a list ... 20,000 deep
+_LIST_KEY = b"\x09\x01\x07\x00\x00"  # {[]: None}
+_MIXED_UNKNOWN_KEYS = wire.encode_value({"from": 1, 2: 3, "x": 4})
+
+
+def _crc_frame(kind: str, body: bytes) -> bytes:
+    """A frame for ``kind`` around ``body``, with a valid length and CRC."""
+    frame = bytearray(b"WF" + bytes([wire.WIRE_VERSION]))
+    frame += _uvarint(wire.spec_for(kind).wire_id) + _uvarint(len(body)) + body
+    return bytes(frame) + (zlib.crc32(frame) & 0xFFFFFFFF).to_bytes(4, "big")
+
+
+def _uvarint(value: int) -> bytes:
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+class TestHostileInput:
+    """Whatever arrives, the decoder raises ``WireDecodeError`` or returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TLV_BYTES | st.binary(max_size=64))
+    @example(_NESTED)
+    @example(_LIST_KEY)
+    def test_decode_value_raises_only_wire_decode_error(self, data):
+        try:
+            wire.decode_value(data)
+        except wire.WireDecodeError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(wire.registered_kinds())), _TLV_BYTES)
+    @example("nat.data", _NESTED)
+    @example("nat.data", _LIST_KEY)
+    @example("nat.ping", _MIXED_UNKNOWN_KEYS)
+    def test_crc_valid_frames_raise_only_wire_decode_error(self, kind, body):
+        try:
+            wire.decode_message(_crc_frame(kind, body))
+        except wire.WireDecodeError:
+            pass
+
+    def test_the_framing_helper_matches_the_encoder(self):
+        frame = wire.encode_message("nat.ping", {"from": 3})
+        assert _crc_frame("nat.ping", wire.encode_value({"from": 3})) == frame
 
 
 class TestCategories:
