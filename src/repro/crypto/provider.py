@@ -8,11 +8,16 @@ All WHISPER layers (onion construction, passports, group keys) talk to a
   encrypted body) and MAC'd payload encryption under AES-CTR or the
   :mod:`.stream` cipher.  Used by unit tests, the security test-suite
   and the examples; key size configurable.
-- :class:`SimCryptoProvider` — structurally identical envelope objects
-  with access control enforced by key identity instead of number theory.
+- :class:`SimCryptoProvider` — the same envelope types with access
+  control enforced by key identity and MACs instead of number theory.
   Used for 1,000-node experiment runs where pure-Python bignum math would
   dominate wall-clock time without affecting any measured quantity (the
   cost model charges calibrated CPU time either way).
+
+A circuit body is opaque bytes under both: the real provider's
+``(nonces, ciphertext)``, the sim provider's wire encoding of the content.
+A mix strips its MAC and forwards the bytes without decoding them; only
+the destination turns them back into the content.
 
 Both raise :class:`CryptoError` — and nothing else — when opening with a
 wrong key or an envelope of the wrong shape (``blob`` / ``auth`` / ``auths``
@@ -97,9 +102,11 @@ class LayeredPayload:
     ``auths[0]`` authenticates the nonce and ciphertext as the *current*
     outermost hop receives them; unwrapping strips ``auths[0]`` and yields
     either another :class:`LayeredPayload` (a mix) or the plaintext object
-    (the destination, when one auth remains).  ``size_bytes`` is the body's
-    wire-size model and does not shrink per hop — only the per-layer MACs
-    (accounted by the frame's ``wire_size``) come off.
+    (the destination, when one auth remains).  ``blob`` is opaque bytes
+    for both providers (plus the real one's nonces), so a mix never
+    decodes the content.  ``size_bytes`` is the body's wire-size model and
+    does not shrink per hop — only the per-layer MACs (accounted by the
+    frame's ``wire_size``) come off.
     """
 
     blob: Any
@@ -359,7 +366,13 @@ class RealCryptoProvider(CryptoProvider):
 
 # ----------------------------------------------------------------------
 class SimCryptoProvider(CryptoProvider):
-    """Key-identity-enforced envelopes; same API surface and failure modes."""
+    """Key-identity-enforced envelopes; same API surface and failure modes.
+
+    ``seal`` and ``encrypt_payload`` carry the object itself as ``blob``
+    and MAC its value encoding.  ``wrap_layers`` carries the content's wire
+    encoding as ``blob``: a mix forwards it untouched and the destination
+    decodes it, like the real provider's ciphertext.
+    """
 
     def __init__(self, rng: random.Random, accountant: CpuAccountant | None = None) -> None:
         super().__init__(rng, accountant)
@@ -414,33 +427,39 @@ class SimCryptoProvider(CryptoProvider):
     def wrap_layers(self, keys, obj, size_hint, *, node=-1):
         if not keys:
             raise ValueError("wrap_layers needs at least one key")
-        # MAC chain standing in for nested encryption: layer i tags the
-        # next layer's tag (innermost tags the canonical body), so each
-        # hop's key check composes exactly like peeling real ciphertext.
-        body = _value_canonical(obj)
+        from ..wire.codec import encode_value  # deferred: codec imports us
+
+        # The body is the content's wire encoding, made once here: a mix
+        # forwards these bytes untouched and only the destination decodes
+        # them.  Content the codec cannot carry raises WireEncodeError.
+        # A MAC chain stands in for nested encryption: layer i tags the
+        # next layer's tag (innermost tags the body), so each hop's key
+        # check composes exactly like peeling real ciphertext.
+        body = encode_value(obj)
         chain = [tag(keys[-1], body)]
         for index in range(len(keys) - 2, -1, -1):
             chain.append(tag(keys[index], chain[-1]))
         self.accountant.aes_layers(node, max(len(body), size_hint), len(keys))
         return LayeredPayload(
-            blob=obj, auths=tuple(reversed(chain)), size_bytes=size_hint
+            blob=body, auths=tuple(reversed(chain)), size_bytes=size_hint
         )
 
     def unwrap_layer(self, key, layered, *, node=-1):
-        auths = layered.auths
+        blob, auths = layered.blob, layered.auths
         if not (isinstance(auths, tuple) and auths):
             raise CryptoError("circuit layer authentication failed")
-        inner_ref = (
-            auths[1] if len(auths) > 1 else _value_canonical(layered.blob)
-        )
+        inner_ref = auths[1] if len(auths) > 1 else blob
         if not (isinstance(inner_ref, bytes) and verify_tag(key, inner_ref, auths[0])):
             raise CryptoError("circuit layer key mismatch")
         self.accountant.aes(node, layered.size_bytes)
-        if len(auths) == 1:
-            return layered.blob
-        return LayeredPayload(
-            blob=layered.blob, auths=auths[1:], size_bytes=layered.size_bytes
-        )
+        if len(auths) > 1:
+            return LayeredPayload(blob=blob, auths=auths[1:], size_bytes=layered.size_bytes)
+        from ..wire.codec import WireDecodeError, decode_value  # deferred: codec imports us
+
+        try:
+            return decode_value(blob)
+        except WireDecodeError as exc:
+            raise CryptoError("circuit payload corrupt") from exc
 
     def sign(self, keypair, obj, *, node=-1):
         self.accountant.rsa_sign(node)
@@ -505,7 +524,8 @@ def _memo_by_identity(encode: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
 
 @_memo_by_identity
 def _value_canonical(obj: Any) -> bytes:
-    """Value-based canonical encoding for the sim envelope MAC and charges.
+    """Value-based canonical encoding for the sim seal and payload MACs
+    and charges (circuit bodies are already bytes and need none).
 
     Pickle is identity-sensitive: it memoizes shared references, so an
     object that has been encode->decoded by the wire codec (which rebuilds

@@ -3,7 +3,9 @@
 Covers the persistent-circuit path (amortized RSA) end to end plus the
 regression cases called out for this change: provider-scoped trace ids,
 one mix-batch flush per pool at its boundary, and the destination
-delivery delay including the body decrypt.
+delivery delay including the body decrypt.  A circuit body crosses the
+wire as opaque bytes for both providers: a mix forwards them untouched,
+and only the destination decodes the content.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import wire
 from repro.core.contact import Gateway, PrivateContact
 from repro.core.node import WhisperConfig
 from repro.core.onion import (
@@ -35,7 +40,7 @@ from repro.crypto.provider import (
     Sealed,
     SimCryptoProvider,
 )
-from repro.crypto.stream import stream_transform
+from repro.crypto.stream import stream_transform, tag
 from repro.core.wcl import _RelayCircuit
 from repro.harness import World, WorldConfig
 from repro.nat.types import NatType
@@ -158,6 +163,130 @@ class TestWrapLayersMatchesSingleTransforms:
     @pytest.mark.parametrize("transform", [ctr_transform, stream_transform])
     def test_empty_body_transform(self, transform):
         assert transform(b"k" * 16, b"n" * 8, b"") == b""
+
+
+def _round_trip(frame: CircuitFrame) -> CircuitFrame:
+    payload = wire.decode_message(wire.encode_message("wcl.circuit_data", frame)).payload
+    assert payload == frame
+    return payload
+
+
+def _sim_body(layers: int, content=None) -> tuple[SimCryptoProvider, list, LayeredPayload]:
+    provider = SimCryptoProvider(random.Random(23))
+    keys = [provider.new_symmetric_key() for _ in range(layers)]
+    content = {"app": "t", "text": "confidential", "n": 7} if content is None else content
+    return provider, keys, provider.wrap_layers(keys, content, 512)
+
+
+def _fails_at(provider, keys, layered, hop) -> None:
+    """Every hop before ``hop`` peels ``layered``; ``hop`` raises CryptoError."""
+    for key in keys[:hop]:
+        layered = provider.unwrap_layer(key, layered)
+    with pytest.raises(CryptoError):
+        provider.unwrap_layer(keys[hop], layered)
+
+
+class TestOpaqueCircuitBody:
+    """The circuit body is bytes on the wire, never the content object."""
+
+    def test_round_tripped_frame_carries_no_content_object(self, provider):
+        keys = [provider.new_symmetric_key() for _ in range(3)]
+        content = {"app": "t", "text": "x" * 512, "n": [1, 2]}
+        frame = _round_trip(CircuitFrame(
+            circuit_id=5, body=provider.wrap_layers(keys, content, 512), trace_id=1,
+        ))
+        blob = frame.body.blob
+        if isinstance(provider, SimCryptoProvider):
+            assert type(blob) is bytes
+        else:
+            nonces, ciphertext = blob
+            assert type(nonces) is tuple and all(type(n) is bytes for n in nonces)
+            assert type(ciphertext) is bytes
+        layered = frame.body
+        for key in keys:
+            layered = provider.unwrap_layer(key, layered)
+        assert layered == content
+
+    def test_sim_mix_forwards_the_very_blob_it_received(self):
+        provider, keys, body = _sim_body(3)
+        received = _round_trip(CircuitFrame(circuit_id=1, body=body, trace_id=1)).body
+        forwarded = provider.unwrap_layer(keys[0], received)
+        assert isinstance(forwarded, LayeredPayload)
+        assert forwarded.blob is received.blob
+        assert provider.unwrap_layer(keys[1], forwarded).blob is received.blob
+
+    def test_sim_blob_byte_flip_fails_at_the_destination(self):
+        provider, keys, body = _sim_body(3)
+        for position in range(len(body.blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(body.blob)
+                flipped[position] ^= mask
+                _fails_at(provider, keys, replace(body, blob=bytes(flipped)), hop=2)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 5])
+    def test_sim_dropped_auth_fails_at_the_hop_whose_mac_covers_it(self, layers):
+        provider, keys, body = _sim_body(layers)
+        for dropped in range(layers):
+            auths = body.auths[:dropped] + body.auths[dropped + 1:]
+            if not auths:  # nothing left to authenticate the layer
+                _fails_at(provider, keys, replace(body, auths=auths), hop=0)
+                continue
+            # Hop ``dropped - 1`` tags the auth that is gone; hop 0 owns
+            # the outermost one.
+            _fails_at(provider, keys, replace(body, auths=auths), hop=max(dropped - 1, 0))
+
+    @pytest.mark.parametrize("layers", [2, 3, 5])
+    def test_sim_swapped_auths_fail_at_the_hop_whose_mac_covers_them(self, layers):
+        provider, keys, body = _sim_body(layers)
+        for first in range(layers):
+            for second in range(first + 1, layers):
+                auths = list(body.auths)
+                auths[first], auths[second] = auths[second], auths[first]
+                # Hop ``first - 1`` tags the auth now in slot ``first``.
+                _fails_at(
+                    provider, keys, replace(body, auths=tuple(auths)), hop=max(first - 1, 0)
+                )
+
+    def test_sim_non_bytes_blob_is_a_crypto_error(self):
+        provider, keys, body = _sim_body(1)
+        for blob in ({"app": "t"}, None, bytearray(body.blob), (b"", b"")):
+            with pytest.raises(CryptoError):
+                provider.unwrap_layer(keys[0], replace(body, blob=blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 0x0B), st.integers(0, 255)), max_size=64
+        ).map(bytes)
+        | st.binary(max_size=64),
+        st.integers(1, 3),
+    )
+    @example(b"\x07\x01" * 5000 + b"\x00", 2)  # nested past the recursion limit
+    @example(b"\x09\x01\x07\x00\x00", 1)  # a list as a dict key
+    def test_sim_destination_decodes_or_raises_crypto_error(self, data, layers):
+        """Bytes under a valid MAC chain, as a key holder could forge them,
+        decode to a value or raise CryptoError, and nothing else."""
+        provider = SimCryptoProvider(random.Random(29))
+        keys = [provider.new_symmetric_key() for _ in range(layers)]
+        chain = [tag(keys[-1], data)]
+        for key in reversed(keys[:-1]):
+            chain.append(tag(key, chain[-1]))
+        layered = LayeredPayload(blob=data, auths=tuple(reversed(chain)), size_bytes=64)
+        for key in keys[:-1]:
+            layered = provider.unwrap_layer(key, layered)
+        try:
+            provider.unwrap_layer(keys[-1], layered)
+        except CryptoError:
+            pass
+
+    def test_sim_wrap_refuses_content_the_codec_cannot_carry(self):
+        class NotOnTheWire:
+            pass
+
+        provider = SimCryptoProvider(random.Random(31))
+        keys = [provider.new_symmetric_key() for _ in range(2)]
+        with pytest.raises(wire.WireEncodeError):
+            provider.wrap_layers(keys, {"app": "t", "obj": NotOnTheWire()}, 64)
 
 
 # ---------------------------------------------------------------------------
