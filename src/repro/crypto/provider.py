@@ -102,11 +102,9 @@ class LayeredPayload:
     ``auths[0]`` authenticates the nonce and ciphertext as the *current*
     outermost hop receives them; unwrapping strips ``auths[0]`` and yields
     either another :class:`LayeredPayload` (a mix) or the plaintext object
-    (the destination, when one auth remains).  ``blob`` is opaque bytes
-    for both providers (plus the real one's nonces), so a mix never
-    decodes the content.  ``size_bytes`` is the body's wire-size model and
-    does not shrink per hop — only the per-layer MACs (accounted by the
-    frame's ``wire_size``) come off.
+    (the destination, when one auth remains).  ``size_bytes`` is the body's
+    wire-size model and does not shrink per hop — only the per-layer MACs
+    (accounted by the frame's ``wire_size``) come off.
     """
 
     blob: Any
@@ -429,12 +427,11 @@ class SimCryptoProvider(CryptoProvider):
             raise ValueError("wrap_layers needs at least one key")
         from ..wire.codec import encode_value  # deferred: codec imports us
 
-        # The body is the content's wire encoding, made once here: a mix
-        # forwards these bytes untouched and only the destination decodes
-        # them.  Content the codec cannot carry raises WireEncodeError.
-        # A MAC chain stands in for nested encryption: layer i tags the
-        # next layer's tag (innermost tags the body), so each hop's key
-        # check composes exactly like peeling real ciphertext.
+        # The content's wire encoding, made once here, is the body: mixes
+        # forward it untouched and only the destination decodes it.  A MAC
+        # chain stands in for nested encryption: layer i tags the next
+        # layer's tag (innermost tags the body), so each hop's key check
+        # composes exactly like peeling real ciphertext.
         body = encode_value(obj)
         chain = [tag(keys[-1], body)]
         for index in range(len(keys) - 2, -1, -1):

@@ -171,10 +171,10 @@ def _round_trip(frame: CircuitFrame) -> CircuitFrame:
     return payload
 
 
-def _sim_body(layers: int, content=None) -> tuple[SimCryptoProvider, list, LayeredPayload]:
+def _sim_body(layers: int) -> tuple[SimCryptoProvider, list, LayeredPayload]:
     provider = SimCryptoProvider(random.Random(23))
     keys = [provider.new_symmetric_key() for _ in range(layers)]
-    content = {"app": "t", "text": "confidential", "n": 7} if content is None else content
+    content = {"app": "t", "text": "confidential", "n": 7}
     return provider, keys, provider.wrap_layers(keys, content, 512)
 
 
@@ -228,9 +228,6 @@ class TestOpaqueCircuitBody:
         provider, keys, body = _sim_body(layers)
         for dropped in range(layers):
             auths = body.auths[:dropped] + body.auths[dropped + 1:]
-            if not auths:  # nothing left to authenticate the layer
-                _fails_at(provider, keys, replace(body, auths=auths), hop=0)
-                continue
             # Hop ``dropped - 1`` tags the auth that is gone; hop 0 owns
             # the outermost one.
             _fails_at(provider, keys, replace(body, auths=auths), hop=max(dropped - 1, 0))

@@ -15,7 +15,6 @@ import dataclasses
 import socket
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,8 @@ from repro.runtime import AsyncioScheduler, LiveRuntime
 from repro.sim.clock import Cancellable, Clock
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
+
+from .wire_samples import crc_frame
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,16 +234,7 @@ class TestLiveStack:
         """A ~40 KB ``nat.data`` frame with a valid CRC whose body nests
         lists 20,000 deep reaches a node's socket: it is counted as one
         rejected datagram, and the next good frame is still delivered."""
-        body = b"\x07\x01" * 20000 + b"\x00"
-        head = bytearray(b"WF" + bytes([wire.WIRE_VERSION]))
-        head.append(wire.spec_for("nat.data").wire_id)
-        length = len(body)
-        while length >= 0x80:
-            head.append(length & 0x7F | 0x80)
-            length >>= 7
-        head.append(length)
-        frame = bytes(head) + body
-        frame += (zlib.crc32(frame) & 0xFFFFFFFF).to_bytes(4, "big")
+        frame = crc_frame("nat.data", b"\x07\x01" * 20000 + b"\x00")
         rt = LiveRuntime(seed=8, provider="sim", whisper=fast_config())
         sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:

@@ -15,7 +15,6 @@ Acceptance criteria pinned here:
 """
 
 import random
-import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +24,7 @@ from repro import wire
 from repro.crypto.provider import RealCryptoProvider
 from repro.harness.world import World, WorldConfig
 from repro.net.bandwidth import KNOWN_CATEGORIES, BandwidthAccountant
-from .wire_samples import SampleContext, sample_kinds, sample_payload
+from .wire_samples import SampleContext, crc_frame, sample_kinds, sample_payload
 
 
 def _trace(config: WorldConfig) -> str:
@@ -144,22 +143,6 @@ _LIST_KEY = b"\x09\x01\x07\x00\x00"  # {[]: None}
 _MIXED_UNKNOWN_KEYS = wire.encode_value({"from": 1, 2: 3, "x": 4})
 
 
-def _crc_frame(kind: str, body: bytes) -> bytes:
-    """A frame for ``kind`` around ``body``, with a valid length and CRC."""
-    frame = bytearray(b"WF" + bytes([wire.WIRE_VERSION]))
-    frame += _uvarint(wire.spec_for(kind).wire_id) + _uvarint(len(body)) + body
-    return bytes(frame) + (zlib.crc32(frame) & 0xFFFFFFFF).to_bytes(4, "big")
-
-
-def _uvarint(value: int) -> bytes:
-    out = bytearray()
-    while value >= 0x80:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
 class TestHostileInput:
     """Whatever arrives, the decoder raises ``WireDecodeError`` or returns."""
 
@@ -180,13 +163,13 @@ class TestHostileInput:
     @example("nat.ping", _MIXED_UNKNOWN_KEYS)
     def test_crc_valid_frames_raise_only_wire_decode_error(self, kind, body):
         try:
-            wire.decode_message(_crc_frame(kind, body))
+            wire.decode_message(crc_frame(kind, body))
         except wire.WireDecodeError:
             pass
 
     def test_the_framing_helper_matches_the_encoder(self):
         frame = wire.encode_message("nat.ping", {"from": 3})
-        assert _crc_frame("nat.ping", wire.encode_value({"from": 3})) == frame
+        assert crc_frame("nat.ping", wire.encode_value({"from": 3})) == frame
 
 
 class TestCategories:

@@ -10,6 +10,7 @@ failures reproduce from the seed alone.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -27,9 +28,10 @@ from repro.nat.traversal import NodeDescriptor
 from repro.nat.types import NatType
 from repro.net.address import Endpoint, NodeKind
 from repro.pss.view import ViewEntry
-from repro.wire.registry import registered_kinds
+from repro.wire.codec import _uvarint_bytes
+from repro.wire.registry import WIRE_VERSION, registered_kinds, spec_for
 
-__all__ = ["SampleContext", "sample_payload", "sample_kinds"]
+__all__ = ["SampleContext", "sample_payload", "sample_kinds", "crc_frame"]
 
 
 @dataclass
@@ -336,3 +338,16 @@ def sample_payload(kind: str, ctx: SampleContext) -> Any:
     if builder is None:
         raise KeyError(f"no sample builder for message kind {kind!r}")
     return builder(ctx)
+
+
+def crc_frame(kind: str, body: bytes) -> bytes:
+    """A ``kind`` frame around any ``body``, with a valid length and CRC.
+
+    What a hostile sender can put on the wire: unlike ``encode_message``,
+    nothing checks that ``body`` decodes or fits the kind's schema.
+    """
+    frame = (
+        b"WF" + bytes([WIRE_VERSION]) + _uvarint_bytes(spec_for(kind).wire_id)
+        + _uvarint_bytes(len(body)) + body
+    )
+    return frame + (zlib.crc32(frame) & 0xFFFFFFFF).to_bytes(4, "big")
