@@ -47,6 +47,7 @@ from dataclasses import fields as _dc_fields
 from enum import Enum
 from typing import Any, Callable
 
+from ..apps.tman import TManEntry
 from ..core.contact import Gateway, PrivateContact
 from ..core.election import Heartbeat, Proposal
 from ..core.group import Accreditation, Invitation, Passport
@@ -135,6 +136,7 @@ _STRUCT_TABLE: list[tuple[int, type]] = [
     (22, CircuitSetupLayer),
     (23, CircuitSetupPacket),
     (24, CircuitFrame),
+    (25, TManEntry),
 ]
 
 _ENUM_TABLE: list[tuple[int, type]] = [

@@ -126,3 +126,36 @@ class TestTChord:
         _world, tchords = ring
         for tc in tchords:
             assert tc.ring_id == chord_id(tc.ppss.node_id)
+
+
+def _tchord_trace(wire_mode: str) -> str:
+    world = World(WorldConfig(seed=57, telemetry_enabled=True, wire_mode=wire_mode))
+    world.populate(30)
+    world.start_all()
+    world.run(90.0)
+    nodes = world.alive_nodes()
+    group = nodes[0].create_group("app")
+    members = [nodes[0]]
+    for node in nodes[1:8]:
+        node.join_group(group.invite(node.node_id))
+        members.append(node)
+    world.run(200.0)
+    tchords = [
+        TChordNode(
+            member.group("app"),
+            world.sim,
+            world.registry.fork(f"tchord-{member.node_id}").stream("t"),
+        )
+        for member in members
+    ]
+    world.run(120.0)
+    for i, tc in enumerate(tchords):
+        tc.lookup(f"codec-key-{i}", lambda result: None)
+    world.run(60.0)
+    return world.telemetry.export_jsonl()
+
+
+def test_tchord_trace_is_the_same_with_the_codec_on():
+    """T-Man and T-Chord payloads cross the wire codec: a ``"verify"``
+    world (encode->decode on every send) exports the ``"off"`` trace."""
+    assert _tchord_trace("off") == _tchord_trace("verify")
