@@ -421,9 +421,11 @@ class LiveRuntime:
             queue_limit=queue_limit,
         )
         self.registry = RngRegistry(seed)
-        # Cost accounting still records what each operation *would* cost
-        # under the paper's model; live runs additionally pay the real CPU
-        # time, so nothing sleeps on the model's behalf.
+        # Cost accounting records what each operation *would* cost under
+        # the paper's model, and WCL still waits that charged time on the
+        # live clock before it relays or delivers (``_relay_after`` /
+        # ``_deliver_after``), on top of the real CPU time the operation
+        # took: a real-provider relay waits ~45 ms per RSA peel.
         self.cpu = CpuAccountant()
         # use_aes=False: pure-Python AES costs ~0.9 s of real CPU a message.
         self.provider = make_provider(
