@@ -385,78 +385,68 @@ class SimCryptoProvider(CryptoProvider):
         )
 
     def seal(self, public, obj, *, node=-1):
+        from ..wire.codec import encode_value  # deferred: codec imports us
+
+        body = encode_value(obj)
         self.accountant.rsa_encrypt(node)
-        # Charge the CPU model for the bytes the real provider would bulk-
-        # encrypt (the serialized body), not a flat constant; ``size_bytes``
-        # keeps the paper's wire-size model for bandwidth accounting.
-        self.accountant.aes(node, len(_value_canonical(obj)))
+        self.accountant.aes(node, len(body))
         return Sealed(
-            key_fingerprint=public.fingerprint,
-            blob=obj,
-            size_bytes=256,
+            key_fingerprint=public.fingerprint, blob=(b"", body), size_bytes=256,
         )
 
     def open(self, keypair, sealed, *, node=-1):
+        _wrapped, ciphertext = _bytes_pair(sealed.blob)
         self.accountant.rsa_decrypt(node)
         if sealed.key_fingerprint != keypair.public.fingerprint:
             raise CryptoError("seal does not open: wrong key")
-        self.accountant.aes(node, len(_value_canonical(sealed.blob)))
-        return sealed.blob
+        self.accountant.aes(node, len(ciphertext))
+        return _sim_decode(ciphertext, "seal does not open: corrupt body")
 
     def encrypt_payload(self, key, obj, size_hint, *, node=-1):
-        body = _value_canonical(obj)
+        from ..wire.codec import encode_value  # deferred: codec imports us
+
+        body = encode_value(obj)
+        auth = tag(key, b"" + body)
         self.accountant.aes(node, max(len(body), size_hint))
-        # The envelope must never carry key material: authenticate with a
-        # MAC over the canonical body, exactly like the real provider tags
-        # its ciphertext.  (An earlier revision stored the raw symmetric key
-        # as ``auth``, leaking it to anyone holding the envelope.)
-        return EncryptedPayload(
-            blob=obj, auth=tag(key, body), size_bytes=size_hint
-        )
+        return EncryptedPayload(blob=(b"", body), auth=auth, size_bytes=size_hint)
 
     def decrypt_payload(self, key, enc, *, node=-1):
-        # Recompute the MAC under the presented key; a wrong key yields a
-        # different tag, preserving the CryptoError failure mode.
-        if not verify_tag(key, _value_canonical(enc.blob), enc.auth):
-            raise CryptoError("payload key mismatch")
+        nonce, ciphertext = _bytes_pair(enc.blob)
+        if not verify_tag(key, nonce + ciphertext, enc.auth):
+            raise CryptoError("payload authentication failed")
         self.accountant.aes(node, enc.size_bytes)
-        return enc.blob
+        return _sim_decode(ciphertext, "payload corrupt")
 
     def wrap_layers(self, keys, obj, size_hint, *, node=-1):
         if not keys:
             raise ValueError("wrap_layers needs at least one key")
         from ..wire.codec import encode_value  # deferred: codec imports us
 
-        # The content's wire encoding, made once here, is the body: mixes
-        # forward it untouched and only the destination decodes it.  A MAC
-        # chain stands in for nested encryption: layer i tags the next
-        # layer's tag (innermost tags the body), so each hop's key check
-        # composes exactly like peeling real ciphertext.
         body = encode_value(obj)
-        chain = [tag(keys[-1], body)]
-        for index in range(len(keys) - 2, -1, -1):
-            chain.append(tag(keys[index], chain[-1]))
+        nonces = tuple(b"" for _ in keys)
+        auths = tuple(tag(key, b"" + body) for key in keys)
         self.accountant.aes_layers(node, max(len(body), size_hint), len(keys))
-        return LayeredPayload(
-            blob=body, auths=tuple(reversed(chain)), size_bytes=size_hint
-        )
+        return LayeredPayload(blob=(nonces, body), auths=auths, size_bytes=size_hint)
 
     def unwrap_layer(self, key, layered, *, node=-1):
         blob, auths = layered.blob, layered.auths
-        if not (isinstance(auths, tuple) and auths):
+        if not (
+            isinstance(auths, tuple) and auths
+            and isinstance(blob, tuple) and len(blob) == 2
+            and isinstance(blob[0], tuple) and len(blob[0]) == len(auths)
+            and isinstance(blob[0][0], bytes) and isinstance(blob[1], bytes)
+        ):
+            raise CryptoError("malformed circuit layer")
+        nonces, ciphertext = blob
+        if not verify_tag(key, nonces[0] + ciphertext, auths[0]):
             raise CryptoError("circuit layer authentication failed")
-        inner_ref = auths[1] if len(auths) > 1 else blob
-        if not (isinstance(inner_ref, bytes) and verify_tag(key, inner_ref, auths[0])):
-            raise CryptoError("circuit layer key mismatch")
         self.accountant.aes(node, layered.size_bytes)
-        if len(auths) > 1:
-            return LayeredPayload(blob=blob, auths=auths[1:], size_bytes=layered.size_bytes)
-        from ..wire.codec import WireDecodeError, decode_value  # deferred: codec imports us
-
-        try:
-            return decode_value(blob)
-        except WireDecodeError as exc:
-            raise CryptoError("circuit payload corrupt") from exc
+        if len(auths) == 1:
+            return _sim_decode(ciphertext, "circuit payload corrupt")
+        return LayeredPayload(
+            blob=(nonces[1:], ciphertext), auths=auths[1:],
+            size_bytes=layered.size_bytes,
+        )
 
     def sign(self, keypair, obj, *, node=-1):
         self.accountant.rsa_sign(node)
@@ -539,6 +529,15 @@ def _value_canonical(obj: Any) -> bytes:
         return encode_value(obj)
     except WireEncodeError:
         return pickle.dumps(obj)
+
+
+def _sim_decode(body: bytes, what: str) -> Any:
+    from ..wire.codec import WireDecodeError, decode_value  # deferred: codec imports us
+
+    try:
+        return decode_value(body)
+    except WireDecodeError as exc:
+        raise CryptoError(what) from exc
 
 
 def _canonical(obj: Any) -> bytes:

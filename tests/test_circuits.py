@@ -171,11 +171,15 @@ def _round_trip(frame: CircuitFrame) -> CircuitFrame:
     return payload
 
 
-def _sim_body(layers: int) -> tuple[SimCryptoProvider, list, LayeredPayload]:
-    provider = SimCryptoProvider(random.Random(23))
+def _body(provider, layers: int) -> tuple[list, LayeredPayload]:
     keys = [provider.new_symmetric_key() for _ in range(layers)]
     content = {"app": "t", "text": "confidential", "n": 7}
-    return provider, keys, provider.wrap_layers(keys, content, 512)
+    return keys, provider.wrap_layers(keys, content, 512)
+
+
+def _sim_body(layers: int) -> tuple[SimCryptoProvider, list, LayeredPayload]:
+    provider = SimCryptoProvider(random.Random(23))
+    return (provider, *_body(provider, layers))
 
 
 def _fails_at(provider, keys, layered, hop) -> None:
@@ -187,7 +191,9 @@ def _fails_at(provider, keys, layered, hop) -> None:
 
 
 class TestOpaqueCircuitBody:
-    """The circuit body is bytes on the wire, never the content object."""
+    """The circuit body is bytes on the wire, never the content object:
+    one nonce per layer beside the ciphertext, one MAC per layer over the
+    nonce and ciphertext that layer's hop receives."""
 
     def test_round_tripped_frame_carries_no_content_object(self, provider):
         keys = [provider.new_symmetric_key() for _ in range(3)]
@@ -195,42 +201,47 @@ class TestOpaqueCircuitBody:
         frame = _round_trip(CircuitFrame(
             circuit_id=5, body=provider.wrap_layers(keys, content, 512), trace_id=1,
         ))
-        blob = frame.body.blob
-        if isinstance(provider, SimCryptoProvider):
-            assert type(blob) is bytes
-        else:
-            nonces, ciphertext = blob
-            assert type(nonces) is tuple and all(type(n) is bytes for n in nonces)
-            assert type(ciphertext) is bytes
+        nonces, ciphertext = frame.body.blob
+        assert type(nonces) is tuple and len(nonces) == 3
+        assert all(type(n) is bytes for n in nonces)
+        assert type(ciphertext) is bytes
         layered = frame.body
         for key in keys:
             layered = provider.unwrap_layer(key, layered)
         assert layered == content
 
-    def test_sim_mix_forwards_the_very_blob_it_received(self):
-        provider, keys, body = _sim_body(3)
+    def test_mix_forwards_the_ciphertext_it_peeled(self, provider):
+        keys, body = _body(provider, 3)
         received = _round_trip(CircuitFrame(circuit_id=1, body=body, trace_id=1)).body
         forwarded = provider.unwrap_layer(keys[0], received)
         assert isinstance(forwarded, LayeredPayload)
-        assert forwarded.blob is received.blob
-        assert provider.unwrap_layer(keys[1], forwarded).blob is received.blob
+        assert forwarded.blob[0] == received.blob[0][1:]
+        assert forwarded.auths == received.auths[1:]
+        if isinstance(provider, SimCryptoProvider):
+            # The identity cipher: a mix forwards the very bytes it received.
+            assert forwarded.blob[1] is received.blob[1]
+            assert provider.unwrap_layer(keys[1], forwarded).blob[1] is received.blob[1]
+        else:
+            assert forwarded.blob[1] != received.blob[1]
 
-    def test_sim_blob_byte_flip_fails_at_the_destination(self):
-        provider, keys, body = _sim_body(3)
-        for position in range(len(body.blob)):
+    def test_body_byte_flip_fails_at_the_first_hop(self, provider):
+        keys, body = _body(provider, 3)
+        nonces, ciphertext = body.blob
+        for position in range(len(ciphertext)):
             for mask in (0x01, 0x80, 0xFF):
-                flipped = bytearray(body.blob)
+                flipped = bytearray(ciphertext)
                 flipped[position] ^= mask
-                _fails_at(provider, keys, replace(body, blob=bytes(flipped)), hop=2)
+                _fails_at(
+                    provider, keys, replace(body, blob=(nonces, bytes(flipped))), hop=0
+                )
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 5])
-    def test_sim_dropped_auth_fails_at_the_hop_whose_mac_covers_it(self, layers):
+    def test_sim_dropped_auth_fails_at_the_first_hop(self, layers):
         provider, keys, body = _sim_body(layers)
         for dropped in range(layers):
             auths = body.auths[:dropped] + body.auths[dropped + 1:]
-            # Hop ``dropped - 1`` tags the auth that is gone; hop 0 owns
-            # the outermost one.
-            _fails_at(provider, keys, replace(body, auths=auths), hop=max(dropped - 1, 0))
+            # One nonce per layer but one MAC short: no hop can peel it.
+            _fails_at(provider, keys, replace(body, auths=auths), hop=0)
 
     @pytest.mark.parametrize("layers", [2, 3, 5])
     def test_sim_swapped_auths_fail_at_the_hop_whose_mac_covers_them(self, layers):
@@ -239,14 +250,16 @@ class TestOpaqueCircuitBody:
             for second in range(first + 1, layers):
                 auths = list(body.auths)
                 auths[first], auths[second] = auths[second], auths[first]
-                # Hop ``first - 1`` tags the auth now in slot ``first``.
-                _fails_at(
-                    provider, keys, replace(body, auths=tuple(auths)), hop=max(first - 1, 0)
-                )
+                # Hop ``first`` checks the slot that now holds another key's MAC.
+                _fails_at(provider, keys, replace(body, auths=tuple(auths)), hop=first)
 
     def test_sim_non_bytes_blob_is_a_crypto_error(self):
         provider, keys, body = _sim_body(1)
-        for blob in ({"app": "t"}, None, bytearray(body.blob), (b"", b"")):
+        nonces, ciphertext = body.blob
+        for blob in (
+            {"app": "t"}, None, ciphertext, (nonces, bytearray(ciphertext)),
+            (b"", ciphertext), ((), ciphertext), (nonces, ciphertext, b""),
+        ):
             with pytest.raises(CryptoError):
                 provider.unwrap_layer(keys[0], replace(body, blob=blob))
 
@@ -261,14 +274,15 @@ class TestOpaqueCircuitBody:
     @example(b"\x07\x01" * 5000 + b"\x00", 2)  # nested past the recursion limit
     @example(b"\x09\x01\x07\x00\x00", 1)  # a list as a dict key
     def test_sim_destination_decodes_or_raises_crypto_error(self, data, layers):
-        """Bytes under a valid MAC chain, as a key holder could forge them,
-        decode to a value or raise CryptoError, and nothing else."""
+        """Bytes under valid MACs, as a key holder could forge them, decode
+        to a value or raise CryptoError, and nothing else."""
         provider = SimCryptoProvider(random.Random(29))
         keys = [provider.new_symmetric_key() for _ in range(layers)]
-        chain = [tag(keys[-1], data)]
-        for key in reversed(keys[:-1]):
-            chain.append(tag(key, chain[-1]))
-        layered = LayeredPayload(blob=data, auths=tuple(reversed(chain)), size_bytes=64)
+        layered = LayeredPayload(
+            blob=((b"",) * layers, data),
+            auths=tuple(tag(key, data) for key in keys),
+            size_bytes=64,
+        )
         for key in keys[:-1]:
             layered = provider.unwrap_layer(key, layered)
         try:
