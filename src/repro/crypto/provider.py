@@ -1,24 +1,28 @@
-"""Crypto providers: one interface, a real and a simulated implementation.
+"""Crypto providers: one envelope implementation over two primitive sets.
 
 All WHISPER layers (onion construction, passports, group keys) talk to a
-:class:`CryptoProvider`.  Two implementations exist:
+:class:`CryptoProvider`.  It writes every envelope once, as bytes:
 
-- :class:`RealCryptoProvider` — genuine RSA (this repo's from-scratch
-  implementation) with hybrid sealing (RSA-wrapped session key + bulk-
-  encrypted body) and MAC'd payload encryption under AES-CTR or the
-  :mod:`.stream` cipher.  Used by unit tests, the security test-suite
-  and the examples; key size configurable.
-- :class:`SimCryptoProvider` — the same envelope types with access
-  control enforced by key identity and MACs instead of number theory.
-  Used for 1,000-node experiment runs where pure-Python bignum math would
-  dominate wall-clock time without affecting any measured quantity (the
-  cost model charges calibrated CPU time either way).
+- :meth:`~CryptoProvider.seal` — a wrapped session key beside the body
+  under the bulk cipher (Fig. 2's onion layers, invitations);
+- :meth:`~CryptoProvider.encrypt_payload` — ``(nonce, ciphertext)`` and a
+  MAC over both (a WCL message body);
+- :meth:`~CryptoProvider.wrap_layers` — one nonce and one MAC per circuit
+  hop, each MAC over the nonce and ciphertext that hop receives.
 
-A circuit body is opaque bytes under both: the real provider's
-``(nonces, ciphertext)``, the sim provider's wire encoding of the content.
-A mix strips its MAC and forwards the bytes without decoding them; only
-the destination turns them back into the content.
+A subclass supplies only the primitives underneath:
 
+- :class:`RealCryptoProvider` — AES-128-CTR or the :mod:`.stream`
+  cipher, drawn nonces, RSA key wrap, measured sizes.  Used by unit
+  tests, the security test-suite and the examples.
+- :class:`SimCryptoProvider` — wire-codec bodies, the identity cipher,
+  empty nonces, a key-fingerprint check in place of RSA, and the paper's
+  wire-size model.  Used for 1,000-node runs where pure-Python bignum
+  math would dominate wall-clock time without affecting any measured
+  quantity (the cost model charges calibrated CPU time either way).
+
+A mix strips its layer of a circuit body and forwards the bytes without
+decoding them; only the destination turns them back into the content.
 Both raise :class:`CryptoError` — and nothing else — when opening with a
 wrong key or an envelope of the wrong shape (``blob`` / ``auth`` / ``auths``
 are untyped on the wire), so protocol code paths are identical.
@@ -79,7 +83,8 @@ class KeyPair:
 
 @dataclass(frozen=True)
 class Sealed:
-    """Asymmetrically sealed object (onion layer, invitation, ...)."""
+    """Asymmetrically sealed object (onion layer, invitation, ...);
+    ``blob`` is ``(wrapped session key, ciphertext)``."""
 
     key_fingerprint: str
     blob: Any
@@ -88,7 +93,8 @@ class Sealed:
 
 @dataclass(frozen=True)
 class EncryptedPayload:
-    """Symmetrically encrypted object (WCL message body)."""
+    """Symmetrically encrypted object (WCL message body); ``blob`` is
+    ``(nonce, ciphertext)`` and ``auth`` the MAC over both."""
 
     blob: Any
     auth: Any
@@ -113,7 +119,8 @@ class LayeredPayload:
 
 
 def _bytes_pair(blob: Any) -> tuple[bytes, bytes]:
-    """An envelope body as :class:`RealCryptoProvider` writes it."""
+    """An envelope body as :meth:`CryptoProvider.seal` and
+    :meth:`~CryptoProvider.encrypt_payload` write it."""
     if (
         isinstance(blob, tuple) and len(blob) == 2
         and isinstance(blob[0], bytes) and isinstance(blob[1], bytes)
@@ -123,7 +130,17 @@ def _bytes_pair(blob: Any) -> tuple[bytes, bytes]:
 
 
 class CryptoProvider(ABC):
-    """Factory + operations; charges the CPU accountant when one is set."""
+    """The envelopes, over the primitives a subclass supplies; charges the
+    CPU accountant for every operation.
+
+    Primitives: ``_encode`` / ``_decode`` (an object to and from body
+    bytes), ``_bulk(key, nonce, data)`` (the self-inverse bulk cipher),
+    ``_nonce``, ``_wrap_key`` / ``_unwrap_key`` (a seal's session key),
+    ``_sized`` (the envelope size on record), ``generate_keypair``,
+    ``sign`` and ``_check``.
+    """
+
+    _bulk: Callable[[bytes, bytes, bytes], bytes]
 
     def __init__(self, rng: random.Random, accountant: CpuAccountant | None = None) -> None:
         self._rng = rng
@@ -141,28 +158,59 @@ class CryptoProvider(ABC):
         """Next measurement trace id (provider-scoped, starts at 1)."""
         return next(self._trace_ids)
 
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def generate_keypair(self) -> KeyPair:
-        """Create a fresh keypair (no CPU charge: keygen is off-cycle)."""
+    def new_symmetric_key(self) -> bytes:
+        """A fresh random 128-bit key (the per-message key *k* of Fig. 2)."""
+        return self._rng.getrandbits(128).to_bytes(16, "big")
 
-    @abstractmethod
+    # ------------------------------------------------------------------
+    # the envelopes
+    # ------------------------------------------------------------------
     def seal(self, public: PublicKey, obj: Any, *, node: NodeId = -1) -> Sealed:
         """Asymmetrically encrypt a (small) object for the key holder."""
+        body = self._encode(obj)
+        wrapped, session_key, nonce = self._wrap_key(public)
+        ciphertext = self._bulk(session_key, nonce, body)
+        self.accountant.rsa_encrypt(node)
+        self.accountant.aes(node, len(body))
+        return Sealed(
+            key_fingerprint=public.fingerprint,
+            blob=(wrapped, ciphertext),
+            size_bytes=self._sized(
+                len(wrapped) + len(ciphertext), _MODELLED_SEAL_BYTES
+            ),
+        )
 
-    @abstractmethod
     def open(self, keypair: KeyPair, sealed: Sealed, *, node: NodeId = -1) -> Any:
         """Invert :meth:`seal`; raises CryptoError with the wrong keypair."""
+        wrapped, ciphertext = _bytes_pair(sealed.blob)
+        self.accountant.rsa_decrypt(node)
+        session_key, nonce = self._unwrap_key(keypair, sealed.key_fingerprint, wrapped)
+        body = self._bulk(session_key, nonce, ciphertext)
+        self.accountant.aes(node, len(body))
+        return self._plaintext(body, "seal does not open: corrupt body")
 
-    @abstractmethod
     def encrypt_payload(self, key: bytes, obj: Any, size_hint: int, *,
                         node: NodeId = -1) -> EncryptedPayload:
-        """Symmetric bulk encryption of a message body."""
+        """Symmetric bulk encryption of a message body, encrypt-then-MAC."""
+        body = self._encode(obj)
+        nonce = self._nonce()
+        ciphertext = self._bulk(key, nonce, body)
+        auth = tag(key, nonce + ciphertext)
+        self.accountant.aes(node, max(len(body), size_hint))
+        return EncryptedPayload(
+            blob=(nonce, ciphertext), auth=auth,
+            size_bytes=self._sized(max(len(ciphertext), size_hint), size_hint),
+        )
 
-    @abstractmethod
     def decrypt_payload(self, key: bytes, enc: EncryptedPayload, *,
                         node: NodeId = -1) -> Any:
         """Invert :meth:`encrypt_payload`; raises CryptoError on mismatch."""
+        nonce, ciphertext = _bytes_pair(enc.blob)
+        if not verify_tag(key, nonce + ciphertext, enc.auth):
+            raise CryptoError("payload authentication failed")
+        body = self._bulk(key, nonce, ciphertext)
+        self.accountant.aes(node, enc.size_bytes)
+        return self._plaintext(body, "payload corrupt")
 
     def wrap_layers(self, keys: Sequence[bytes], obj: Any, size_hint: int, *,
                     node: NodeId = -1) -> LayeredPayload:
@@ -172,7 +220,25 @@ class CryptoProvider(ABC):
         hop, each layer independently authenticated so a hop detects a
         wrong/expired key exactly like :meth:`decrypt_payload` does.
         """
-        raise NotImplementedError
+        if not keys:
+            raise ValueError("wrap_layers needs at least one key")
+        body = self._encode(obj)
+        nonces = tuple(self._nonce() for _ in keys)
+        # Innermost (destination) layer first; each hop's MAC covers the
+        # nonce and ciphertext that hop will receive.
+        bulk = self._bulk
+        auths: list[bytes] = [b""] * len(keys)
+        data = body
+        for index in range(len(keys) - 1, -1, -1):
+            key, nonce = keys[index], nonces[index]
+            data = bulk(key, nonce, data)
+            auths[index] = tag(key, nonce + data)
+        size = max(len(body), size_hint)
+        self.accountant.aes_layers(node, size, len(keys))
+        return LayeredPayload(
+            blob=(nonces, data), auths=tuple(auths),
+            size_bytes=self._sized(size, size_hint),
+        )
 
     def unwrap_layer(self, key: bytes, layered: LayeredPayload, *,
                      node: NodeId = -1) -> Any:
@@ -182,8 +248,38 @@ class CryptoProvider(ABC):
         decrypted object at the destination.  Raises :class:`CryptoError`
         when ``key`` does not authenticate the outermost layer.
         """
-        raise NotImplementedError
+        blob, auths = layered.blob, layered.auths
+        # One nonce and one MAC per remaining layer, ours first.
+        if not (
+            isinstance(auths, tuple) and auths
+            and isinstance(blob, tuple) and len(blob) == 2
+            and isinstance(blob[0], tuple) and len(blob[0]) == len(auths)
+            and isinstance(blob[0][0], bytes) and isinstance(blob[1], bytes)
+        ):
+            raise CryptoError("malformed circuit layer")
+        nonces, ciphertext = blob
+        if not verify_tag(key, nonces[0] + ciphertext, auths[0]):
+            raise CryptoError("circuit layer authentication failed")
+        inner = self._bulk(key, nonces[0], ciphertext)
+        self.accountant.aes(node, layered.size_bytes)
+        if len(auths) == 1:
+            return self._plaintext(inner, "circuit payload corrupt")
+        return LayeredPayload(
+            blob=(nonces[1:], inner), auths=auths[1:],
+            size_bytes=layered.size_bytes,
+        )
 
+    def _plaintext(self, body: bytes, failure: str) -> Any:
+        # A wrong key, or a key holder's forgery, yields bytes that do not
+        # decode: whatever the decoder raises, the caller sees CryptoError.
+        try:
+            return self._decode(body)
+        except Exception as exc:
+            raise CryptoError(failure) from exc
+
+    # ------------------------------------------------------------------
+    # signatures
+    # ------------------------------------------------------------------
     @abstractmethod
     def sign(self, keypair: KeyPair, obj: Any, *, node: NodeId = -1) -> Any:
         """Signature over a canonical encoding of ``obj``."""
@@ -212,29 +308,53 @@ class CryptoProvider(ABC):
         self._verified.add(triple)
         return True
 
+    # ------------------------------------------------------------------
+    # primitives
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def generate_keypair(self) -> KeyPair:
+        """Create a fresh keypair (no CPU charge: keygen is off-cycle)."""
+
+    @abstractmethod
+    def _encode(self, obj: Any) -> bytes:
+        """The body bytes of ``obj``."""
+
+    @abstractmethod
+    def _decode(self, body: bytes) -> Any:
+        """Invert :meth:`_encode`; may raise anything on foreign bytes."""
+
+    @abstractmethod
+    def _nonce(self) -> bytes:
+        """A fresh nonce for one payload or circuit layer."""
+
+    @abstractmethod
+    def _wrap_key(self, public: PublicKey) -> tuple[bytes, bytes, bytes]:
+        """``(wrapped, session key, nonce)`` for one seal to ``public``."""
+
+    @abstractmethod
+    def _unwrap_key(self, keypair: KeyPair, fingerprint: str,
+                    wrapped: bytes) -> tuple[bytes, bytes]:
+        """The ``(session key, nonce)`` in ``wrapped``; CryptoError when it
+        was not wrapped for ``keypair``."""
+
+    @abstractmethod
+    def _sized(self, measured: int, modelled: int) -> int:
+        """The size an envelope records: its own bytes or the model's."""
+
     @abstractmethod
     def _check(self, public: PublicKey, message: bytes, signature: Any) -> bool:
         """The provider's own check of ``signature`` over ``message``;
         False, never an exception, for a signature of the wrong shape."""
 
-    # ------------------------------------------------------------------
-    def new_symmetric_key(self) -> bytes:
-        """A fresh random 128-bit key (the per-message key *k* of Fig. 2)."""
-        return self._rng.getrandbits(128).to_bytes(16, "big")
-
-    def new_nonce(self) -> bytes:
-        return self._rng.getrandbits(64).to_bytes(8, "big")
-
 
 # ----------------------------------------------------------------------
 class RealCryptoProvider(CryptoProvider):
-    """RSA plus a symmetric bulk cipher, with pickle serialization.
+    """RSA key wrap plus a symmetric bulk cipher.
 
     ``use_aes=True`` is the paper-fidelity cipher, this repo's pure-Python
     AES-128-CTR; ``use_aes=False`` is :func:`.stream.stream_transform`, one
     SHAKE-256 call and one big-int XOR per layer.  Either way payloads and
-    circuit layers are encrypt-then-MAC (:func:`.stream.tag` over nonce and
-    ciphertext, checked before decrypting) and charged as ``aes``.
+    circuit layers are charged as ``aes``.
     """
 
     def __init__(
@@ -255,102 +375,33 @@ class RealCryptoProvider(CryptoProvider):
         public = PublicKey(material=pair.public, fingerprint=pair.public.fingerprint())
         return KeyPair(public=public, secret=pair.private)
 
-    def seal(self, public, obj, *, node=-1):
-        body = pickle.dumps(obj)
-        session_key = self.new_symmetric_key()
-        nonce = self.new_nonce()
-        wrapped = rsa.encrypt(public.material, session_key + nonce, self._rng)
-        ciphertext = self._bulk(session_key, nonce, body)
-        self.accountant.rsa_encrypt(node)
-        self.accountant.aes(node, len(body))
-        return Sealed(
-            key_fingerprint=public.fingerprint,
-            blob=(wrapped, ciphertext),
-            size_bytes=len(wrapped) + len(ciphertext),
-        )
+    def _encode(self, obj):
+        return pickle.dumps(obj)
 
-    def open(self, keypair, sealed, *, node=-1):
-        wrapped, ciphertext = _bytes_pair(sealed.blob)
+    def _decode(self, body):
+        return pickle.loads(body)
+
+    def _nonce(self):
+        return self._rng.getrandbits(64).to_bytes(8, "big")
+
+    def _wrap_key(self, public):
+        # Draw order: session key, nonce, then the RSA padding.
+        session_key = self.new_symmetric_key()
+        nonce = self._nonce()
+        wrapped = rsa.encrypt(public.material, session_key + nonce, self._rng)
+        return wrapped, session_key, nonce
+
+    def _unwrap_key(self, keypair, fingerprint, wrapped):
         try:
             opened = rsa.decrypt(keypair.secret, wrapped)
         except ValueError as exc:
-            self.accountant.rsa_decrypt(node)
             raise CryptoError(f"seal does not open: {exc}") from exc
-        self.accountant.rsa_decrypt(node)
         if len(opened) != 24:
             raise CryptoError("seal does not open: bad session material")
-        session_key, nonce = opened[:16], opened[16:]
-        body = self._bulk(session_key, nonce, ciphertext)
-        self.accountant.aes(node, len(body))
-        try:
-            return pickle.loads(body)
-        except Exception as exc:  # wrong key yields garbage bytes
-            raise CryptoError("seal does not open: corrupt body") from exc
+        return opened[:16], opened[16:]
 
-    def encrypt_payload(self, key, obj, size_hint, *, node=-1):
-        body = pickle.dumps(obj)
-        nonce = self.new_nonce()
-        ciphertext = self._bulk(key, nonce, body)
-        auth = tag(key, nonce + ciphertext)
-        self.accountant.aes(node, max(len(body), size_hint))
-        return EncryptedPayload(
-            blob=(nonce, ciphertext), auth=auth,
-            size_bytes=max(len(ciphertext), size_hint),
-        )
-
-    def decrypt_payload(self, key, enc, *, node=-1):
-        nonce, ciphertext = _bytes_pair(enc.blob)
-        if not verify_tag(key, nonce + ciphertext, enc.auth):
-            raise CryptoError("payload authentication failed")
-        body = self._bulk(key, nonce, ciphertext)
-        self.accountant.aes(node, enc.size_bytes)
-        try:
-            return pickle.loads(body)
-        except Exception as exc:
-            raise CryptoError("payload corrupt") from exc
-
-    def wrap_layers(self, keys, obj, size_hint, *, node=-1):
-        if not keys:
-            raise ValueError("wrap_layers needs at least one key")
-        body = pickle.dumps(obj)
-        nonces = tuple(self.new_nonce() for _ in keys)
-        # Innermost (destination) layer first; each hop's MAC covers the
-        # nonce and ciphertext that hop will receive.
-        bulk = self._bulk
-        auths: list[bytes] = [b""] * len(keys)
-        data = body
-        for index in range(len(keys) - 1, -1, -1):
-            key, nonce = keys[index], nonces[index]
-            data = bulk(key, nonce, data)
-            auths[index] = tag(key, nonce + data)
-        size = max(len(body), size_hint)
-        self.accountant.aes_layers(node, size, len(keys))
-        return LayeredPayload(blob=(nonces, data), auths=tuple(auths), size_bytes=size)
-
-    def unwrap_layer(self, key, layered, *, node=-1):
-        blob, auths = layered.blob, layered.auths
-        # One nonce and one MAC per remaining layer, ours first.
-        if not (
-            isinstance(auths, tuple) and auths
-            and isinstance(blob, tuple) and len(blob) == 2
-            and isinstance(blob[0], tuple) and len(blob[0]) == len(auths)
-            and isinstance(blob[0][0], bytes) and isinstance(blob[1], bytes)
-        ):
-            raise CryptoError("malformed circuit layer")
-        nonces, ciphertext = blob
-        if not verify_tag(key, nonces[0] + ciphertext, auths[0]):
-            raise CryptoError("circuit layer authentication failed")
-        inner = self._bulk(key, nonces[0], ciphertext)
-        self.accountant.aes(node, layered.size_bytes)
-        if len(auths) == 1:
-            try:
-                return pickle.loads(inner)
-            except Exception as exc:
-                raise CryptoError("circuit payload corrupt") from exc
-        return LayeredPayload(
-            blob=(nonces[1:], inner), auths=auths[1:],
-            size_bytes=layered.size_bytes,
-        )
+    def _sized(self, measured, modelled):
+        return measured
 
     def sign(self, keypair, obj, *, node=-1):
         self.accountant.rsa_sign(node)
@@ -363,14 +414,20 @@ class RealCryptoProvider(CryptoProvider):
 
 
 # ----------------------------------------------------------------------
+def _identity(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    return data
+
+
 class SimCryptoProvider(CryptoProvider):
     """Key-identity-enforced envelopes; same API surface and failure modes.
 
-    ``seal`` and ``encrypt_payload`` carry the object itself as ``blob``
-    and MAC its value encoding.  ``wrap_layers`` carries the content's wire
-    encoding as ``blob``: a mix forwards it untouched and the destination
-    decodes it, like the real provider's ciphertext.
+    Bodies are the wire codec's encoding, carried in the clear: access is
+    enforced by the fingerprint a seal names and by the MACs, not by
+    number theory.  Nonces and wrapped keys are empty, and envelopes record
+    the paper's wire-size model (256 bytes a seal, ``size_hint`` a body).
     """
+
+    _bulk = staticmethod(_identity)
 
     def __init__(self, rng: random.Random, accountant: CpuAccountant | None = None) -> None:
         super().__init__(rng, accountant)
@@ -384,69 +441,29 @@ class SimCryptoProvider(CryptoProvider):
             secret=key_id,
         )
 
-    def seal(self, public, obj, *, node=-1):
+    def _encode(self, obj):
         from ..wire.codec import encode_value  # deferred: codec imports us
 
-        body = encode_value(obj)
-        self.accountant.rsa_encrypt(node)
-        self.accountant.aes(node, len(body))
-        return Sealed(
-            key_fingerprint=public.fingerprint, blob=(b"", body), size_bytes=256,
-        )
+        return encode_value(obj)
 
-    def open(self, keypair, sealed, *, node=-1):
-        _wrapped, ciphertext = _bytes_pair(sealed.blob)
-        self.accountant.rsa_decrypt(node)
-        if sealed.key_fingerprint != keypair.public.fingerprint:
+    def _decode(self, body):
+        from ..wire.codec import decode_value  # deferred: codec imports us
+
+        return decode_value(body)
+
+    def _nonce(self):
+        return b""
+
+    def _wrap_key(self, public):
+        return b"", b"", b""
+
+    def _unwrap_key(self, keypair, fingerprint, wrapped):
+        if fingerprint != keypair.public.fingerprint:
             raise CryptoError("seal does not open: wrong key")
-        self.accountant.aes(node, len(ciphertext))
-        return _sim_decode(ciphertext, "seal does not open: corrupt body")
+        return b"", b""
 
-    def encrypt_payload(self, key, obj, size_hint, *, node=-1):
-        from ..wire.codec import encode_value  # deferred: codec imports us
-
-        body = encode_value(obj)
-        auth = tag(key, b"" + body)
-        self.accountant.aes(node, max(len(body), size_hint))
-        return EncryptedPayload(blob=(b"", body), auth=auth, size_bytes=size_hint)
-
-    def decrypt_payload(self, key, enc, *, node=-1):
-        nonce, ciphertext = _bytes_pair(enc.blob)
-        if not verify_tag(key, nonce + ciphertext, enc.auth):
-            raise CryptoError("payload authentication failed")
-        self.accountant.aes(node, enc.size_bytes)
-        return _sim_decode(ciphertext, "payload corrupt")
-
-    def wrap_layers(self, keys, obj, size_hint, *, node=-1):
-        if not keys:
-            raise ValueError("wrap_layers needs at least one key")
-        from ..wire.codec import encode_value  # deferred: codec imports us
-
-        body = encode_value(obj)
-        nonces = tuple(b"" for _ in keys)
-        auths = tuple(tag(key, b"" + body) for key in keys)
-        self.accountant.aes_layers(node, max(len(body), size_hint), len(keys))
-        return LayeredPayload(blob=(nonces, body), auths=auths, size_bytes=size_hint)
-
-    def unwrap_layer(self, key, layered, *, node=-1):
-        blob, auths = layered.blob, layered.auths
-        if not (
-            isinstance(auths, tuple) and auths
-            and isinstance(blob, tuple) and len(blob) == 2
-            and isinstance(blob[0], tuple) and len(blob[0]) == len(auths)
-            and isinstance(blob[0][0], bytes) and isinstance(blob[1], bytes)
-        ):
-            raise CryptoError("malformed circuit layer")
-        nonces, ciphertext = blob
-        if not verify_tag(key, nonces[0] + ciphertext, auths[0]):
-            raise CryptoError("circuit layer authentication failed")
-        self.accountant.aes(node, layered.size_bytes)
-        if len(auths) == 1:
-            return _sim_decode(ciphertext, "circuit payload corrupt")
-        return LayeredPayload(
-            blob=(nonces[1:], ciphertext), auths=auths[1:],
-            size_bytes=layered.size_bytes,
-        )
+    def _sized(self, measured, modelled):
+        return modelled
 
     def sign(self, keypair, obj, *, node=-1):
         self.accountant.rsa_sign(node)
@@ -476,68 +493,11 @@ def make_provider(
     raise ValueError(f"unknown provider: {kind!r}")
 
 
-_CANONICAL_CACHE_LIMIT = 1024
+# A seal's size in the paper's wire model (what the sim provider records).
+_MODELLED_SEAL_BYTES = 256
 # Bound on a provider's remembered successful signature checks; cleared
-# wholesale when full, like the canonical-encoding memo below.
+# wholesale when full.
 _VERIFIED_LIMIT = 4096
-
-
-def _memo_by_identity(encode: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
-    """Memoize an encoding by object identity.
-
-    The objects are immutable sim envelope bodies, encoded where they are
-    sealed and again where they are opened: at the destination, the only
-    hop that checks a body's MAC.  (Signed objects are built afresh for
-    every check, so :func:`_canonical` is not memoized.)  The cache holds a
-    strong reference to the object, which keeps its ``id`` from being reused
-    while the entry lives; the identity check guards against reuse after a
-    wholesale clear.
-    """
-    cache: dict[int, tuple[Any, bytes]] = {}
-
-    def memoized(obj: Any) -> bytes:
-        key = id(obj)
-        hit = cache.get(key)
-        if hit is not None and hit[0] is obj:
-            return hit[1]
-        data = encode(obj)
-        if len(cache) >= _CANONICAL_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = (obj, data)
-        return data
-
-    return memoized
-
-
-@_memo_by_identity
-def _value_canonical(obj: Any) -> bytes:
-    """Value-based canonical encoding for the sim seal and payload MACs
-    and charges (circuit bodies are already bytes and need none).
-
-    Pickle is identity-sensitive: it memoizes shared references, so an
-    object that has been encode->decoded by the wire codec (which rebuilds
-    the tree without the original sharing) can pickle to different bytes
-    than the original even though the two are equal.  The MAC written at
-    ``encrypt_payload`` must verify after a wire round-trip, so the
-    canonical form is the wire codec's own deterministic value encoding;
-    pickle remains the fallback for objects the wire cannot carry (which
-    by definition never cross a codec boundary).
-    """
-    from ..wire.codec import WireEncodeError, encode_value  # deferred: codec imports us
-
-    try:
-        return encode_value(obj)
-    except WireEncodeError:
-        return pickle.dumps(obj)
-
-
-def _sim_decode(body: bytes, what: str) -> Any:
-    from ..wire.codec import WireDecodeError, decode_value  # deferred: codec imports us
-
-    try:
-        return decode_value(body)
-    except WireDecodeError as exc:
-        raise CryptoError(what) from exc
 
 
 def _canonical(obj: Any) -> bytes:

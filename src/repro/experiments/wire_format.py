@@ -15,10 +15,10 @@ This experiment reports two things, both a pure function of the seed:
 Codec speed is measured end to end by the repository benchmark
 (``bench/``: ``live_udp``'s per-layer ``wire.*`` metrics), not here.
 
-Note the sim-provider caveat: in sim-crypto worlds, sealed envelopes
-charge their *modelled* sizes but encode as structural placeholders, so
-measured onion bytes under the sim provider are a floor, not a claim
-about RSA output sizes.  Kind-level framing and gossip/control sizes are
+Note the sim-provider caveat: in sim-crypto worlds, a sealed envelope
+charges its *modelled* size but encodes as its layer's bytes with an
+empty wrapped key, so measured onion bytes under the sim provider are a
+floor by the missing RSA wrap, not a claim about RSA output sizes.  Kind-level framing and gossip/control sizes are
 provider-independent.
 """
 
@@ -41,8 +41,8 @@ def run(scale: float = 1.0, seed: int = 1010) -> Report:
         "paper's constants undershoot what the codec actually emits."
     )
     report.note(
-        "sim-provider caveat: sealed blobs encode as structural placeholders, "
-        "so onion-bearing kinds are measured floors, not RSA byte counts."
+        "sim-provider caveat: sealed blobs carry no RSA-wrapped key, so "
+        "onion-bearing kinds are measured floors, not RSA byte counts."
     )
     return report
 

@@ -15,6 +15,7 @@ from repro.crypto import (
 )
 from repro.crypto.costmodel import RSA_DECRYPT_MS, aes_ms
 from repro.crypto.provider import EncryptedPayload, LayeredPayload, Sealed
+from repro.crypto.stream import tag
 from repro.wire.codec import decode_value, encode_value
 
 
@@ -157,6 +158,59 @@ class TestMalformedEnvelopes:
     def test_unwrap_layer(self, keyed_providers, blob, auths, size):
         for provider, _pair, key in keyed_providers:
             self.attempt(provider.unwrap_layer, key, LayeredPayload(blob, auths, size))
+
+
+# Raw Python values as a caller could hand them over, never wire-decoded:
+# bytes-likes, tuples of any arity and depth, mixed element types.
+_RAW = st.recursive(
+    _SCALARS | st.binary(max_size=64).map(bytearray),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner)
+    | st.tuples(inner, inner, inner) | st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestForgedEnvelopes:
+    """Arbitrary bytes or tuples reach the provider boundary either as
+    envelope fields or as a body under a key check that passes (what a
+    key holder can forge); both providers raise only CryptoError."""
+
+    @staticmethod
+    def attempt(operation, secret, envelope):
+        try:
+            operation(secret, envelope)
+        except CryptoError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=_RAW, auth=_RAW, size=_SIZES)
+    def test_raw_fields(self, keyed_providers, blob, auth, size):
+        for provider, pair, key in keyed_providers:
+            self.attempt(provider.open, pair, Sealed(pair.public.fingerprint, blob, size))
+            self.attempt(provider.decrypt_payload, key, EncryptedPayload(blob, auth, size))
+            self.attempt(provider.unwrap_layer, key, LayeredPayload(blob, auth, size))
+
+    @settings(max_examples=150, deadline=None)
+    @given(plaintext=st.binary(max_size=64), nonce=st.binary(max_size=12),
+           layers=st.integers(1, 3), size=_SIZES)
+    def test_forged_bodies(self, keyed_providers, plaintext, nonce, layers, size):
+        for provider, pair, key in keyed_providers:
+            wrapped, session_key, session_nonce = provider._wrap_key(pair.public)
+            sealed_body = provider._bulk(session_key, session_nonce, plaintext)
+            self.attempt(
+                provider.open, pair,
+                Sealed(pair.public.fingerprint, (wrapped, sealed_body), size),
+            )
+            body = provider._bulk(key, nonce, plaintext)
+            self.attempt(
+                provider.decrypt_payload, key,
+                EncryptedPayload((nonce, body), tag(key, nonce + body), size),
+            )
+            nonces = (nonce,) * layers
+            auths = (tag(key, nonce + body),) * layers
+            self.attempt(
+                provider.unwrap_layer, key, LayeredPayload((nonces, body), auths, size)
+            )
 
 
 def _tweaked(signature):
