@@ -127,15 +127,19 @@ def keyed_providers():
     return [(p, p.generate_keypair(), p.new_symmetric_key()) for p in providers]
 
 
+def _attempt(operation, secret, envelope):
+    try:
+        operation(secret, envelope)
+    except CryptoError:
+        pass
+
+
 class TestMalformedEnvelopes:
     """The provider boundary raises only :class:`CryptoError`."""
 
     @staticmethod
     def attempt(operation, secret, envelope):
-        try:
-            operation(secret, decode_value(encode_value(envelope)))
-        except CryptoError:
-            pass
+        _attempt(operation, secret, decode_value(encode_value(envelope)))
 
     @settings(max_examples=150, deadline=None)
     @given(blob=_BLOBS, size=_SIZES)
@@ -175,20 +179,13 @@ class TestForgedEnvelopes:
     envelope fields or as a body under a key check that passes (what a
     key holder can forge); both providers raise only CryptoError."""
 
-    @staticmethod
-    def attempt(operation, secret, envelope):
-        try:
-            operation(secret, envelope)
-        except CryptoError:
-            pass
-
     @settings(max_examples=150, deadline=None)
     @given(blob=_RAW, auth=_RAW, size=_SIZES)
     def test_raw_fields(self, keyed_providers, blob, auth, size):
         for provider, pair, key in keyed_providers:
-            self.attempt(provider.open, pair, Sealed(pair.public.fingerprint, blob, size))
-            self.attempt(provider.decrypt_payload, key, EncryptedPayload(blob, auth, size))
-            self.attempt(provider.unwrap_layer, key, LayeredPayload(blob, auth, size))
+            _attempt(provider.open, pair, Sealed(pair.public.fingerprint, blob, size))
+            _attempt(provider.decrypt_payload, key, EncryptedPayload(blob, auth, size))
+            _attempt(provider.unwrap_layer, key, LayeredPayload(blob, auth, size))
 
     @settings(max_examples=150, deadline=None)
     @given(plaintext=st.binary(max_size=64), nonce=st.binary(max_size=12),
@@ -197,18 +194,18 @@ class TestForgedEnvelopes:
         for provider, pair, key in keyed_providers:
             wrapped, session_key, session_nonce = provider._wrap_key(pair.public)
             sealed_body = provider._bulk(session_key, session_nonce, plaintext)
-            self.attempt(
+            _attempt(
                 provider.open, pair,
                 Sealed(pair.public.fingerprint, (wrapped, sealed_body), size),
             )
             body = provider._bulk(key, nonce, plaintext)
-            self.attempt(
+            _attempt(
                 provider.decrypt_payload, key,
                 EncryptedPayload((nonce, body), tag(key, nonce + body), size),
             )
             nonces = (nonce,) * layers
             auths = (tag(key, nonce + body),) * layers
-            self.attempt(
+            _attempt(
                 provider.unwrap_layer, key, LayeredPayload((nonces, body), auths, size)
             )
 
