@@ -99,6 +99,7 @@ class WhisperNode:
         self.groups: dict[str, PrivatePeerSamplingService] = {}
         self.unknown_group_messages = 0
         self.alive = False
+        self.incarnation = 0  # restarts of this node id before this stack
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -64,10 +64,10 @@ from dataclasses import replace
 from functools import partial
 
 from ..nat.types import EMULATED_TYPES
-from ..net.address import NodeId, NodeKind
+from ..net.address import NodeId
 from ..net.message import Message
 from ..parallel.executor import derive_seed
-from .world import INTRODUCER_COUNT, World, WorldConfig, nat_plan
+from .world import World, WorldConfig, fill_introducers, nat_plan
 
 __all__ = ["ShardedWorld"]
 
@@ -143,19 +143,13 @@ class ShardedWorld:
     # ------------------------------------------------------------------
     def introducers(self) -> list:
         """Global bootstrap set: the first public nodes in id order."""
-        if self._introducers:
-            return list(self._introducers)
-        introducers = []
-        for node_id, home in self._node_partition.items():  # insertion = id order
-            node = self.worlds[home].nodes.get(node_id)
-            if node is not None and node.cm.kind is NodeKind.PUBLIC:
-                introducers.append(node.descriptor())
-                if len(introducers) >= INTRODUCER_COUNT:
-                    break
-        if not introducers:
-            raise RuntimeError("no public nodes available as introducers")
-        self._introducers = introducers
-        return list(introducers)
+        if not self._introducers:
+            self._introducers = fill_introducers([], (
+                self.worlds[home].nodes[node_id]
+                for node_id, home in self._node_partition.items()  # id order
+                if node_id in self.worlds[home].nodes
+            ))
+        return list(self._introducers)
 
     def start_all(self) -> None:
         introducers = self.introducers()

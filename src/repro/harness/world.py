@@ -1,8 +1,8 @@
 """Experiment harness: builds and drives whole WHISPER deployments.
 
-A :class:`World` assembles the simulator, NAT topology, network fabric,
-crypto provider and a population of :class:`WhisperNode` — the equivalent of
-the paper's SPLAY deployment scripts.  It supports the two testbed profiles
+A :class:`World` is the deployment core (:mod:`.deployment`) over the
+simulator and the sim fabric with its NAT topology — the equivalent of the
+paper's SPLAY deployment scripts.  It supports the two testbed profiles
 (cluster / PlanetLab), exact N:P ratios, node arrival/departure for churn
 experiments, and snapshots for the overlay metrics.
 """
@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from ..core.node import WhisperConfig, WhisperNode
-from ..crypto.costmodel import CpuAccountant
-from ..crypto.provider import make_provider
 from ..nat.topology import NatTopology
 from ..nat.traversal import NodeDescriptor
 from ..nat.types import EMULATED_TYPES, NatType
@@ -25,10 +23,9 @@ from ..net.latency import ClusterLatencyModel, LatencyModel, PlanetLabLatencyMod
 from ..net.network import Network
 from ..metrics.graph import ViewGraph
 from ..sim.engine import Simulator
-from ..sim.rng import RngRegistry
-from ..telemetry import Telemetry
+from .deployment import Deployment
 
-__all__ = ["WorldConfig", "World", "nat_plan"]
+__all__ = ["WorldConfig", "World", "fill_introducers", "nat_plan"]
 
 INTRODUCER_COUNT = 5  # bootstrap entry points handed to every starting node
 
@@ -46,6 +43,23 @@ def nat_plan(
     plan += [next(nat_cycle) for _ in range(natted)]
     rng.shuffle(plan)
     return plan
+
+
+def fill_introducers(
+    have: list[NodeDescriptor], nodes: Iterable[WhisperNode]
+) -> list[NodeDescriptor]:
+    """Top ``have`` up to ``INTRODUCER_COUNT`` with the public nodes of
+    ``nodes`` (in id order) it does not hold yet; raises if it stays empty."""
+    if len(have) < INTRODUCER_COUNT:
+        held = {d.node_id for d in have}
+        for node in nodes:
+            if node.cm.kind is NodeKind.PUBLIC and node.node_id not in held:
+                have.append(node.descriptor())
+                if len(have) >= INTRODUCER_COUNT:
+                    break
+    if not have:
+        raise RuntimeError("no public nodes available as introducers")
+    return have
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,7 @@ class WorldConfig:
     wire_mode: str = "off"  # "off" | "verify" | "measured"; see Network.set_wire_mode
 
 
-class World:
+class World(Deployment):
     """A running deployment: nodes join/leave it, experiments measure it."""
 
     def __init__(self, config: WorldConfig | None = None) -> None:
@@ -79,25 +93,19 @@ class World:
                 f"natted_fraction out of range: {self.config.natted_fraction}"
             )
         self.sim = Simulator()
-        self.telemetry = Telemetry(
-            clock=lambda: self.sim.now,
-            enabled=self.config.telemetry_enabled,
+        super().__init__(
+            self.sim, self.config.seed, self.config.provider,
+            self.config.real_key_bits, self.config.real_use_aes,
+            self.config.whisper, self.config.telemetry_enabled,
         )
+        self.accountant = self.cpu  # the CPU accountant's name in bench/
         self.sim.bind_telemetry(self.telemetry)
-        self.registry = RngRegistry(self.config.seed)
         self.topology = NatTopology()
         self.network = Network(
             self.sim, self.topology, self._make_latency(),
             telemetry=self.telemetry,
             wire_mode=self.config.wire_mode,
         )
-        self.accountant = CpuAccountant(rng=self.registry.stream("cpu"))
-        self.accountant.bind_telemetry(self.telemetry)
-        self.provider = make_provider(
-            self.config.provider, self.registry.stream("crypto"), self.accountant,
-            key_bits=self.config.real_key_bits, use_aes=self.config.real_use_aes,
-        )
-        self.nodes: dict[NodeId, WhisperNode] = {}
         self._ids = itertools.count(1)
         self._nat_cycle = itertools.cycle(EMULATED_TYPES)
         self._introducers: list[NodeDescriptor] = []
@@ -137,18 +145,7 @@ class World:
         if nat_type is None:
             nat_type = self._draw_nat_type()
         self.topology.add_node(node_id, nat_type)
-        node = WhisperNode(
-            node_id=node_id,
-            nat_type=nat_type,
-            sim=self.sim,
-            network=self.network,
-            provider=self.provider,
-            rng=self.registry.fork(f"node-{node_id}").stream("main"),
-            config=self.config.whisper,
-            telemetry=self.telemetry,
-        )
-        self.nodes[node_id] = node
-        return node
+        return self._build_node(node_id, nat_type)
 
     def populate(self, count: int) -> list[WhisperNode]:
         """Create ``count`` nodes at exactly the configured N:P ratio."""
@@ -167,22 +164,10 @@ class World:
         """
         # Killed nodes are removed from the registry; nodes created but not
         # yet started still count (start_all resolves introducers up front).
-        present = set(self.nodes)
-        self._introducers = [
-            d for d in self._introducers if d.node_id in present
-        ]
-        if len(self._introducers) < INTRODUCER_COUNT:
-            have = {d.node_id for d in self._introducers}
-            for node in self.nodes.values():
-                if (
-                    node.cm.kind is NodeKind.PUBLIC
-                    and node.node_id not in have
-                ):
-                    self._introducers.append(node.descriptor())
-                    if len(self._introducers) >= INTRODUCER_COUNT:
-                        break
-        if not self._introducers:
-            raise RuntimeError("no public nodes available as introducers")
+        self._introducers = fill_introducers(
+            [d for d in self._introducers if d.node_id in self.nodes],
+            self.nodes.values(),
+        )
         return list(self._introducers)
 
     def start_all(self) -> None:

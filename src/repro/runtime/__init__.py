@@ -8,9 +8,9 @@ deterministically; this package implements both *live*:
 - :class:`AsyncioScheduler` — ``Clock`` backed by an asyncio event loop;
 - :class:`LiveNetwork` — the fabric surface backed by one UDP socket per
   hosted node, every datagram a :mod:`repro.wire` frame;
-- :class:`LiveRuntime` — convenience host that assembles scheduler,
-  network, crypto and unmodified :class:`~repro.core.node.WhisperNode`
-  stacks inside one OS process;
+- :class:`LiveRuntime` — the deployment core over scheduler + network,
+  hosting unmodified :class:`~repro.core.node.WhisperNode` stacks inside
+  one OS process;
 - :class:`NodeSupervisor` — liveness probing, crash/wedge detection and
   restart-with-backoff for multi-node hosts (soak runs).
 

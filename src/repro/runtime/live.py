@@ -36,15 +36,13 @@ import socket as socket_module
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from ..crypto.costmodel import CpuAccountant
-from ..crypto.provider import make_provider
 from ..core.node import WhisperConfig, WhisperNode
+from ..harness.deployment import Deployment
 from ..nat.traversal import NodeDescriptor
 from ..nat.types import NatType
 from ..net.address import Endpoint, NodeId, NodeKind, Protocol
 from ..net.bandwidth import BandwidthAccountant
 from ..net.message import Message
-from ..sim.rng import RngRegistry
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .. import wire
 from .clock import AsyncioScheduler
@@ -396,7 +394,7 @@ class LiveNetwork:
         handler(message)
 
 
-class LiveRuntime:
+class LiveRuntime(Deployment):
     """One OS process hosting unmodified WhisperNode stacks on real sockets."""
 
     def __init__(
@@ -410,8 +408,11 @@ class LiveRuntime:
         queue_limit: int = SEND_QUEUE_LIMIT,
     ) -> None:
         self.scheduler = AsyncioScheduler()
-        self.telemetry = Telemetry(
-            clock=lambda: self.scheduler.now, enabled=telemetry_enabled
+        # use_aes=False: pure-Python AES costs ~0.9 s of real CPU a message.
+        super().__init__(
+            self.scheduler, seed, provider, key_bits, use_aes=False,
+            whisper=whisper if whisper is not None else WhisperConfig(),
+            telemetry_enabled=telemetry_enabled,
         )
         self.accountant = BandwidthAccountant()
         self.network = LiveNetwork(
@@ -420,24 +421,8 @@ class LiveRuntime:
             telemetry=self.telemetry,
             queue_limit=queue_limit,
         )
-        self.registry = RngRegistry(seed)
-        # Cost accounting records what each operation *would* cost under
-        # the paper's model, and WCL still waits that charged time on the
-        # live clock before it relays or delivers (``_relay_after`` /
-        # ``_deliver_after``), on top of the real CPU time the operation
-        # took: a real-provider relay waits ~45 ms per RSA peel.
-        self.cpu = CpuAccountant()
-        # use_aes=False: pure-Python AES costs ~0.9 s of real CPU a message.
-        self.provider = make_provider(
-            provider, self.registry.stream("crypto"), self.cpu,
-            key_bits=key_bits, use_aes=False,
-        )
-        self.whisper = whisper if whisper is not None else WhisperConfig()
-        self.nodes: dict[NodeId, WhisperNode] = {}
         self.supervisor: "NodeSupervisor | None" = None
-        self._nat_types: dict[NodeId, NatType] = {}
         self._introducers: list[NodeDescriptor] = []
-        self._restart_counts: dict[NodeId, int] = {}
 
     # ------------------------------------------------------------------
     def add_node(
@@ -450,29 +435,7 @@ class LiveRuntime:
         if node_id in self.nodes:
             raise ValueError(f"node {node_id} already hosted here")
         self.network.open_endpoint(node_id, port)
-        self._nat_types[node_id] = nat_type
-        node = self._build_node(node_id, nat_type, restart=0)
-        self.nodes[node_id] = node
-        return node
-
-    def _build_node(
-        self, node_id: NodeId, nat_type: NatType, restart: int
-    ) -> WhisperNode:
-        # Restarted incarnations fork a fresh RNG stream: a rebooted
-        # process would re-seed too, and reusing the original stream would
-        # make the replacement's draws depend on how much the first life
-        # consumed.
-        stream = f"node-{node_id}" if restart == 0 else f"node-{node_id}-r{restart}"
-        return WhisperNode(
-            node_id=node_id,
-            nat_type=nat_type,
-            sim=self.scheduler,  # duck-typed Clock
-            network=self.network,  # duck-typed fabric
-            provider=self.provider,
-            rng=self.registry.fork(stream).stream("main"),
-            config=self.whisper,
-            telemetry=self.telemetry,
-        )
+        return self._build_node(node_id, nat_type)
 
     def descriptor(self, node_id: NodeId) -> NodeDescriptor:
         """The hosted node's descriptor, shareable with other processes."""
@@ -521,28 +484,19 @@ class LiveRuntime:
 
     def restart_node(self, node_id: NodeId) -> WhisperNode:
         """Rebind the socket, rebuild the stack, re-bootstrap from cache."""
-        old = self.nodes.get(node_id)
-        if old is not None and old.alive:
+        old = self.nodes[node_id]
+        if old.alive:
             raise RuntimeError(f"node {node_id} is alive; refusing to restart")
-        if old is not None:
-            # Quiesce the wedged incarnation's timers before its node id
-            # gets a fresh socket — otherwise the zombie stack would emit
-            # through the replacement's endpoint.
-            try:
-                old.stop()
-            except Exception:
-                pass
-        restart = self._restart_counts.get(node_id, 0) + 1
-        self._restart_counts[node_id] = restart
+        # Quiesce the wedged incarnation's timers before its node id gets a
+        # fresh socket — otherwise the zombie stack would emit through the
+        # replacement's endpoint.
+        try:
+            old.stop()
+        except Exception:
+            pass
         self.network.open_endpoint(node_id)
-        node = self._build_node(
-            node_id, self._nat_types.get(node_id, NatType.OPEN), restart
-        )
-        self.nodes[node_id] = node
-        introducers = [
-            d for d in self._introducers if d.node_id != node_id
-        ]
-        node.start(introducers)
+        node = self._build_node(node_id, old.nat_type, old.incarnation + 1)
+        node.start([d for d in self._introducers if d.node_id != node_id])
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "supervisor.node_restarts", node=node_id, layer="supervisor"
