@@ -1,5 +1,6 @@
 """Unit tests for graph metrics and distribution statistics."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,46 @@ class TestViewGraph:
         graph = ViewGraph({1: [2, 3], 2: [3], 3: [2]})
         assert in_degree_distribution(graph) == [0, 2, 2]
         assert in_degree_distribution(graph, nodes=[2, 3]) == [2, 2]
+
+
+# Views over ids 0..11; a view may name itself, repeat an id or name a node
+# that has no view of its own, and many stay empty (isolated nodes).
+_views = st.dictionaries(
+    st.integers(0, 11), st.lists(st.integers(0, 11), max_size=8), max_size=12
+)
+
+
+class TestGraphOracle:
+    """networkx as a differential oracle for the quantities Fig. 5 reports."""
+
+    @staticmethod
+    def _digraph(views):
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(views)
+        oracle.add_edges_from((n, t) for n, targets in views.items() for t in targets)
+        oracle.remove_edges_from(list(nx.selfloop_edges(oracle)))
+        return oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(_views)
+    def test_clustering_matches_networkx(self, views):
+        graph = ViewGraph(views)
+        expected = nx.clustering(self._digraph(views).to_undirected())
+        for node, coefficient in expected.items():
+            assert local_clustering_coefficient(graph, node) == pytest.approx(
+                coefficient
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_views)
+    def test_in_degree_matches_networkx(self, views):
+        graph = ViewGraph(views)
+        oracle = self._digraph(views)
+        for node, degree in oracle.in_degree():
+            assert graph.in_degree(node) == degree
+        assert in_degree_distribution(graph) == sorted(
+            oracle.in_degree(node) for node in views
+        )
 
 
 class TestPercentiles:
