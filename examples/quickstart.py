@@ -9,9 +9,7 @@ records every packet to show what an attacker would (not) see.
 Run:  python examples/quickstart.py
 """
 
-import pickle
-
-from repro import World, WorldConfig
+from repro import World, WorldConfig, wire
 from repro.net.observer import LinkObserver
 
 
@@ -68,7 +66,7 @@ def main() -> None:
 
     leaks = sum(
         1 for p in wiretap.packets
-        if secret.encode() in pickle.dumps(p.payload)
+        if secret.encode() in wire.encode_message(p.kind, p.payload)
     )
     onion_hops = [
         (p.sender, p.receiver) for p in wiretap.packets if carries_onion(p.payload)

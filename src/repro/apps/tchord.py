@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..core.contact import PrivateContact
@@ -99,7 +99,7 @@ class TChordNode:
         # Per-instance qids: answers are routed back to the origin and
         # resolved against *its* pending map, so uniqueness per node
         # suffices.  A module-level counter would leak state between runs
-        # in one process (its value is pickled into query bodies, where
+        # in one process (its value is encoded into query bodies, where
         # the serialized length feeds the charged crypto cost) and break
         # the workers-equivalence determinism contract.
         self._query_counter = itertools.count(1)

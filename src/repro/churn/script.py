@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from ..core.node import WhisperNode

@@ -10,16 +10,19 @@ All WHISPER layers (onion construction, passports, group keys) talk to a
 - :meth:`~CryptoProvider.wrap_layers` — one nonce and one MAC per circuit
   hop, each MAC over the nonce and ciphertext that hop receives.
 
-A subclass supplies only the primitives underneath:
+Every body, and every object a signature covers, is its
+:mod:`repro.wire.codec` encoding: one fixed format, decoded without
+running anything the bytes name.  A subclass supplies only the
+primitives underneath:
 
 - :class:`RealCryptoProvider` — AES-128-CTR or the :mod:`.stream`
   cipher, drawn nonces, RSA key wrap, measured sizes.  Used by unit
   tests, the security test-suite and the examples.
-- :class:`SimCryptoProvider` — wire-codec bodies, the identity cipher,
-  empty nonces, a key-fingerprint check in place of RSA, and the paper's
-  wire-size model.  Used for 1,000-node runs where pure-Python bignum
-  math would dominate wall-clock time without affecting any measured
-  quantity (the cost model charges calibrated CPU time either way).
+- :class:`SimCryptoProvider` — the identity cipher, empty nonces, a
+  key-fingerprint check in place of RSA, and the paper's wire-size
+  model.  Used for 1,000-node runs where pure-Python bignum math would
+  dominate wall-clock time without affecting any measured quantity (the
+  cost model charges calibrated CPU time either way).
 
 A mix strips its layer of a circuit body and forwards the bytes without
 decoding them; only the destination turns them back into the content.
@@ -31,7 +34,6 @@ are untyped on the wire), so protocol code paths are identical.
 from __future__ import annotations
 
 import itertools
-import pickle
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
@@ -133,11 +135,10 @@ class CryptoProvider(ABC):
     """The envelopes, over the primitives a subclass supplies; charges the
     CPU accountant for every operation.
 
-    Primitives: ``_encode`` / ``_decode`` (an object to and from body
-    bytes), ``_bulk(key, nonce, data)`` (the self-inverse bulk cipher),
-    ``_nonce``, ``_wrap_key`` / ``_unwrap_key`` (a seal's session key),
-    ``_sized`` (the envelope size on record), ``generate_keypair``,
-    ``sign`` and ``_check``.
+    Primitives: ``_bulk(key, nonce, data)`` (the self-inverse bulk
+    cipher), ``_nonce``, ``_wrap_key`` / ``_unwrap_key`` (a seal's
+    session key), ``_sized`` (the envelope size on record),
+    ``generate_keypair``, ``sign`` and ``_check``.
     """
 
     _bulk: Callable[[bytes, bytes, bytes], bytes]
@@ -150,9 +151,12 @@ class CryptoProvider(ABC):
         # exactly one provider — so two Worlds in one process draw the
         # same id sequences as two separate processes would.
         self._trace_ids = itertools.count(1)
-        # (public key, canonical bytes, signature) of every check that
-        # passed; see :meth:`verify`.
+        # (public key, codec bytes, signature) of every check that passed;
+        # see :meth:`verify`.
         self._verified: set[tuple[PublicKey, bytes, Any]] = set()
+        from ..wire import codec  # deferred: the codec imports this module
+
+        self._codec = codec
 
     def next_trace_id(self) -> int:
         """Next measurement trace id (provider-scoped, starts at 1)."""
@@ -269,12 +273,16 @@ class CryptoProvider(ABC):
             size_bytes=layered.size_bytes,
         )
 
+    def _encode(self, obj: Any) -> bytes:
+        """``obj``'s wire-codec bytes: a body, or what a signature covers."""
+        return self._codec.encode_value(obj)
+
     def _plaintext(self, body: bytes, failure: str) -> Any:
         # A wrong key, or a key holder's forgery, yields bytes that do not
-        # decode: whatever the decoder raises, the caller sees CryptoError.
+        # decode: the codec raises only WireDecodeError on any input.
         try:
-            return self._decode(body)
-        except Exception as exc:
+            return self._codec.decode_value(body)
+        except self._codec.WireDecodeError as exc:
             raise CryptoError(failure) from exc
 
     # ------------------------------------------------------------------
@@ -282,7 +290,7 @@ class CryptoProvider(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def sign(self, keypair: KeyPair, obj: Any, *, node: NodeId = -1) -> Any:
-        """Signature over a canonical encoding of ``obj``."""
+        """Signature over ``obj``'s wire-codec bytes."""
 
     def verify(self, public: PublicKey, obj: Any, signature: Any, *,
                node: NodeId = -1) -> bool:
@@ -294,7 +302,7 @@ class CryptoProvider(ABC):
         of re-running the host-side check; failures are never remembered.
         """
         self.accountant.rsa_verify(node)
-        message = _canonical(obj)
+        message = self._encode(obj)
         try:
             triple = (public, message, signature)
             if triple in self._verified:
@@ -314,14 +322,6 @@ class CryptoProvider(ABC):
     @abstractmethod
     def generate_keypair(self) -> KeyPair:
         """Create a fresh keypair (no CPU charge: keygen is off-cycle)."""
-
-    @abstractmethod
-    def _encode(self, obj: Any) -> bytes:
-        """The body bytes of ``obj``."""
-
-    @abstractmethod
-    def _decode(self, body: bytes) -> Any:
-        """Invert :meth:`_encode`; may raise anything on foreign bytes."""
 
     @abstractmethod
     def _nonce(self) -> bytes:
@@ -375,12 +375,6 @@ class RealCryptoProvider(CryptoProvider):
         public = PublicKey(material=pair.public, fingerprint=pair.public.fingerprint())
         return KeyPair(public=public, secret=pair.private)
 
-    def _encode(self, obj):
-        return pickle.dumps(obj)
-
-    def _decode(self, body):
-        return pickle.loads(body)
-
     def _nonce(self):
         return self._rng.getrandbits(64).to_bytes(8, "big")
 
@@ -405,7 +399,7 @@ class RealCryptoProvider(CryptoProvider):
 
     def sign(self, keypair, obj, *, node=-1):
         self.accountant.rsa_sign(node)
-        return rsa.sign(keypair.secret, _canonical(obj))
+        return rsa.sign(keypair.secret, self._encode(obj))
 
     def _check(self, public, message, signature):
         return isinstance(signature, bytes) and rsa.verify(
@@ -441,16 +435,6 @@ class SimCryptoProvider(CryptoProvider):
             secret=key_id,
         )
 
-    def _encode(self, obj):
-        from ..wire.codec import encode_value  # deferred: codec imports us
-
-        return encode_value(obj)
-
-    def _decode(self, body):
-        from ..wire.codec import decode_value  # deferred: codec imports us
-
-        return decode_value(body)
-
     def _nonce(self):
         return b""
 
@@ -467,7 +451,7 @@ class SimCryptoProvider(CryptoProvider):
 
     def sign(self, keypair, obj, *, node=-1):
         self.accountant.rsa_sign(node)
-        return ("sig", keypair.public.fingerprint, _canonical(obj))
+        return ("sig", keypair.public.fingerprint, self._encode(obj))
 
     def _check(self, public, message, signature):
         if not isinstance(signature, tuple) or len(signature) != 3:
@@ -498,8 +482,3 @@ _MODELLED_SEAL_BYTES = 256
 # Bound on a provider's remembered successful signature checks; cleared
 # wholesale when full.
 _VERIFIED_LIMIT = 4096
-
-
-def _canonical(obj: Any) -> bytes:
-    """Stable canonical encoding (pickle) of a signed/authenticated object."""
-    return pickle.dumps(obj)

@@ -26,7 +26,6 @@ success returned to its pre-fault level — rather than merely not crashing.
 from __future__ import annotations
 
 from ..core.ppss import VIEW_SIZE, MemberState
-from ..net.address import NodeKind
 from .world import World
 
 __all__ = [

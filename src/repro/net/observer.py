@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .address import Endpoint, NodeId
-from .message import Message
 
 __all__ = ["LinkObserver", "ObservedPacket"]
 

@@ -32,7 +32,7 @@ import hashlib
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 __all__ = ["SweepSpec", "derive_seed", "default_workers", "run_sweep"]
 

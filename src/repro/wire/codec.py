@@ -41,6 +41,7 @@ processes.
 from __future__ import annotations
 
 import linecache
+import re
 import struct as _struct
 import zlib
 from dataclasses import fields as _dc_fields
@@ -237,11 +238,25 @@ def _enc_bool(buf, obj):
 # varint loop.
 _INT1 = tuple(bytes((_T_INT, v)) for v in range(0x80))
 
+# Long ints (ten varint bytes and up) are RSA moduli, the few keys of a
+# deployment carried again and again: memoized like strings, both ways.
+_INT_ENC_MEMO: dict[int, bytes] = {}
+_INT_DEC_MEMO: dict[bytes, int] = {}
+_LONG_MIN = 1 << 63
+
 
 def _enc_int(buf, obj):
     v = obj + obj if obj >= 0 else -obj - obj - 1
     if v < 0x80:
         buf += _INT1[v]
+        return
+    if v >= _LONG_MIN:
+        enc = _INT_ENC_MEMO.get(obj)
+        if enc is None:
+            enc = bytes((_T_INT,)) + _uvarint_bytes(v)
+            if len(_INT_ENC_MEMO) < _STR_MEMO_LIMIT:
+                _INT_ENC_MEMO[obj] = enc
+        buf += enc
         return
     append = buf.append
     append(_T_INT)
@@ -519,7 +534,8 @@ def _dec_false(data, pos):
 
 def _dec_int(data, pos):
     # Single-byte varints (almost every int on the wire) decode inline;
-    # the loop only runs for multi-byte values.
+    # the loop only runs for multi-byte values, and hands a ten-byte one
+    # to the long-int memo.
     raw = data[pos]
     pos += 1
     if raw >= 0x80:
@@ -532,9 +548,28 @@ def _dec_int(data, pos):
             if byte < 0x80:
                 break
             shift += 7
+            if shift == 63:
+                return _dec_long(data, pos - 9)
     if raw & 1:
         return -((raw + 1) >> 1), pos
     return raw >> 1, pos
+
+
+_VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
+
+
+def _dec_long(data, start):
+    match = _VARINT.match(data, start)
+    if match is None:
+        raise WireDecodeError("truncated varint")
+    key = bytes(data[start:match.end()])
+    value = _INT_DEC_MEMO.get(key)
+    if value is None:
+        raw = _read_uvarint(key, 0)[0]
+        value = -((raw + 1) >> 1) if raw & 1 else raw >> 1
+        if len(_INT_DEC_MEMO) < _STR_MEMO_LIMIT:
+            _INT_DEC_MEMO[key] = value
+    return value, match.end()
 
 
 def _dec_float(data, pos):

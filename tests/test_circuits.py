@@ -11,7 +11,6 @@ and only the destination decodes the content.
 from __future__ import annotations
 
 import functools
-import pickle
 import random
 from dataclasses import replace
 
@@ -139,7 +138,7 @@ class TestWrapLayersMatchesSingleTransforms:
         nonces, outermost = body.blob
         assert len(nonces) == len(body.auths) == n_keys
         # Reference: the transforms innermost-first, one at a time.
-        expected = pickle.dumps(content)
+        expected = wire.encode_value(content)
         for key, nonce in zip(reversed(keys), reversed(nonces)):
             expected = transform(key, nonce, expected)
         assert outermost == expected

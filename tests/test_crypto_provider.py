@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
@@ -64,11 +64,11 @@ class TestProviderContract:
     def test_envelope_never_contains_key_bytes(self, provider):
         """Regression: the sim provider once stored the raw symmetric key as
         the envelope's ``auth`` field, leaking it to anyone holding the
-        envelope.  No serialization of the envelope may contain the key."""
+        envelope.  The envelope's wire bytes may not contain the key."""
         key = provider.new_symmetric_key()
         enc = provider.encrypt_payload(key, {"m": "hello"}, size_hint=256)
         assert enc.auth != key
-        assert key not in pickle.dumps(enc)
+        assert key not in encode_value(enc)
         assert provider.decrypt_payload(key, enc) == {"m": "hello"}
 
     def test_sign_verify(self, provider):
@@ -108,6 +108,9 @@ _VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
     max_leaves=6,
 )
+# One 200-character string twice in one object: equal after a wire round
+# trip, but no longer the same object.
+_SHARED = "g" * 200
 _BYTES_TUPLES = st.lists(st.binary(max_size=8), max_size=3).map(tuple)
 _BLOBS = (
     _VALUES
@@ -209,6 +212,50 @@ class TestForgedEnvelopes:
                 provider.unwrap_layer, key, LayeredPayload((nonces, body), auths, size)
             )
 
+    def test_a_pickled_body_runs_nothing(self, keyed_providers):
+        """A key holder seals, MACs and layers a pickle whose loading has a
+        side effect; every envelope checks out, the body does not decode,
+        and nothing runs.  Codec bytes under the same envelopes open."""
+        _TRIPPED.clear()
+        forged = pickle.dumps(_Tripwire())
+        for provider, pair, key in keyed_providers:
+            for body, expected in ((forged, None), (encode_value("benign"), "benign")):
+                wrapped, session_key, session_nonce = provider._wrap_key(pair.public)
+                sealed = Sealed(
+                    pair.public.fingerprint,
+                    (wrapped, provider._bulk(session_key, session_nonce, body)), 256,
+                )
+                nonce = provider._nonce()
+                ciphertext = provider._bulk(key, nonce, body)
+                mac = tag(key, nonce + ciphertext)
+                for operation, secret, envelope in (
+                    (provider.open, pair, sealed),
+                    (provider.decrypt_payload, key,
+                     EncryptedPayload((nonce, ciphertext), mac, 256)),
+                    (provider.unwrap_layer, key,
+                     LayeredPayload(((nonce,), ciphertext), (mac,), 256)),
+                ):
+                    if expected is not None:
+                        assert operation(secret, envelope) == expected
+                        continue
+                    with pytest.raises(CryptoError):
+                        operation(secret, envelope)
+                    assert _TRIPPED == []
+
+
+_TRIPPED: list[str] = []
+
+
+def _trip(label):
+    _TRIPPED.append(label)
+
+
+class _Tripwire:
+    """Pickles to bytes whose loading calls :func:`_trip`."""
+
+    def __reduce__(self):
+        return (_trip, ("loaded",))
+
 
 def _tweaked(signature):
     """The signature with its last byte (or its digest) altered."""
@@ -245,6 +292,7 @@ class TestVerifyCache:
 
     @settings(max_examples=60, deadline=None)
     @given(obj=_VALUES, other=_VALUES, junk=_VALUES)
+    @example(obj=1, other=True, junk=None)  # equal, but their tags differ
     def test_a_changed_triple_gets_the_uncached_answer(
         self, verify_providers, obj, other, junk
     ):
@@ -284,6 +332,20 @@ class TestVerifyCache:
                 direct.rsa_verify(3)
             assert accountant.op_breakdown(3)["rsa_verify"].count == len(calls)
             assert accountant.node_total_ms(3) == direct.node_total_ms(3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(obj=_VALUES)
+    @example(obj=("new_key", _SHARED, _SHARED, 3))
+    def test_a_signature_survives_the_wire_round_trip(self, verify_providers, obj):
+        """What a provider signs is the object's codec bytes, so a receiver
+        that decoded the object and its signature off the wire verifies
+        them -- however the sender's objects shared references."""
+        for provider, pair, _other in verify_providers:
+            received, signature = decode_value(
+                encode_value((obj, provider.sign(pair, obj)))
+            )
+            fresh = type(provider)(random.Random(0))
+            assert fresh.verify(pair.public, received, signature)
 
     def test_first_sight_runs_the_check_and_providers_share_nothing(self):
         for cls in (RealCryptoProvider, SimCryptoProvider):

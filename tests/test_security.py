@@ -12,10 +12,9 @@ check, on actual wire bytes:
   (sender, receiver) pair is (S, D); mixes learn only their adjacent hops.
 """
 
-import pickle
-
 import pytest
 
+from repro import wire
 from repro.core.contact import Gateway, PrivateContact
 from repro.core.ppss import MemberState
 from repro.harness import World, WorldConfig
@@ -48,10 +47,10 @@ def contact_for(node) -> PrivateContact:
 
 
 def wire_bytes(packet) -> bytes:
-    """Everything an eavesdropper on this packet could inspect."""
-    return pickle.dumps(
-        (packet.kind, packet.payload, str(packet.src_endpoint), str(packet.dst_endpoint))
-    )
+    """Everything an eavesdropper on this packet could inspect: the frame a
+    socket carries, and both endpoints."""
+    frame = wire.encode_message(packet.kind, packet.payload)
+    return frame + f"{packet.src_endpoint} {packet.dst_endpoint}".encode()
 
 
 @pytest.fixture(scope="module")

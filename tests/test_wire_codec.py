@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import wire
 from repro.crypto.provider import RealCryptoProvider
+from repro.crypto.rsa import RsaPublicKey
 from repro.harness.world import World, WorldConfig
 from repro.net.bandwidth import KNOWN_CATEGORIES, BandwidthAccountant
 from .wire_samples import SampleContext, crc_frame, sample_kinds, sample_payload
@@ -141,6 +142,8 @@ _TLV_BYTES = st.lists(
 _NESTED = b"\x07\x01" * 20000 + b"\x00"  # a list in a list ... 20,000 deep
 _LIST_KEY = b"\x09\x01\x07\x00\x00"  # {[]: None}
 _MIXED_UNKNOWN_KEYS = wire.encode_value({"from": 1, 2: 3, "x": 4})
+_LONG_CUT = wire.encode_value(1 << 512)[:-1]  # a modulus missing its last byte
+_CONTINUATION_ONLY = b"\x03" + b"\x80" * 40  # a varint that never ends
 
 
 class TestHostileInput:
@@ -150,6 +153,8 @@ class TestHostileInput:
     @given(_TLV_BYTES | st.binary(max_size=64))
     @example(_NESTED)
     @example(_LIST_KEY)
+    @example(_LONG_CUT)
+    @example(_CONTINUATION_ONLY)
     def test_decode_value_raises_only_wire_decode_error(self, data):
         try:
             wire.decode_value(data)
@@ -312,6 +317,50 @@ class TestCompiledFastPath:
         text = "".join(traceback.format_exception(info.value))
         assert 'File "<repro.wire.codec:_encode_Endpoint>"' in text
         assert "v = obj.host" in text
+
+
+class TestLongIntMemo:
+    """Ints of ten varint bytes and up (RSA moduli) are memoized both ways;
+    cold, warm or full, the memo changes no byte and no value."""
+
+    @staticmethod
+    def _samples():
+        rng = random.Random(5)
+        samples = []
+        for bits in (64, 65, 100, 512, 1024, 4096):
+            for sign in (1, -1):
+                value = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
+                samples += [
+                    value, [value, 3, -value], {"n": value, value: "k"},
+                    RsaPublicKey(n=value, e=65537),
+                ]
+        return samples
+
+    @pytest.mark.parametrize("state", ["cold", "warm", "full"])
+    def test_matches_the_reference_and_round_trips(self, monkeypatch, state):
+        from repro.wire import codec
+
+        limit = codec._STR_MEMO_LIMIT
+        encoded, decoded = {}, {}
+        if state == "full":
+            for i in range(limit):
+                other = (1 << 80) + i
+                tlv = wire.reference_encode_value(other)
+                encoded[other], decoded[tlv[1:]] = tlv, other
+        monkeypatch.setattr(codec, "_INT_ENC_MEMO", encoded)
+        monkeypatch.setattr(codec, "_INT_DEC_MEMO", decoded)
+        for _ in range(2 if state == "warm" else 1):
+            for value in self._samples():
+                blob = wire.encode_value(value)
+                assert blob == wire.reference_encode_value(value)
+                assert wire.decode_value(blob) == value
+                assert wire.decode_value(memoryview(blob)) == value
+        if state == "full":
+            assert len(encoded) == len(decoded) == limit
+        else:
+            # Six widths, two draws each, both signs: every one is ten
+            # varint bytes or more.
+            assert len(encoded) == len(decoded) == 24
 
 
 class TestLruCache:
