@@ -25,6 +25,7 @@ from repro.crypto.provider import RealCryptoProvider
 from repro.crypto.rsa import RsaPublicKey
 from repro.harness.world import World, WorldConfig
 from repro.net.bandwidth import KNOWN_CATEGORIES, BandwidthAccountant
+from repro.wire import codec
 from .wire_samples import SampleContext, crc_frame, sample_kinds, sample_payload
 
 
@@ -287,8 +288,6 @@ class TestCompiledFastPath:
         import traceback
         from dataclasses import dataclass
 
-        from repro.wire import codec
-
         @dataclass(init=False)  # a generated __init__ is itself "<string>"
         class Exploding:
             value: int
@@ -338,8 +337,6 @@ class TestLongIntMemo:
 
     @pytest.mark.parametrize("state", ["cold", "warm", "full"])
     def test_matches_the_reference_and_round_trips(self, monkeypatch, state):
-        from repro.wire import codec
-
         limit = codec._STR_MEMO_LIMIT
         encoded, decoded = {}, {}
         if state == "full":
@@ -361,6 +358,80 @@ class TestLongIntMemo:
             # Six widths, two draws each, both signs: every one is ten
             # varint bytes or more.
             assert len(encoded) == len(decoded) == 24
+
+
+def _varint_edges() -> list[int]:
+    """Ints on each side of every varint byte boundary, before and after
+    zigzag (a signed value's varint is twice its magnitude)."""
+    edges = []
+    for bits in range(0, 78, 7):
+        for base in (1 << bits, 1 << max(bits - 1, 0)):
+            edges += [base - 1, base, base + 1]
+    return sorted({sign * v for v in edges for sign in (1, -1)})
+
+
+def _utf8_prefix(text: str) -> str:
+    """``text`` cut to at most 300 utf-8 bytes, on a character boundary."""
+    return text.encode("utf-8")[:300].decode("utf-8", "ignore")
+
+
+_STR_EDGES = [
+    "a" * n for n in (0, 1, 127, 128, 129, 255, 256, 300)
+] + ["é" * 63 + "a", "é" * 64, "€" * 43, "\U0001f600" * 32]  # 127-128 utf-8 bytes
+
+_ENUM_MEMBERS = [member for _eid, ecls in codec._ENUM_TABLE for member in ecls]
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(_varint_edges()),
+    st.integers(),
+    st.integers(-(1 << 600), 1 << 600),
+    st.floats(allow_nan=False),
+    st.binary(max_size=300),
+    st.text(max_size=300).map(_utf8_prefix),
+    st.sampled_from(_STR_EDGES),
+    st.sampled_from(_ENUM_MEMBERS),
+)
+_KEYS = st.one_of(_SCALARS, st.tuples(_SCALARS, _SCALARS))
+
+
+def _containers(children):
+    # Struct fields take any value, not only their annotation's type: the
+    # decoder constructs positionally and must carry what it is given.
+    structs = [
+        st.tuples(*[children] * len(codec._STRUCT_BY_TYPE[cls][1])).map(
+            lambda args, cls=cls: cls(*args)
+        )
+        for _sid, cls in codec._STRUCT_TABLE
+    ]
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=6),
+        *structs,
+    )
+
+
+_VALUES = st.recursive(_SCALARS, _containers, max_leaves=24)
+
+
+class TestCompiledMatchesReference:
+    """Any value the codec accepts — every scalar, nested containers,
+    every enum member, every struct with fields of any type — encodes to
+    the reference encoder's bytes and decodes back to itself."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    @example(_STR_EDGES)
+    @example({key: key for key in _varint_edges()})
+    @example(_ENUM_MEMBERS)
+    def test_encode_matches_the_reference_and_round_trips(self, value):
+        blob = wire.encode_value(value)
+        assert blob == wire.reference_encode_value(value)
+        assert wire.decode_value(blob) == value
+        assert wire.decode_value(memoryview(blob)) == value
+        assert wire.encode_value(wire.decode_value(blob)) == blob
 
 
 class TestLruCache:
