@@ -233,13 +233,12 @@ def _enc_bool(buf, obj):
     buf.append(_T_TRUE if obj else _T_FALSE)
 
 
-# Tag+payload for every single-byte zigzag int (|value| < 64), i.e. almost
-# every id, age, count and hop index on the wire: one `+=` instead of a
-# varint loop.
-_INT1 = tuple(bytes((_T_INT, v)) for v in range(0x80))
+# Each memo below is a pure value -> bytes (or bytes -> value) map,
+# bounded, shared across Worlds: it changes no byte and no determinism.
+_MEMO_LIMIT = 8192
 
 # Long ints (ten varint bytes and up) are RSA moduli, the few keys of a
-# deployment carried again and again: memoized like strings, both ways.
+# deployment carried again and again: memoized both ways.
 _INT_ENC_MEMO: dict[int, bytes] = {}
 _INT_DEC_MEMO: dict[bytes, int] = {}
 _LONG_MIN = 1 << 63
@@ -247,23 +246,16 @@ _LONG_MIN = 1 << 63
 
 def _enc_int(buf, obj):
     v = obj + obj if obj >= 0 else -obj - obj - 1
-    if v < 0x80:
-        buf += _INT1[v]
-        return
     if v >= _LONG_MIN:
         enc = _INT_ENC_MEMO.get(obj)
         if enc is None:
             enc = bytes((_T_INT,)) + _uvarint_bytes(v)
-            if len(_INT_ENC_MEMO) < _STR_MEMO_LIMIT:
+            if len(_INT_ENC_MEMO) < _MEMO_LIMIT:
                 _INT_ENC_MEMO[obj] = enc
         buf += enc
         return
-    append = buf.append
-    append(_T_INT)
-    while v > 0x7F:
-        append((v & 0x7F) | 0x80)
-        v >>= 7
-    append(v)
+    buf.append(_T_INT)
+    _write_uvarint(buf, v)
 
 
 def _enc_float(buf, obj):
@@ -272,23 +264,17 @@ def _enc_float(buf, obj):
 
 
 def _enc_bytes(buf, obj):
-    append = buf.append
-    append(_T_BYTES)
-    n = len(obj)
-    while n > 0x7F:
-        append((n & 0x7F) | 0x80)
-        n >>= 7
-    append(n)
+    buf.append(_T_BYTES)
+    _write_uvarint(buf, len(obj))
     buf += obj
 
 
 # Wire strings draw from a small, heavily repeated vocabulary (payload
 # dict keys, message kinds, host addresses), so short strings memoize
 # their full TLV encoding: one dict probe (str hashes are cached on the
-# object) replaces encode + varint + copy.  Pure value->bytes map, bounded,
-# shared across Worlds — no effect on determinism.
+# object) replaces encode + varint + copy.  The codec's one string
+# specialisation with a measured reason (DESIGN.md, "Wire format").
 _STR_ENC_MEMO: dict[str, bytes] = {}
-_STR_MEMO_LIMIT = 8192
 
 
 def _enc_str(buf, obj):
@@ -301,28 +287,19 @@ def _enc_str(buf, obj):
     n = len(raw)
     if n < 0x80:
         enc = bytes((_T_STR, n)) + raw
-        if len(_STR_ENC_MEMO) < _STR_MEMO_LIMIT:
+        if len(_STR_ENC_MEMO) < _MEMO_LIMIT:
             _STR_ENC_MEMO[obj] = enc
         buf += enc
         return
-    append = buf.append
-    append(_T_STR)
-    while n > 0x7F:
-        append((n & 0x7F) | 0x80)
-        n >>= 7
-    append(n)
+    buf.append(_T_STR)
+    _write_uvarint(buf, n)
     buf += raw
 
 
 def _make_seq_encoder(tag: int):
     def enc(buf, obj, _tag=tag, _E=_ENCODERS, _fb=_encode_fallback):
-        append = buf.append
-        append(_tag)
-        n = len(obj)
-        while n > 0x7F:
-            append((n & 0x7F) | 0x80)
-            n >>= 7
-        append(n)
+        buf.append(_tag)
+        _write_uvarint(buf, len(obj))
         for item in obj:
             try:
                 e = _E[item.__class__]
@@ -334,13 +311,8 @@ def _make_seq_encoder(tag: int):
 
 
 def _enc_dict(buf, obj, _E=_ENCODERS, _fb=_encode_fallback):
-    append = buf.append
-    append(_T_DICT)
-    n = len(obj)
-    while n > 0x7F:
-        append((n & 0x7F) | 0x80)
-        n >>= 7
-    append(n)
+    buf.append(_T_DICT)
+    _write_uvarint(buf, len(obj))
     for key, value in obj.items():
         try:
             e = _E[key.__class__]
@@ -567,7 +539,7 @@ def _dec_long(data, start):
     if value is None:
         raw = _read_uvarint(key, 0)[0]
         value = -((raw + 1) >> 1) if raw & 1 else raw >> 1
-        if len(_INT_DEC_MEMO) < _STR_MEMO_LIMIT:
+        if len(_INT_DEC_MEMO) < _MEMO_LIMIT:
             _INT_DEC_MEMO[key] = value
     return value, match.end()
 
@@ -591,33 +563,18 @@ def _dec_bytes(data, pos):
     return bytes(data[pos:end]), end
 
 
-# Decode-side twin of ``_STR_ENC_MEMO``: raw utf-8 bytes -> str.  Serving
-# repeated wire strings from the memo skips the utf-8 decode *and* returns
-# a str whose hash is already computed, which speeds up building the
-# payload dicts they key.
-_STR_DEC_MEMO: dict[bytes, str] = {}
-
-
 def _dec_str(data, pos):
     length = data[pos]
     pos += 1
     if length >= 0x80:
         length, pos = _read_uvarint(data, pos - 1)
     end = pos + length
-    raw = bytes(data[pos:end])
-    try:
-        return _STR_DEC_MEMO[raw], end
-    except KeyError:
-        pass
-    if len(raw) != length:
+    if end > len(data):
         raise WireDecodeError("truncated string")
     try:
-        value = str(raw, "utf-8")
+        return str(data[pos:end], "utf-8"), end
     except UnicodeDecodeError as exc:
         raise WireDecodeError("malformed utf-8 string") from exc
-    if length < 0x80 and len(_STR_DEC_MEMO) < _STR_MEMO_LIMIT:
-        _STR_DEC_MEMO[raw] = value
-    return value, end
 
 
 def _dec_list(data, pos):
@@ -629,14 +586,7 @@ def _dec_list(data, pos):
     append = items.append
     decoders = _DECODERS
     for _ in range(count):
-        tag = data[pos]
-        if tag == 0x03:  # single-byte int fast path (_T_INT)
-            raw = data[pos + 1]
-            if raw < 0x80:
-                append(-((raw + 1) >> 1) if raw & 1 else raw >> 1)
-                pos += 2
-                continue
-        item, pos = decoders[tag](data, pos + 1)
+        item, pos = decoders[data[pos]](data, pos + 1)
         append(item)
     return items, pos
 
@@ -653,31 +603,9 @@ def _dec_dict(data, pos):
         count, pos = _read_uvarint(data, pos - 1)
     out: dict[Any, Any] = {}
     decoders = _DECODERS
-    memo = _STR_DEC_MEMO
     for _ in range(count):
-        # Keys are overwhelmingly short memoized strings: decode them
-        # inline (tag 0x06 = _T_STR) and only fall back on a memo miss.
-        if data[pos] == 0x06:
-            length = data[pos + 1]
-            end = pos + 2 + length
-            if length < 0x80:
-                try:
-                    key = memo[bytes(data[pos + 2:end])]
-                    pos = end
-                except KeyError:
-                    key, pos = _dec_str(data, pos + 1)
-            else:
-                key, pos = _dec_str(data, pos + 1)
-        else:
-            key, pos = decoders[data[pos]](data, pos + 1)
-        tag = data[pos]
-        if tag == 0x03:  # single-byte int fast path (_T_INT)
-            raw = data[pos + 1]
-            if raw < 0x80:
-                out[key] = -((raw + 1) >> 1) if raw & 1 else raw >> 1
-                pos += 2
-                continue
-        value, pos = decoders[tag](data, pos + 1)
+        key, pos = decoders[data[pos]](data, pos + 1)
+        value, pos = decoders[data[pos]](data, pos + 1)
         out[key] = value
     return out, pos
 
@@ -697,21 +625,7 @@ def _dec_struct(data, pos):
     return dec(data, pos)
 
 
-# Flat (id << 8 | index) -> member table: every registered enum has a
-# single-byte id and fewer than 128 members, so the common case is one
-# arithmetic dict probe.
-_ENUM_FLAT: dict[int, Any] = {
-    (eid << 8) | index: member
-    for eid, members in _ENUM_BY_ID.items()
-    for index, member in enumerate(members)
-}
-
-
 def _dec_enum(data, pos):
-    try:
-        return _ENUM_FLAT[(data[pos] << 8) | data[pos + 1]], pos + 2
-    except KeyError:
-        pass
     eid = data[pos]
     pos += 1
     if eid >= 0x80:
@@ -771,53 +685,16 @@ def _make_struct_decoder(sid: int, cls: type, names: tuple[str, ...]):
     n = len(names)
     assert n < 0x80, f"{cls.__name__}: field count {n} exceeds one varint byte"
     label = cls.__name__
-    # Declared field types guide per-field fast paths.  They are a hint,
-    # not a contract: the generated code checks the wire tag first and
-    # falls back to generic dispatch, so a field holding something other
-    # than its annotation still decodes correctly.
-    annotations = {f.name: f.type for f in _dc_fields(cls)}
     variables = [f"v{i}" for i in range(n)]
     function_name = f"_decode_{label}"
     lines = [
-        f"def {function_name}(data, pos, _cls=_cls, _D=_D, _memo=_memo, _ds=_ds,"
+        f"def {function_name}(data, pos, _cls=_cls, _D=_D,"
         " _mismatch=_mismatch, _err=_err):",
         f"    if data[pos] != {n}:",
         "        _mismatch(data, pos)",
         "    pos += 1",
     ]
-    for v, name in zip(variables, names):
-        hint = annotations.get(name)
-        hint = hint if isinstance(hint, str) else getattr(hint, "__name__", "")
-        if hint == "int":
-            lines += [
-                "    if data[pos] == 3:",  # _T_INT, single-byte payload
-                "        raw = data[pos + 1]",
-                "        if raw < 0x80:",
-                f"            {v} = -((raw + 1) >> 1) if raw & 1 else raw >> 1",
-                "            pos += 2",
-                "        else:",
-                f"            {v}, pos = _D[3](data, pos + 1)",
-                "    else:",
-                f"        {v}, pos = _D[data[pos]](data, pos + 1)",
-            ]
-        elif hint == "str":
-            lines += [
-                "    if data[pos] == 6:",  # _T_STR, short memoized payload
-                "        L = data[pos + 1]",
-                "        end = pos + 2 + L",
-                "        if L < 0x80:",
-                "            try:",
-                f"                {v} = _memo[bytes(data[pos + 2:end])]",
-                "                pos = end",
-                "            except KeyError:",
-                f"                {v}, pos = _ds(data, pos + 1)",
-                "        else:",
-                f"            {v}, pos = _ds(data, pos + 1)",
-                "    else:",
-                f"        {v}, pos = _D[data[pos]](data, pos + 1)",
-            ]
-        else:
-            lines.append(f"    {v}, pos = _D[data[pos]](data, pos + 1)")
+    lines += [f"    {v}, pos = _D[data[pos]](data, pos + 1)" for v in variables]
     lines += [
         "    try:",
         f"        return _cls({', '.join(variables)}), pos",
@@ -833,8 +710,7 @@ def _make_struct_decoder(sid: int, cls: type, names: tuple[str, ...]):
         )
 
     return _compile_function(function_name, lines, {
-        "_cls": cls, "_D": _DECODERS, "_memo": _STR_DEC_MEMO, "_ds": _dec_str,
-        "_mismatch": mismatch, "_err": WireDecodeError,
+        "_cls": cls, "_D": _DECODERS, "_mismatch": mismatch, "_err": WireDecodeError,
     })
 
 

@@ -337,7 +337,7 @@ class TestLongIntMemo:
 
     @pytest.mark.parametrize("state", ["cold", "warm", "full"])
     def test_matches_the_reference_and_round_trips(self, monkeypatch, state):
-        limit = codec._STR_MEMO_LIMIT
+        limit = codec._MEMO_LIMIT
         encoded, decoded = {}, {}
         if state == "full":
             for i in range(limit):
