@@ -122,7 +122,7 @@ def main() -> None:
                     "text": "let me in"},
         "reply_to": None,
     }
-    target.handle_message(forged, 256)
+    target.handle_message(forged)
     print(
         "\noutsider injection attempt rejected:",
         target.stats.passport_rejections == rejections_before + 1,

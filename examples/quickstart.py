@@ -38,7 +38,7 @@ def main() -> None:
     # --- one confidential message over an onion route -------------------
     secret = "meet me at the fountain at nine"
     received = []
-    bob.wcl.set_receive_upcall(lambda content, size: received.append(content))
+    bob.wcl.set_receive_upcall(lambda content: received.append(content))
     # bob.wcl.self_contact() is bob's advertisement: id, key, Π gateways.
     attempt = alice.wcl.send_to(bob.wcl.self_contact(), secret, 512)
     world.run(30.0)

@@ -182,7 +182,7 @@ class WhisperNode:
         if message.kind.startswith("nat."):
             self.cm.handle_message(message)
 
-    def _from_session(self, peer: NodeId, kind: str, payload: object, size: int) -> None:
+    def _from_session(self, peer: NodeId, kind: str, payload: object) -> None:
         if kind.startswith("pss."):
             self.pss.handle_message(peer, kind, payload)
         elif kind == "wcl.onion":
@@ -200,7 +200,7 @@ class WhisperNode:
         elif kind == "wcl.cb_probe_ack":
             self.backlog.on_probe_ack(peer, payload)
 
-    def _from_wcl(self, content: object, size: int) -> None:
+    def _from_wcl(self, content: object) -> None:
         if not isinstance(content, dict):
             return
         group = content.get("group")
@@ -210,4 +210,4 @@ class WhisperNode:
             # never reveals whether it recognised the group.
             self.unknown_group_messages += 1
             return
-        ppss.handle_message(content, size)
+        ppss.handle_message(content)

@@ -593,7 +593,7 @@ class PrivatePeerSamplingService:
     # ==================================================================
     # inbound dispatch (wired from the node's WCL upcall)
     # ==================================================================
-    def handle_message(self, body: dict[str, Any], size: int) -> None:
+    def handle_message(self, body: dict[str, Any]) -> None:
         """Entry point for every WCL-delivered content of this group."""
         msg_type = body.get("type")
         if msg_type == "group.join":

@@ -51,7 +51,7 @@ from .onion import (
 
 __all__ = ["WhisperCommunicationLayer", "AttemptInfo", "WclStats"]
 
-ReceiveUpcall = Callable[[Any, int], None]
+ReceiveUpcall = Callable[[Any], None]
 
 CIRCUIT_LIFETIME = 600.0  # seconds a circuit's per-hop keys are honoured
 
@@ -380,8 +380,7 @@ class WhisperCommunicationLayer:
             # the accountant said it was).
             content, body_ms = opened
             self._deliver_after(
-                (decrypt_ms + body_ms) / 1000.0, packet.trace_id,
-                content, packet.body.size_bytes,
+                (decrypt_ms + body_ms) / 1000.0, packet.trace_id, content
             )
             return
         next_hop = layer.next_hop
@@ -428,9 +427,7 @@ class WhisperCommunicationLayer:
             self._forward(next_hop, packet, kind)
         self._tick("wcl.mix_flushed", len(pool))
 
-    def _deliver_after(
-        self, delay: float, trace_id: int, content: Any, size: int
-    ) -> None:
+    def _deliver_after(self, delay: float, trace_id: int, content: Any) -> None:
         """We are the destination: count the arrival and hand the content
         to the receive upcall once the CPU time it cost has elapsed."""
         self.stats.delivered += 1
@@ -442,7 +439,7 @@ class WhisperCommunicationLayer:
             self._tick("wcl.delivered")
         upcall = self._receive_upcall
         if upcall is not None:
-            self._sim.schedule(delay, lambda: upcall(content, size))
+            self._sim.schedule(delay, lambda: upcall(content))
 
     def _relay_after(self, delay: float, next_hop: NextHop, packet, kind: str) -> None:
         """We are a mix: count the forward and pass ``packet`` on once the
@@ -718,7 +715,7 @@ class WhisperCommunicationLayer:
         if next_hop is None:
             # We are the destination; the unwrap returned the content.
             self.stats.circuit_delivered += 1
-            self._deliver_after(delay, frame.trace_id, result, frame.body.size_bytes)
+            self._deliver_after(delay, frame.trace_id, result)
             if tel.enabled:
                 self._tick("wcl.circuit_delivered")
             return

@@ -67,7 +67,7 @@ def run_path_length(
             src, dst = rng.sample(natted, 2)
             sent_at = world.sim.now
             dst.wcl.set_receive_upcall(
-                lambda content, size, s=sent_at: latencies.append(world.sim.now - s)
+                lambda content, s=sent_at: latencies.append(world.sim.now - s)
             )
             if src.wcl.send_to(dst.wcl.self_contact(), "probe", 512, mixes=mixes):
                 sent += 1
@@ -211,7 +211,7 @@ def _lease_point(point):
     sent = 0
     for src, dst in pairs:
         dst.wcl.set_receive_upcall(
-            lambda content, size, d=dst: delivered.append(d.node_id)
+            lambda content, d=dst: delivered.append(d.node_id)
         )
         if src.wcl.send_to(contacts[dst.node_id], "stale probe", 256):
             sent += 1

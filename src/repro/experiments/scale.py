@@ -67,7 +67,7 @@ def run(
     for _ in range(messages):
         src, dst = rng.sample(natted, 2)
         dst.wcl.set_receive_upcall(
-            lambda content, size, d=dst: delivered.append(d.node_id)
+            lambda content, d=dst: delivered.append(d.node_id)
         )
         if src.wcl.send_to(dst.wcl.self_contact(), "scale probe", 512, mixes=mixes):
             sent += 1

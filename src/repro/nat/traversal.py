@@ -166,7 +166,7 @@ class ConnectionManager:
         sim: Clock,
         network: Network,
         policy: TraversalPolicy | None = None,
-        deliver_upcall: Callable[[NodeId, str, object, int], None] | None = None,
+        deliver_upcall: Callable[[NodeId, str, object], None] | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.node_id = node_id
@@ -180,7 +180,7 @@ class ConnectionManager:
         self._reflexive: Endpoint | None = None
         self._descriptor_cache: NodeDescriptor | None = None
         # Upcall for application payloads arriving over sessions:
-        # (peer_id, kind, payload, size).
+        # (peer_id, kind, payload).
         self._deliver_upcall = deliver_upcall
         self._evict_listeners: list[Callable[[NodeId], None]] = []
         self._keepalive_task: PeriodicTask | None = None
@@ -486,7 +486,7 @@ class ConnectionManager:
             self.node_id,
             session.remote_endpoint,
             "nat.data",
-            {"from": self.node_id, "kind": kind, "payload": payload, "inner_size": size},
+            {"from": self.node_id, "kind": kind, "payload": payload},
             size,
             protocol=self.policy.protocol,
             category=category,
@@ -544,7 +544,7 @@ class ConnectionManager:
         if kind.startswith("nat."):
             self._dispatch_internal(kind, body["payload"])
         elif self._deliver_upcall is not None:
-            self._deliver_upcall(peer, kind, body["payload"], body["inner_size"])
+            self._deliver_upcall(peer, kind, body["payload"])
 
     def _dispatch_internal(self, kind: str, payload: dict) -> None:
         """Control messages carried over sessions (after ``nat.data`` unwrap)."""
@@ -583,9 +583,7 @@ class ConnectionManager:
             if inner_kind.startswith("nat."):
                 self._dispatch_internal(inner_kind, envelope["payload"])
             elif self._deliver_upcall is not None:
-                self._deliver_upcall(
-                    origin, inner_kind, envelope["payload"], envelope["inner_size"]
-                )
+                self._deliver_upcall(origin, inner_kind, envelope["payload"])
             return
         # Forward the envelope along its remaining chain (or, as the final
         # rendezvous, over our session to the target); the final receiver
@@ -608,9 +606,9 @@ class ConnectionManager:
                 tel.counter("nat.relayed", node=self.node_id, layer="nat").inc()
                 if envelope["kind"] == "wcl.onion":
                     # An honest-but-curious relay forwarding an onion: the
-                    # measurement-only trace id on the packet lets Fig. 7
-                    # attribute the relay hop — the protocol itself never
-                    # reads it (see core/onion.py).
+                    # packet's trace id lets Fig. 7 attribute the relay
+                    # hop.  The protocol never reads it, but it is on the
+                    # wire, unchanged at every hop (see core/onion.py).
                     tel.instant(
                         "nat.relay", node=self.node_id, layer="nat",
                         trace_id=getattr(envelope["payload"], "trace_id", None),

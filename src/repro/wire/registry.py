@@ -7,7 +7,7 @@ A wire frame is::
 
 The CRC covers everything before it, so truncation and bit flips are
 rejected before any payload decoding happens.  ``version`` is the format
-generation: a v1 decoder refuses frames from any other generation with a
+generation: a decoder refuses frames from any other generation with a
 clean :class:`~repro.wire.codec.WireDecodeError` instead of guessing.
 
 Every message kind the stack produces is registered as a
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 WIRE_MAGIC = b"WF"
-WIRE_VERSION = 1
+WIRE_VERSION = 2  # bumped whenever a registered kind's fields change
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +136,7 @@ _SPECS: tuple[MessageSpec, ...] = (
     _spec("nat.hello", 1, "nat", required=("from",)),
     _spec("nat.ping", 2, "nat", required=("from",)),
     _spec("nat.pong", 3, "nat", required=("from", "observed")),
-    _spec("nat.data", 4, "nat", required=("from", "kind", "payload", "inner_size")),
+    _spec("nat.data", 4, "nat", required=("from", "kind", "payload")),
     # --- session kinds: traversal control over nat.data --------------------
     _spec("nat.sping", 5, "nat", required=("from",)),
     _spec("nat.spong", 6, "nat", required=("from",)),

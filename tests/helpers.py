@@ -42,7 +42,7 @@ class MiniNode:
         if message.kind.startswith("nat."):
             self.cm.handle_message(message)
 
-    def _on_app_payload(self, peer: int, kind: str, payload: object, size: int) -> None:
+    def _on_app_payload(self, peer: int, kind: str, payload: object) -> None:
         self.inbox.append((peer, kind, payload))
 
 

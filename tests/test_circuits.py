@@ -426,7 +426,7 @@ class TestDeliveryDelayIncludesBodyDecrypt:
         packet = build_onion(provider, path_specs, {"probe": 1}, 1024)
 
         arrivals = []
-        dst.wcl.set_receive_upcall(lambda c, s: arrivals.append(world.sim.now))
+        dst.wcl.set_receive_upcall(lambda c: arrivals.append(world.sim.now))
         charged_before = provider.accountant.node_total_ms(dst.node_id)
         t0 = world.sim.now
         dst.wcl.handle_onion(packet)
@@ -541,7 +541,7 @@ def circuit_world():
 
 class TestCircuitLifecycle:
     def send(self, world, src, dst, payload, received):
-        dst.wcl.set_receive_upcall(lambda c, s: received.append(c))
+        dst.wcl.set_receive_upcall(lambda c: received.append(c))
         attempt = src.wcl.send_to(contact_for(dst), payload, 1024)
         world.run(30.0)
         return attempt
@@ -585,7 +585,7 @@ class TestCircuitLifecycle:
         w = circuit_world
         src, dst = w.natted_nodes()[4], w.natted_nodes()[5]
         received = []
-        dst.wcl.set_receive_upcall(lambda c, s: received.append(c))
+        dst.wcl.set_receive_upcall(lambda c: received.append(c))
         src.wcl.enable_circuits()
         # Swallow the setup packet: the handshake never completes.
         original = src.wcl.cm.send_via_session
@@ -675,7 +675,7 @@ class TestCircuitModeOffIsInert:
         w.run(200.0)
         src, dst = w.natted_nodes()[0], w.natted_nodes()[1]
         received = []
-        dst.wcl.set_receive_upcall(lambda c, s: received.append(c))
+        dst.wcl.set_receive_upcall(lambda c: received.append(c))
         assert src.wcl.send_to(contact_for(dst), "plain", 128) is not None
         w.run(30.0)
         assert received == ["plain"]

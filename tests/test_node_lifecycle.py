@@ -65,12 +65,12 @@ class TestDispatch:
     def test_unknown_group_content_ignored_silently(self, world):
         node = world.alive_nodes()[0]
         before = node.unknown_group_messages
-        node._from_wcl({"type": "ppss.request", "group": "ghost"}, 100)
+        node._from_wcl({"type": "ppss.request", "group": "ghost"})
         assert node.unknown_group_messages == before + 1
 
     def test_non_dict_content_ignored(self, world):
         node = world.alive_nodes()[0]
-        node._from_wcl("garbage string", 100)  # must not raise
+        node._from_wcl("garbage string")  # must not raise
 
     def test_stopped_node_stops_gossiping(self, world):
         node = world.alive_nodes()[0]

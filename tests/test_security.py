@@ -78,11 +78,11 @@ def observed_run():
     received = []
     original_upcall = dst._from_wcl
 
-    def tap_upcall(content, size):
+    def tap_upcall(content):
         if isinstance(content, dict) and "msg" in content:
             received.append(content)
         else:
-            original_upcall(content, size)
+            original_upcall(content)
 
     dst.wcl.set_receive_upcall(tap_upcall)
     attempt = src.wcl.send_to(contact_for(dst), {"msg": SECRET}, 2048)
@@ -151,7 +151,7 @@ class TestMembershipPrivacy:
             "election": None,
             "new_key": None,
         }
-        ppss.handle_message(bogus, 128)
+        ppss.handle_message(bogus)
         assert ppss.stats.passport_rejections == before + 1
 
     def test_wrong_group_passport_rejected(self, observed_run):
@@ -175,7 +175,7 @@ class TestMembershipPrivacy:
             "election": None,
             "new_key": None,
         }
-        ppss.handle_message(bogus, 128)
+        ppss.handle_message(bogus)
         assert ppss.stats.passport_rejections == before + 1
 
 

@@ -30,7 +30,7 @@ def contact_for(node) -> PrivateContact:
 
 def exchange(world, src, dst, payload, timeout=30.0):
     received = []
-    dst.wcl.set_receive_upcall(lambda content, size: received.append(content))
+    dst.wcl.set_receive_upcall(lambda content: received.append(content))
     attempt = src.wcl.send_to(contact_for(dst), payload, 1024)
     world.run(timeout)
     return attempt, received

@@ -21,7 +21,7 @@ class TestLongPaths:
         src = world.natted_nodes()[0]
         dst = world.natted_nodes()[1]
         received = []
-        dst.wcl.set_receive_upcall(lambda content, size: received.append(content))
+        dst.wcl.set_receive_upcall(lambda content: received.append(content))
         attempt = src.wcl.send_to(contact_for(dst), "deep cover", 256, mixes=3)
         world.run(30.0)
         assert attempt is not None
@@ -32,7 +32,7 @@ class TestLongPaths:
         src = world.natted_nodes()[2]
         dst = world.natted_nodes()[3]
         received = []
-        dst.wcl.set_receive_upcall(lambda content, size: received.append(content))
+        dst.wcl.set_receive_upcall(lambda content: received.append(content))
         attempt = src.wcl.send_to(contact_for(dst), "deeper", 256, mixes=5)
         world.run(30.0)
         assert attempt is not None

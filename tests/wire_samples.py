@@ -304,8 +304,8 @@ _BUILDERS: dict[str, Callable[[SampleContext], Any]] = {
 
 
 def _nat_data(ctx: SampleContext) -> dict[str, Any]:
-    kind, payload, size = _inner_kind_payload(ctx)
-    return {"from": ctx.node_id(), "kind": kind, "payload": payload, "inner_size": size}
+    kind, payload, _size = _inner_kind_payload(ctx)
+    return {"from": ctx.node_id(), "kind": kind, "payload": payload}
 
 
 def _nat_relay(ctx: SampleContext) -> dict[str, Any]:
