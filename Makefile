@@ -13,14 +13,16 @@ install:
 test:
 	$(PYTHON) -m pytest tests/ --durations=15
 
-# Source size, the figure ROADMAP aim 2 tracks: prints the total and fails
-# above the ceiling (-10% of the 22,499 lines the round started from).
+# Source size, the figure ROADMAP aim 2 tracks: prints the total and the
+# five largest files, and fails above the ceiling (-10% of the 22,499
+# lines the round started from).
 # ROADMAP: "A PR that adds source lines says which of these it is borrowing
 # against" -- one that crosses the ceiling moves it here, in its own diff.
 LOC_CEILING := 20250
 loc:
 	@total=$$(find src -name '*.py' | xargs cat | wc -l); \
 	echo "$$total total (aim-2 ceiling $(LOC_CEILING))"; \
+	find src -name '*.py' | xargs wc -l | grep -v ' total$$' | sort -rn | head -5; \
 	test $$total -le $(LOC_CEILING)
 
 # The repository benchmark (BENCHMARK.json): full pass; writes

@@ -54,8 +54,10 @@ _ONION_TYPES = (OnionPacket, CircuitSetupPacket, CircuitFrame)
 
 def _trace_ids(payload: object) -> Iterator[int]:
     """Trace ids of the onion-bearing packets in a wire payload, walking
-    ``nat.data`` / ``nat.relay`` wrappers.  Measurement-only: trace ids
-    exist for instrumentation and would not appear on a real wire."""
+    ``nat.data`` / ``nat.relay`` wrappers.  Used here as ground truth.
+    Trace ids exist for instrumentation, but the codec does encode them
+    into live frames, unchanged at every hop (see core/onion.py); the
+    modelled attacks never key on them."""
     stack, steps = [payload], 0
     while stack and steps < TRAVERSAL_CAP:
         steps += 1

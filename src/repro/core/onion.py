@@ -10,12 +10,18 @@ B learns whether they neighbour the source or the destination — that is the
 relationship-anonymity argument of Section III-A, and the property the
 security tests assert.
 
-``trace_id`` is simulation instrumentation only: it lets the measurement
-harness correlate per-hop timings for Fig. 7 without giving protocol code
-any extra information (nothing in the protocol reads it; anonymity tests
-deliberately ignore it, as the real wire format would not carry it).
-Trace ids are drawn from the provider (one counter per World), so two
-Worlds in one process number their onions exactly as two processes would.
+``trace_id`` is measurement instrumentation: it lets the harness
+correlate per-hop timings for Fig. 7, and nothing in the protocol reads
+it.  It does cross the wire, though: :class:`OnionPacket`,
+:class:`CircuitSetupPacket` and :class:`CircuitFrame` are registered
+codec structs, so every live frame (and every ``"verify"`` /
+``"measured"`` sim frame) encodes the trace id, and it is the same on
+every hop of a packet's path — on a circuit frame it links exactly the
+hops the per-link label rewrite unlinks.  The anonymity analyses ignore
+it on purpose (an eavesdropper that read it would win trivially); see
+ROADMAP ``circuit-default``.  Trace ids are drawn from the provider (one
+counter per World), so two Worlds in one process number their onions
+exactly as two processes would.
 
 Circuit mode (HORNET/Sphinx-style amortization) adds a second packet
 family: a :class:`CircuitSetupPacket` is a one-shot onion whose layers
