@@ -39,8 +39,8 @@ from ..telemetry import NULL_TELEMETRY
 from .injector import FaultExecutor
 
 if TYPE_CHECKING:
-    from ..runtime.clock import ScheduledCall
     from ..runtime.live import LiveNetwork
+    from ..sim.clock import Cancellable
     from ..telemetry import Telemetry
 
 __all__ = ["LiveFaultFabric"]
@@ -68,7 +68,7 @@ class LiveFaultFabric(FaultExecutor):
         self.network = network
         self._stashed_handlers: dict[NodeId, object] = {}
         # Held frames in flight; a handle leaves when its timer fires.
-        self._held: set["ScheduledCall"] = set()
+        self._held: set["Cancellable"] = set()
         network.set_fault_fabric(self)
 
     def _at(self, time: float, callback: Callable[[], object]) -> None:

@@ -20,13 +20,12 @@ onion-routed private message between two OS processes over loopback;
 process and drives them through a scripted fault schedule.
 """
 
-from .clock import AsyncioScheduler, ScheduledCall
+from .clock import AsyncioScheduler
 from .live import SEND_QUEUE_LIMIT, LiveNetwork, LiveNetworkStats, LiveRuntime
 from .supervisor import NodeSupervisor, SupervisorConfig, SupervisorStats
 
 __all__ = [
     "AsyncioScheduler",
-    "ScheduledCall",
     "LiveNetwork",
     "LiveNetworkStats",
     "LiveRuntime",

@@ -349,14 +349,21 @@ class LiveNetwork:
         port = self._ports.get(node_id)
         if port is None:
             return
-        while True:
-            try:
-                data, addr = port.sock.recvfrom(_RECV_SIZE)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # socket closed under us (rebind/teardown race)
-            self._on_datagram(node_id, data, addr)
+        # One callback, one instant: the stack sees a frozen ``now`` for the
+        # whole batch, and what it schedules arms one timer at the end.
+        scheduler = self._scheduler
+        scheduler.freeze()
+        try:
+            while True:
+                try:
+                    data, addr = port.sock.recvfrom(_RECV_SIZE)
+                except (BlockingIOError, InterruptedError):
+                    return
+                except OSError:
+                    return  # socket closed under us (rebind/teardown race)
+                self._on_datagram(node_id, data, addr)
+        finally:
+            scheduler.thaw()
 
     def _on_datagram(self, node_id: NodeId, data: bytes, addr: tuple[str, int]) -> None:
         try:

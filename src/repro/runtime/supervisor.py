@@ -29,7 +29,7 @@ from ..net.address import NodeId
 
 if TYPE_CHECKING:
     from ..core.node import WhisperNode
-    from .clock import ScheduledCall
+    from ..sim.clock import Cancellable
     from .live import LiveRuntime
 
 __all__ = ["SupervisorConfig", "SupervisorStats", "NodeSupervisor"]
@@ -72,8 +72,8 @@ class NodeSupervisor:
         self.config = config if config is not None else SupervisorConfig()
         self.stats = SupervisorStats()
         self.on_restart: Callable[["WhisperNode"], None] | None = None
-        self._probe_handle: "ScheduledCall | None" = None
-        self._restart_handles: dict[NodeId, "ScheduledCall"] = {}
+        self._probe_handle: "Cancellable | None" = None
+        self._restart_handles: dict[NodeId, "Cancellable"] = {}
         # node -> current backoff delay (seconds) for its *next* restart.
         self._backoff: dict[NodeId, float] = {}
         self._restarted_at: dict[NodeId, float] = {}

@@ -30,7 +30,7 @@ from ..telemetry import NULL_TELEMETRY
 if TYPE_CHECKING:
     from ..telemetry import Telemetry
 
-__all__ = ["Event", "Simulator", "SimulationError"]
+__all__ = ["Event", "EventHeap", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -43,8 +43,8 @@ class Event:
     Events are totally ordered by ``(time, priority, seq)`` so the run is
     deterministic.  ``cancelled`` events stay in the heap but are skipped when
     popped (lazy deletion), which keeps cancellation O(1); the owning
-    simulator is notified of live cancellations so it can account queue depth
-    accurately and compact the heap when lazily-deleted entries pile up.
+    :class:`EventHeap` is notified of live cancellations so it can account
+    queue depth accurately and compact when lazily-deleted entries pile up.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "cancelled", "_sim", "_done")
@@ -56,7 +56,7 @@ class Event:
         seq: int,
         callback: Callable[[], Any],
         cancelled: bool = False,
-        sim: "Simulator | None" = None,
+        sim: "EventHeap | None" = None,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -87,7 +87,61 @@ class Event:
         return f"Event(t={self.time}, prio={self.priority}, seq={self.seq}{state})"
 
 
-class Simulator:
+class EventHeap:
+    """A heap of ``(time, priority, seq, Event)`` entries with lazy cancellation.
+
+    The discrete-event :class:`Simulator` and the live
+    :class:`~repro.runtime.clock.AsyncioScheduler` both keep one; this base
+    holds what they share: live-entry accounting and the compaction rule a
+    cancelled :class:`Event` reports to.  Subclasses own ``_queue`` and
+    ``_cancelled_in_queue`` and do the pushing and popping.
+    """
+
+    _queue: list[tuple[float, int, int, Event]]
+    _cancelled_in_queue: int  # lazily-deleted entries still heaped
+
+    def pending(self) -> int:
+        """Number of *live* events still queued (O(1)).
+
+        Cancelled events awaiting lazy deletion are excluded: callers (and
+        the ``sim.pending`` telemetry gauge) want actual scheduled work, not
+        heap occupancy.  An earlier revision returned ``len(self._queue)``,
+        overstating queue depth after cancellation storms.
+        """
+        return len(self._queue) - self._cancelled_in_queue
+
+    def _note_cancel(self) -> None:
+        """A queued event was cancelled; account for the lazy deletion.
+
+        When cancelled entries dominate the heap, compact it: drop them all
+        and re-heapify the survivors.  This bounds both memory and the
+        per-pop cost of skipping tombstones after cancellation storms.
+        Compaction drops tombstones without counting them:
+        ``sim.cancelled_skipped`` counts only those ``Simulator.run()`` pops.
+
+        The trigger floor scales with queue size: a fixed floor would make
+        a deep queue (100k-node runs hold hundreds of thousands of pending
+        timers) compact — an O(queue) rebuild — on a trickle of
+        cancellations that is negligible relative to the heap.  Tombstones
+        must both exceed the proportional floor *and* outnumber live
+        entries, so each O(n) rebuild is paid for by Ω(n) cancellations
+        and the amortized cost per cancel stays O(1) at any depth.
+        """
+        self._cancelled_in_queue += 1
+        queue_len = len(self._queue)
+        if (
+            self._cancelled_in_queue > 64 + (queue_len >> 3)
+            and self._cancelled_in_queue * 2 > queue_len
+        ):
+            # In-place rebuild: the popping loop holds a direct reference
+            # to the queue list, so its identity must survive compaction.
+            queue = self._queue
+            queue[:] = [e for e in queue if not e[3].cancelled]
+            heapq.heapify(queue)
+            self._cancelled_in_queue = 0
+
+
+class Simulator(EventHeap):
     """A deterministic discrete-event scheduler with a simulated clock.
 
     Typical usage::
@@ -139,16 +193,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events that have fired so far."""
         return self._events_processed
-
-    def pending(self) -> int:
-        """Number of *live* events still queued (O(1)).
-
-        Cancelled events awaiting lazy deletion are excluded: callers (and
-        the ``sim.pending`` telemetry gauge) want actual scheduled work, not
-        heap occupancy.  An earlier revision returned ``len(self._queue)``,
-        overstating queue depth after cancellation storms.
-        """
-        return len(self._queue) - self._cancelled_in_queue
 
     # ------------------------------------------------------------------
     # scheduling
@@ -248,33 +292,3 @@ class Simulator:
         if self._sched_delta:
             self._tel_scheduled.inc(self._sched_delta)
             self._sched_delta = 0
-
-    def _note_cancel(self) -> None:
-        """A queued event was cancelled; account for the lazy deletion.
-
-        When cancelled entries dominate the heap, compact it: drop them all
-        and re-heapify the survivors.  This bounds both memory and the
-        per-pop cost of skipping tombstones after cancellation storms.
-        Compaction drops tombstones without counting them:
-        ``sim.cancelled_skipped`` counts only those ``run()`` pops.
-
-        The trigger floor scales with queue size: a fixed floor would make
-        a deep queue (100k-node runs hold hundreds of thousands of pending
-        timers) compact — an O(queue) rebuild — on a trickle of
-        cancellations that is negligible relative to the heap.  Tombstones
-        must both exceed the proportional floor *and* outnumber live
-        entries, so each O(n) rebuild is paid for by Ω(n) cancellations
-        and the amortized cost per cancel stays O(1) at any depth.
-        """
-        self._cancelled_in_queue += 1
-        queue_len = len(self._queue)
-        if (
-            self._cancelled_in_queue > 64 + (queue_len >> 3)
-            and self._cancelled_in_queue * 2 > queue_len
-        ):
-            # In-place rebuild: run() holds a direct reference to the
-            # queue list, so its identity must survive compaction.
-            queue = self._queue
-            queue[:] = [e for e in queue if not e[3].cancelled]
-            heapq.heapify(queue)
-            self._cancelled_in_queue = 0
