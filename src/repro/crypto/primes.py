@@ -58,7 +58,8 @@ def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 20
     else:
         if rng is None:
             rng = random.Random()
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        # Drawn as their rounds run: most composites fail the first.
+        witnesses = (rng.randrange(2, n - 1) for _ in range(rounds))
     return all(_miller_rabin_round(n, a, d, r) for a in witnesses)
 
 

@@ -103,7 +103,9 @@ def encrypt(public: RsaPublicKey, plaintext: bytes, rng: random.Random) -> bytes
             f"plaintext too long: {len(plaintext)} > {k - 11} bytes"
         )
     pad_len = k - len(plaintext) - 3
-    padding = bytes(rng.randrange(1, 256) for _ in range(pad_len))
+    padding = b""
+    while len(padding) < pad_len:  # non-zero bytes, drawn in bulk
+        padding += rng.randbytes(pad_len - len(padding)).replace(b"\x00", b"")
     block = b"\x00\x02" + padding + b"\x00" + plaintext
     m = int.from_bytes(block, "big")
     c = pow(m, public.e, public.n)

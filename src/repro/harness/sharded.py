@@ -42,14 +42,14 @@ How the pieces fit:
   degraded overlay (ROADMAP ``sharded-exact``).  Injection order is the
   sorted key order, so destination event sequence numbers — and therefore
   every downstream tie-break — are identical regardless of lane grouping.
-- **Collector policy** — :meth:`ShardedWorld.run_windows` switches the
-  cyclic collector off for the whole call and runs one young collection
+- **Collector policy** — :meth:`ShardedWorld.run_windows` pauses the
+  cyclic collector for the whole call and runs one young collection
   (``gc.collect(1)``: the window's survivors, never the populated world)
-  per barrier, timed inside ``barrier_s``.  The steady-state message path
-  makes no reference cycles (``tests/test_gc_contract.py``); the
-  per-barrier collection bounds what rare paths (churn, faults, joins)
-  make.  The populated world is not frozen (``gc.freeze``): a ``World``
-  is cyclic, so a frozen one would never be reclaimed.
+  per barrier, timed inside ``barrier_s``; ``populate`` and ``start_all``
+  pause it and close with one.  Neither steady state nor a build makes
+  reference cycles (``tests/test_gc_contract.py``); the per-barrier
+  collection bounds what rare paths (churn, faults, joins) make.  The
+  world is not frozen (``gc.freeze``): a frozen one is never reclaimed.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from ..nat.types import EMULATED_TYPES
 from ..net.address import NodeId
 from ..net.message import Message
 from ..parallel.executor import derive_seed
+from ..sim.engine import bulk_build, collector_paused
 from .world import World, WorldConfig, fill_introducers, nat_plan
 
 __all__ = ["ShardedWorld"]
@@ -114,6 +115,7 @@ class ShardedWorld:
             home = derive_seed(self._master_seed, "shard-of", node_id) % self.partitions
         return home
 
+    @bulk_build()
     def populate(self, count: int) -> None:
         """Create ``count`` nodes with global ids, homed by hash."""
         # A single world's plan, shuffled on a ``derive_seed`` stream of its
@@ -151,6 +153,7 @@ class ShardedWorld:
             ))
         return list(self._introducers)
 
+    @bulk_build()
     def start_all(self) -> None:
         introducers = self.introducers()
         for world in self.worlds:
@@ -243,12 +246,10 @@ class ShardedWorld:
             p for lane in range(lanes) for p in range(lane, self.partitions, lanes)
         ]
         # Collector policy (module docstring): off for the whole call, so
-        # Simulator.run's own disable/enable nests as a no-op instead of
-        # releasing a window's deferred collections over the populated
-        # world; one young collection per barrier, booked to the barrier.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        # Simulator.run's own pause nests as a no-op instead of releasing a
+        # window's deferred collections over the populated world; one young
+        # collection per barrier, booked to the barrier.
+        with collector_paused():
             for _ in range(windows):
                 window_end = self.now + window_s
                 for p in order:
@@ -261,9 +262,6 @@ class ShardedWorld:
                 self.barrier_s += _time.perf_counter() - started
                 self.barrier_windows += 1
                 self.now = window_end
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     # ------------------------------------------------------------------
     # measurement

@@ -22,7 +22,7 @@ from ..net.address import NodeId, NodeKind
 from ..net.latency import ClusterLatencyModel, LatencyModel, PlanetLabLatencyModel
 from ..net.network import Network
 from ..metrics.graph import ViewGraph
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, bulk_build
 from .deployment import Deployment
 
 __all__ = ["WorldConfig", "World", "fill_introducers", "nat_plan"]
@@ -147,6 +147,7 @@ class World(Deployment):
         self.topology.add_node(node_id, nat_type)
         return self._build_node(node_id, nat_type)
 
+    @bulk_build()
     def populate(self, count: int) -> list[WhisperNode]:
         """Create ``count`` nodes at exactly the configured N:P ratio."""
         plan = nat_plan(
@@ -170,6 +171,7 @@ class World(Deployment):
         )
         return list(self._introducers)
 
+    @bulk_build()
     def start_all(self) -> None:
         # Resolve the introducer set once: it is stable for the duration of
         # a bulk start (the first call fills it to INTRODUCER_COUNT and no

@@ -13,9 +13,9 @@ scheduling order.
 Performance notes: the heap holds ``(time, priority, seq, event)`` tuples so
 that ``heapq`` orders entries by comparing plain numbers — the ``seq``
 component is unique, so two ``Event`` objects are never compared and the
-event type needs no ordering protocol on the hot path.  ``run()`` is the one
-event loop; it batches its telemetry counter updates, flushing once per
-``run()`` rather than once per event.
+event type has no ordering protocol.  ``run()`` is the one event loop; it
+batches its telemetry counter updates, flushing once per ``run()`` rather
+than once per event.
 """
 
 from __future__ import annotations
@@ -23,14 +23,40 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any, Callable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..telemetry import NULL_TELEMETRY
 
 if TYPE_CHECKING:
     from ..telemetry import Telemetry
 
-__all__ = ["Event", "EventHeap", "Simulator", "SimulationError"]
+__all__ = ["Event", "EventHeap", "Simulator", "SimulationError",
+           "bulk_build", "collector_paused"]
+
+
+@contextmanager
+def collector_paused() -> Iterator[bool]:
+    """Keep the cyclic collector off for the block; yields whether it was
+    on.  A pause that finds it off restores nothing, so pauses nest."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield was_enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@contextmanager
+def bulk_build() -> Iterator[None]:
+    """Decorates a world-building method (``@bulk_build()``): the collector
+    is paused, then one young collection (``gc.collect(1)``) takes what the
+    build made if it was on.  DESIGN.md "Collector policy" says why."""
+    with collector_paused() as was_enabled:
+        yield
+        if was_enabled:
+            gc.collect(1)
 
 
 class SimulationError(RuntimeError):
@@ -40,11 +66,12 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback.
 
-    Events are totally ordered by ``(time, priority, seq)`` so the run is
-    deterministic.  ``cancelled`` events stay in the heap but are skipped when
-    popped (lazy deletion), which keeps cancellation O(1); the owning
-    :class:`EventHeap` is notified of live cancellations so it can account
-    queue depth accurately and compact when lazily-deleted entries pile up.
+    Events fire in ``(time, priority, seq)`` order (the heap entry's key),
+    so the run is deterministic.  ``cancelled`` events stay in the heap but
+    are skipped when popped (lazy deletion), which keeps cancellation O(1);
+    the owning :class:`EventHeap` is notified of live cancellations so it
+    can account queue depth accurately and compact when lazily-deleted
+    entries pile up.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "cancelled", "_sim", "_done")
@@ -74,13 +101,6 @@ class Event:
         sim = self._sim
         if sim is not None and not self._done:
             sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
@@ -245,37 +265,29 @@ class Simulator(EventHeap):
         heappop = heapq.heappop
         fired = 0
         skipped = 0  # cancelled entries popped off the top
-        # Event churn produces no reference cycles (pinned by
-        # tests/test_gc_contract.py), so generational GC scans during the
-        # run are pure overhead.  Suppress collection for the duration and
-        # restore on exit.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            while queue:
-                entry = queue[0]
-                event = entry[3]
-                if event.cancelled:
-                    # Lazily-deleted entry reached the top: drop it.
+            with collector_paused():  # events make no cycles: test_gc_contract
+                while queue:
+                    entry = queue[0]
+                    event = entry[3]
+                    if event.cancelled:
+                        # Lazily-deleted entry reached the top: drop it.
+                        heappop(queue)
+                        self._cancelled_in_queue -= 1
+                        skipped += 1
+                        continue
+                    if until is not None and entry[0] > until:
+                        break
                     heappop(queue)
-                    self._cancelled_in_queue -= 1
-                    skipped += 1
-                    continue
-                if until is not None and entry[0] > until:
-                    break
-                heappop(queue)
-                event._done = True
-                self.now = entry[0]
-                self._events_processed += 1
-                fired += 1
-                event.callback()
+                    event._done = True
+                    self.now = entry[0]
+                    self._events_processed += 1
+                    fired += 1
+                    event.callback()
             if until is not None and until > self.now:
                 self.now = until
         finally:
             self._running = False
-            if gc_was_enabled:
-                gc.enable()
             if fired:
                 self._tel_fired.inc(fired)
             if skipped:

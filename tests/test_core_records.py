@@ -174,16 +174,18 @@ class TestSelfContact:
 
 # sha256 over the outermost RSA-wrapped session block, the body nonce (data
 # onions) and the next 64 bits of the provider's RNG, per path length 1-5,
-# recorded at the parent commit with the provider below.  The wrapped block
-# is a function of every RNG draw before it and of no pickled byte.
+# recorded with the provider below.  The wrapped block is a function of
+# every RNG draw before it and of no pickled byte.  Re-recorded once when
+# RSA padding came to be drawn in bulk and Miller-Rabin witnesses round by
+# round: the draws the builders make themselves kept their order.
 DRAW_ORDER_DIGESTS = {
     "onion": [
-        "8713d185f5c16f63", "38b6a913991a7b3c", "e7e84683b03e7f0c",
-        "ce668f2d4168f0f9", "21d062e0c5cbfd5c",
+        "0fd5dc826b849e75", "bb5c417e4f6d49e0", "d9207b56c7e7cf86",
+        "2eebab3af772deac", "d6931cd025d611a0",
     ],
     "setup": [
-        "bf6a6182a45a01db", "10a4bc63fb5dd426", "2e4adddbf491d409",
-        "8d88cbde35ad66aa", "f3c0d09e80bc6467",
+        "5afc23b0dd708688", "7b61c3bcba1eb16e", "9b4cff16a3ea75f8",
+        "7dfb799544ed1d47", "4eed3f393043ba3c",
     ],
 }
 

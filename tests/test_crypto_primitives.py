@@ -71,6 +71,26 @@ class TestRsa:
         ciphertext = rsa.encrypt(keypair.public, plaintext, random.Random(1))
         assert plaintext not in ciphertext
 
+    def test_padding_is_nonzero_and_roundtrips(self, keypair):
+        """The pad is drawn in bulk with zero bytes rejected: a zero inside
+        it would end the padding early and truncate the plaintext's head.
+        One stream is biased towards zeros to drive the redraw."""
+
+        class ZeroHeavy(random.Random):
+            def randbytes(self, n):
+                return bytes(b if b % 3 else 0 for b in super().randbytes(n))
+
+        k = (keypair.public.n.bit_length() + 7) // 8
+        for rng in (random.Random(5), ZeroHeavy(5)):
+            for i in range(200):
+                plaintext = bytes([i % 256]) * (i % (k - 10))
+                ciphertext = rsa.encrypt(keypair.public, plaintext, rng)
+                c = int.from_bytes(ciphertext, "big")
+                block = keypair.private._decrypt_int(c).to_bytes(k, "big")
+                pad = block[2 : k - len(plaintext) - 1]
+                assert len(pad) >= 8 and 0 not in pad
+                assert rsa.decrypt(keypair.private, ciphertext) == plaintext
+
     def test_too_long_plaintext_rejected(self, keypair):
         max_len = keypair.public.max_payload_bytes
         with pytest.raises(ValueError):
