@@ -9,7 +9,7 @@ NAT-traversed session towards the member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..crypto.provider import PublicKey
 from ..nat.traversal import NodeDescriptor
@@ -19,7 +19,7 @@ from ..net.message import sizes
 __all__ = ["Gateway", "PrivateContact"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gateway:
     """A keyed hop: a node's descriptor and the public key to seal for it.
 
@@ -32,6 +32,11 @@ class Gateway:
     descriptor: NodeDescriptor
     key: PublicKey
 
+    def __init__(self, descriptor: NodeDescriptor, key: PublicKey) -> None:
+        # Frozen, set through the slots' descriptors: see NodeDescriptor.
+        _set_descriptor(self, descriptor)
+        _set_key(self, key)
+
     @property
     def node_id(self) -> NodeId:
         return self.descriptor.node_id
@@ -39,6 +44,11 @@ class Gateway:
     @property
     def is_public(self) -> bool:
         return self.descriptor.is_public
+
+
+_set_descriptor, _set_key = (
+    getattr(Gateway, f.name).__set__ for f in fields(Gateway)
+)
 
 
 @dataclass(frozen=True, slots=True)

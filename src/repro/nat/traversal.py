@@ -34,7 +34,7 @@ with NAT association leases; stale sessions surface as timeouts that callers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from ..net.address import Endpoint, NodeId, NodeKind, Protocol
@@ -58,7 +58,7 @@ _CONNECT_TIMEOUT = 5.0
 _PUNCH_TIMEOUT = 3.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NodeDescriptor:
     """How to reach a node, as circulated in PSS views.
 
@@ -73,6 +73,19 @@ class NodeDescriptor:
     nat_type: NatType
     public_endpoint: Endpoint | None = None  # P-nodes only
     route: tuple[NodeId, ...] = ()
+
+    def __init__(
+        self, node_id: NodeId, kind: NodeKind, nat_type: NatType,
+        public_endpoint: Endpoint | None = None, route: tuple[NodeId, ...] = (),
+    ) -> None:
+        # Still frozen: the slots' own member descriptors (bound below the
+        # class) set the fields, where the generated __init__ paid one
+        # object.__setattr__ per field on every shipped gossip entry.
+        _set_node_id(self, node_id)
+        _set_kind(self, kind)
+        _set_nat_type(self, nat_type)
+        _set_public_endpoint(self, public_endpoint)
+        _set_route(self, route)
 
     @property
     def is_public(self) -> bool:
@@ -95,6 +108,11 @@ class NodeDescriptor:
 
     def route_too_long(self) -> bool:
         return len(self.route) > MAX_ROUTE_LENGTH
+
+
+_set_node_id, _set_kind, _set_nat_type, _set_public_endpoint, _set_route = (
+    getattr(NodeDescriptor, f.name).__set__ for f in fields(NodeDescriptor)
+)
 
 
 @dataclass(slots=True)

@@ -111,8 +111,8 @@ class PeerSamplingService:
         self.stats = PssStats()
         self._listeners: list[ExchangeListener] = []
         self._failure_listeners: list[Callable[[NodeId], None]] = []
-        # target -> (response timer, the sample we shipped to it)
-        self._pending: dict[NodeId, tuple[Timer, list[ViewEntry]]] = {}
+        # target -> (response timer, node ids of the sample shipped to it)
+        self._pending: dict[NodeId, tuple[Timer, list[NodeId]]] = {}
         self._task: PeriodicTask | None = None
         # Kept from init() for re-bootstrap: a node whose view empties
         # (every partner timed out during an outage, and the failure
@@ -234,9 +234,12 @@ class PeerSamplingService:
 
     def _send_request(self, target: NodeId) -> None:
         sample = self.view.sample(self._rng, SHUFFLE_SIZE)
+        shipped = self.view.shipped(sample[: SHUFFLE_SIZE - 1], self.node_id)
         body = {
             "sender": self.cm.descriptor(),
-            "buffer": self._shipped(sample, include_self=True),
+            # Self first, in place of the last sampled slot — which still
+            # counts as sent, and gives way in the merge like the others.
+            "buffer": [ViewEntry(self.cm.descriptor(), 0), *shipped],
             "key": self.public_key if self.config.exchange_keys else None,
         }
         if not self.cm.send_via_session(
@@ -246,7 +249,7 @@ class PeerSamplingService:
             return
         timer = Timer(self._sim, lambda: self._response_timeout(target))
         timer.start(self.config.response_timeout)
-        self._pending[target] = (timer, sample)
+        self._pending[target] = (timer, [slot[1] for slot in sample])
 
     def _response_timeout(self, target: NodeId) -> None:
         self._pending.pop(target, None)
@@ -277,10 +280,10 @@ class PeerSamplingService:
             # The passive side does not insert itself (shuffling [19]): per
             # exchange the initiator gains exactly one placement, keeping
             # copy counts — hence in-degrees — balanced.
-            "buffer": self._shipped(sample, include_self=False),
+            "buffer": self.view.shipped(sample, self.node_id),
             "key": self.public_key if self.config.exchange_keys else None,
         }
-        self._merge(body["buffer"], body["sender"], sent=sample)
+        self._merge(body["buffer"], body["sender"], sent=[slot[1] for slot in sample])
         self._record_exchange(body["sender"], body.get("key"), initiated=False)
         self.cm.send_via_session(
             peer, "pss.response", response, self._message_size(response), "pss"
@@ -288,7 +291,7 @@ class PeerSamplingService:
 
     def _on_response(self, peer: NodeId, body: dict) -> None:
         pending = self._pending.pop(peer, None)
-        sent: list[ViewEntry] = []
+        sent: list[NodeId] = []
         if pending is not None:
             timer, sent = pending
             timer.cancel()
@@ -299,26 +302,16 @@ class PeerSamplingService:
     # ------------------------------------------------------------------
     # shared plumbing
     # ------------------------------------------------------------------
-    def _shipped(
-        self, sample: list[ViewEntry], include_self: bool
-    ) -> list[ViewEntry]:
-        """Entries as sent on the wire: routes extended via us, self first."""
-        shipped = [entry.via(self.node_id) for entry in sample]
-        if include_self:
-            own = ViewEntry(descriptor=self.cm.descriptor(), age=0)
-            shipped = [own] + shipped[: SHUFFLE_SIZE - 1]
-        return shipped
-
     def _merge(
         self,
         received: list[ViewEntry],
         sender: NodeDescriptor,
-        sent: list[ViewEntry],
+        sent: list[NodeId],
     ) -> None:
         """Merge one exchange into the view (see :meth:`View.merge`).
 
         The sender's fresh self-descriptor is treated as one more received
-        entry; ``sent`` is the sample we shipped to the partner.
+        entry; ``sent`` holds the node ids of the sample we shipped.
         """
         incoming = [self._compress_route(entry) for entry in received]
         incoming.append(ViewEntry(sender, 0))

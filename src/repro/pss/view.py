@@ -7,13 +7,14 @@ decisions (keep freshest).
 
 Ages advance lazily: :meth:`View.increment_ages` bumps a view-level offset
 in O(1) instead of rebuilding every entry, and entries are materialized with
-their absolute age only when read.
+their absolute age only when read — or, for a gossip exchange, only when
+shipped.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from ..nat.traversal import NodeDescriptor
@@ -28,12 +29,17 @@ _Stored = tuple[int, NodeId, NodeDescriptor]
 _Arrival = tuple[int, NodeId, int, NodeDescriptor]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ViewEntry:
     """One view slot: who, how to reach them, and how stale the info is."""
 
     descriptor: NodeDescriptor
     age: int = 0
+
+    def __init__(self, descriptor: NodeDescriptor, age: int = 0) -> None:
+        # Frozen, set through the slots' descriptors: see NodeDescriptor.
+        _set_descriptor(self, descriptor)
+        _set_age(self, age)
 
     @property
     def node_id(self) -> NodeId:
@@ -43,12 +49,10 @@ class ViewEntry:
     def is_public(self) -> bool:
         return self.descriptor.kind is NodeKind.PUBLIC
 
-    def aged(self) -> "ViewEntry":
-        return ViewEntry(self.descriptor, self.age + 1)
 
-    def via(self, forwarder: NodeId) -> "ViewEntry":
-        """Entry as shipped to a gossip partner (route extended)."""
-        return ViewEntry(self.descriptor.via(forwarder), self.age)
+_set_descriptor, _set_age = (
+    getattr(ViewEntry, f.name).__set__ for f in fields(ViewEntry)
+)
 
 
 class View:
@@ -64,7 +68,9 @@ class View:
     age is relative to ``_age_offset``, so a cycle tick is O(1) and "oldest"
     is the built-in ``max`` (node ids are unique within a view, so tuple
     comparison never reaches the descriptor).  Every public accessor returns
-    :class:`ViewEntry` objects carrying their absolute age.
+    :class:`ViewEntry` objects carrying their absolute age, except
+    :meth:`sample`: a gossip exchange ships its stored slots through
+    :meth:`shipped` and keeps only their node ids.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -117,11 +123,19 @@ class View:
         age, _, descriptor = rng.choice(list(self._entries.values()))
         return ViewEntry(descriptor, age + self._age_offset)
 
-    def sample(self, rng: random.Random, k: int) -> list[ViewEntry]:
+    def sample(self, rng: random.Random, k: int) -> list[_Stored]:
+        """``k`` stored slots drawn without replacement (all of them, in slot
+        order, when the view holds no more than ``k``)."""
         stored = list(self._entries.values())
         if k < len(stored):
             stored = rng.sample(stored, k)
-        return self._absolute(stored)
+        return stored
+
+    def shipped(self, slots: list[_Stored], forwarder: NodeId) -> list[ViewEntry]:
+        """Sampled slots as sent to a gossip partner: absolute ages, routes
+        extended via ``forwarder``."""
+        offset = self._age_offset
+        return [ViewEntry(d.via(forwarder), age + offset) for age, _, d in slots]
 
     # ------------------------------------------------------------------
     def increment_ages(self) -> None:
@@ -160,7 +174,7 @@ class View:
     def merge(
         self,
         incoming: list[ViewEntry],
-        sent: list[ViewEntry],
+        sent: list[NodeId],
         self_id: NodeId,
         pi: int = 0,
         cap_public: bool = False,
@@ -171,7 +185,7 @@ class View:
         node id, then arrival order, break age ties, so descriptors are never
         compared.  An entry for a node already in the view refreshes it in
         its slot when strictly fresher.  A new node fills an empty slot, else
-        takes the place of (and appends after) the next entry of ``sent`` —
+        takes the place of (and appends after) the next node of ``sent`` —
         what we shipped to the partner — still in the view, else — healing —
         of the oldest entry when that one is strictly older.  Entries for
         ``self_id`` or with over-long routes are dropped.  Then the WHISPER
@@ -181,9 +195,8 @@ class View:
         entries = self._entries
         offset = self._age_offset
         capacity = self.capacity
-        # Shipped entries give way in shipping order (popped from the end).
-        shipped = [e.descriptor.node_id for e in reversed(sent)]
-        replaceable = [node_id for node_id in shipped if node_id in entries]
+        # Shipped nodes give way in shipping order (popped from the end).
+        replaceable = [node_id for node_id in reversed(sent) if node_id in entries]
         evicted: list[_Arrival] = []
         order = [
             (e.age - offset, e.descriptor.node_id, arrival, e.descriptor)

@@ -8,6 +8,11 @@ API only).  The property test runs both on the same generated exchange and
 requires the same view in the same slot order — the population the next
 ``sample`` draws from — the same ``has_session`` call sequence (that call
 deletes lease-expired sessions) and the same next sample.
+
+The shipping test does the same for the send side: the buffers both roles
+build from the view's stored slots, and the node ids they keep as ``sent``,
+against the formula they replaced — materialise the sampled entries, then
+extend each route — with the same RNG draws.
 """
 
 import random
@@ -19,8 +24,9 @@ from hypothesis import strategies as st
 from repro.nat.traversal import MAX_ROUTE_LENGTH, NodeDescriptor
 from repro.nat.types import NatType
 from repro.net.address import Endpoint, NodeId, NodeKind
-from repro.pss.gossip import PeerSamplingService, PssConfig
+from repro.pss.gossip import SHUFFLE_SIZE, PeerSamplingService, PssConfig
 from repro.pss.view import View, ViewEntry
+from repro.sim.engine import Simulator
 
 SELF_ID = 0
 
@@ -289,7 +295,8 @@ def test_one_pass_merge_matches_the_reference(case):
     fill(reference.view, case)
     assert service.view.entries() == reference.view.entries()
 
-    service._merge(case["received"], case["sender"], sent=case["sent"])
+    sent_ids = [e.node_id for e in case["sent"]]
+    service._merge(case["received"], case["sender"], sent=sent_ids)
     reference._merge(case["received"], case["sender"], sent=case["sent"])
 
     assert service.view.entries() == reference.view.entries()  # slot order too
@@ -297,3 +304,90 @@ def test_one_pass_merge_matches_the_reference(case):
     assert service.view.sample(random.Random(7), 3) == reference.view.sample(
         random.Random(7), 3
     )
+
+
+# ----------------------------------------------------------------------
+# shipping: stored slots against materialise-then-extend
+# ----------------------------------------------------------------------
+SHIP_VIEW_SIZE = 10
+PARTNER = 99
+
+
+class SendLog:
+    """The slice of a ConnectionManager the send side touches."""
+
+    def __init__(self, me: NodeDescriptor) -> None:
+        self.me = me
+        self.bodies: list[dict] = []
+
+    def descriptor(self) -> NodeDescriptor:
+        return self.me
+
+    def send_via_session(self, peer, kind, body, size, layer) -> bool:
+        self.bodies.append(body)
+        return True
+
+
+def old_sample(view: View, rng: random.Random, k: int) -> list[ViewEntry]:
+    """``View.sample`` as it was: absolute-aged entries, same draws."""
+    entries = view.entries()
+    if k < len(entries):
+        entries = rng.sample(entries, k)
+    return entries
+
+
+@st.composite
+def routed_descriptors(draw) -> NodeDescriptor:
+    node_id = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return _public(node_id)
+    route = draw(st.lists(st.integers(50, 60), max_size=MAX_ROUTE_LENGTH))
+    return _natted(node_id, tuple(route))
+
+
+@st.composite
+def shipping_views(draw) -> dict:
+    held = draw(
+        st.lists(
+            st.builds(ViewEntry, routed_descriptors(), AGES),
+            max_size=SHIP_VIEW_SIZE, unique_by=lambda e: e.node_id,
+        )
+    )
+    late = [e for e in held if draw(st.booleans())]
+    return {
+        "held": [e for e in held if e not in late],
+        "cycles": draw(st.integers(1, 5)),  # a non-zero age offset
+        "late": late,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shipping_views(), seed=st.integers(0, 2**32 - 1))
+@example(case={"held": [], "cycles": 1, "late": []}, seed=0)
+def test_shipped_buffers_and_sent_ids_match_the_old_formula(case, seed):
+    me = _natted(SELF_ID, ())
+    for initiator in (True, False):
+        cm = SendLog(me)
+        service = PeerSamplingService(
+            SELF_ID, cm, Simulator(), random.Random(seed),
+            config=PssConfig(view_size=SHIP_VIEW_SIZE),
+        )
+        fill(service.view, case)
+        old_view = View(SHIP_VIEW_SIZE)
+        fill(old_view, case)
+        rng = random.Random(seed)
+        sample = old_sample(old_view, rng, SHUFFLE_SIZE)
+        expected = [ViewEntry(e.descriptor.via(SELF_ID), e.age) for e in sample]
+        merged: list[list[int]] = []
+        service.view.merge = lambda incoming, sent, *policy: merged.append(sent)
+        if initiator:
+            expected = [ViewEntry(me, 0)] + expected[: SHUFFLE_SIZE - 1]
+            service._send_request(PARTNER)
+            sent = service._pending[PARTNER][1]
+        else:
+            service._on_request(PARTNER, {"sender": _public(PARTNER), "buffer": []})
+            (sent,) = merged
+        (body,) = cm.bodies
+        assert body["buffer"] == expected
+        assert sent == [e.node_id for e in sample]
+        assert service._rng.getstate() == rng.getstate()

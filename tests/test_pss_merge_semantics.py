@@ -79,7 +79,7 @@ class TestMerge:
             for i in range(capacity)
         ]
         service.view.replace_all(entries)
-        sent = entries[:2]
+        sent = [e.node_id for e in entries[:2]]
         incoming = [
             ViewEntry(descriptor=natted_descriptor(200 + i), age=5)
             for i in range(2)
@@ -180,25 +180,40 @@ class TestRouteCompression:
         assert service._compress_route(entry) is entry
 
 
+def sent_bodies(service, monkeypatch) -> list[dict]:
+    """Bodies the service hands its sessions, captured instead of sent."""
+    bodies: list[dict] = []
+
+    def send_via_session(peer, kind, body, size, layer) -> bool:
+        bodies.append(body)
+        return True
+
+    monkeypatch.setattr(service.cm, "send_via_session", send_via_session)
+    return bodies
+
+
 class TestShippedBuffer:
-    def test_active_buffer_contains_self_first(self, pss):
+    def test_active_buffer_contains_self_first(self, pss, monkeypatch):
         _world, service = pss
         service.view.replace_all(
             [ViewEntry(descriptor=natted_descriptor(100 + i), age=0) for i in range(6)]
         )
-        sample = service.view.sample(service._rng, SHUFFLE_SIZE)
-        shipped = service._shipped(sample, include_self=True)
+        bodies = sent_bodies(service, monkeypatch)
+        service._send_request(500)
+        shipped = bodies[0]["buffer"]
         assert shipped[0].node_id == service.node_id
         assert shipped[0].age == 0
         assert len(shipped) <= SHUFFLE_SIZE
 
-    def test_passive_buffer_excludes_self(self, pss):
+    def test_passive_buffer_excludes_self(self, pss, monkeypatch):
         _world, service = pss
         service.view.replace_all(
             [ViewEntry(descriptor=natted_descriptor(100 + i), age=0) for i in range(6)]
         )
-        sample = service.view.sample(service._rng, SHUFFLE_SIZE)
-        shipped = service._shipped(sample, include_self=False)
+        bodies = sent_bodies(service, monkeypatch)
+        service._on_request(500, {"sender": public_descriptor(500), "buffer": []})
+        shipped = bodies[0]["buffer"]
+        assert shipped
         assert all(e.node_id != service.node_id for e in shipped)
 
     def test_shipped_routes_extended(self, pss):
@@ -206,6 +221,6 @@ class TestShippedBuffer:
         service.view.replace_all(
             [ViewEntry(descriptor=natted_descriptor(100), age=0)]
         )
-        sample = service.view.entries()
-        shipped = service._shipped(sample, include_self=False)
+        sample = service.view.sample(service._rng, SHUFFLE_SIZE)
+        shipped = service.view.shipped(sample, service.node_id)
         assert shipped[0].descriptor.route[0] == service.node_id

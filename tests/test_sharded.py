@@ -352,6 +352,32 @@ class TestCollectorPolicy:
         collecting = sum(stopped - started for _, started, stopped in collections)
         assert 0.0 < collecting <= world.barrier_s - barrier_before
 
+    def test_back_to_back_calls_hand_the_caller_an_empty_young_generation(self):
+        # The barrier's collection is the last allocating step of a window:
+        # one that ran before the exchange would leave the exchange's
+        # allocations over the threshold, and the interpreter's own
+        # collections (full ones included) would run at the caller's next
+        # allocation, or at the next call's entry, outside the barrier.
+        world = _build()
+        threshold = gc.get_threshold()[0]
+        generations: list[int] = []
+
+        def record(phase: str, info: dict) -> None:
+            if phase == "start":
+                generations.append(info["generation"])
+
+        kept: list[list] = []
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            for _ in range(8):
+                world.run_windows(1.0, 1)
+                assert gc.get_count()[0] < threshold
+                kept.append([[] for _ in range(threshold // 4)])
+        finally:
+            gc.callbacks.remove(record)
+        assert generations == [1] * 8
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_on_return_is_the_state_on_entry(self, enabled):
         world = _build()

@@ -91,9 +91,13 @@ class TestView:
         view.increment_ages()
         view.put(entry(3, age=1))  # stored below the offset
         ages = {1: 2, 2: 5, 3: 1}
-        assert {e.node_id: e.age for e in view.sample(random.Random(1), 5)} == ages
+
+        def shipped(k: int) -> list[ViewEntry]:
+            return view.shipped(view.sample(random.Random(1), k), 77)
+
+        assert {e.node_id: e.age for e in shipped(5)} == ages
         assert {e.node_id: e.age for e in view.entries()} == ages
-        assert all(ages[e.node_id] == e.age for e in view.sample(random.Random(1), 2))
+        assert all(ages[e.node_id] == e.age for e in shipped(2))
         assert view.oldest() == entry(2, age=5)
         assert view.random_entry(random.Random(1)).age in ages.values()
 
@@ -101,7 +105,8 @@ class TestView:
         view = View(capacity=5)
         view.replace_all([entry(i) for i in range(1, 6)])
         expected = random.Random(4).sample(view.node_ids(), 3)
-        assert [e.node_id for e in view.sample(random.Random(4), 3)] == expected
+        sampled = view.sample(random.Random(4), 3)
+        assert [node_id for _, node_id, _ in sampled] == expected
 
     def test_merge_refresh_keeps_slot(self):
         view = View(capacity=3)
@@ -115,7 +120,7 @@ class TestView:
         view.replace_all([entry(1, age=2), entry(2, age=2), entry(3, age=2)])
         # Node 1 was shipped: it gives way first; then healing takes the
         # oldest (highest node id on an age tie) for a strictly fresher entry.
-        view.merge([entry(7, age=1), entry(8, age=0)], sent=[entry(1)], self_id=99)
+        view.merge([entry(7, age=1), entry(8, age=0)], sent=[1], self_id=99)
         assert view.node_ids() == [2, 8, 7]
         view.merge([entry(9, age=2)], sent=[], self_id=99)  # not strictly fresher
         assert view.node_ids() == [2, 8, 7]
@@ -145,9 +150,13 @@ class TestView:
         assert View(capacity=3).random_entry(random.Random(1)) is None
 
     def test_entry_via_extends_route(self):
-        e = entry(4)
-        assert e.via(77).descriptor.route == (77, 999)
-        assert e.via(77).age == e.age
+        view = View(capacity=3)
+        view.replace_all([entry(4, age=2)])
+        view.increment_ages()
+        (shipped,) = view.shipped(view.sample(random.Random(1), 5), 77)
+        assert shipped.descriptor.route == (77, 999)
+        assert shipped.age == 3
+        assert view.get(4).descriptor.route == (999,)
 
 
 def select(capacity: int, candidates, pi: int = 0, cap_public: bool = False):
